@@ -9,6 +9,7 @@ one sign on the stage range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .fieldfit import Rectangle, RiskField
 from .polynomial import Polynomial, real_roots
 
 ROOT_TOL = 1e-10
+MC_CHUNK = 65536
 
 
 def _subdomain(field: RiskField, domain: Rectangle | None) -> Rectangle:
@@ -248,12 +250,12 @@ def monte_carlo_region_area(
     rng = np.random.default_rng(seed)
     ts = rng.uniform(dom.t_min, dom.t_max, samples)
     cs = rng.uniform(dom.c_min, dom.c_max, samples)
-    g = np.zeros_like(ts)
-    h = np.zeros_like(ts)
-    for ak, bk in zip(reversed(field.a), reversed(field.b)):
-        g = g * ts + ak
-        h = h * ts + bk
-    hit_fraction = float(np.count_nonzero(g * cs + h >= threshold)) / samples
+    hits = 0
+    # Count in chunks so the temporaries stay small next to ts and cs.
+    for lo in range(0, samples, MC_CHUNK):
+        g, h = field.slope_and_intercept(ts[lo : lo + MC_CHUNK])
+        hits += int(np.count_nonzero(g * cs[lo : lo + MC_CHUNK] + h >= threshold))
+    hit_fraction = hits / samples
     area = hit_fraction * dom.area
     std_error = dom.area * float(
         np.sqrt(hit_fraction * (1.0 - hit_fraction) / samples)
@@ -277,6 +279,8 @@ def risk_region_area(
     isolation.  If g changes sign inside the range the reduction is
     invalid and a seeded Monte Carlo estimate is returned instead.
     """
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be finite")
     dom = _subdomain(field, domain)
     g = field.concentration_slope().trimmed()
     h = field.concentration_intercept()
@@ -323,7 +327,8 @@ def risk_probability(
 
 # Cell edges: 0 bottom, 1 right, 2 top, 3 left.  Corner bits: 1 bottom
 # left, 2 bottom right, 4 top right, 8 top left.  The two saddle cases
-# (5, 10) are resolved by the sign at the cell center.
+# (5, 10) are resolved by the sign at the cell center; cases 16 and 17
+# are the two ways a resolved saddle joins its edges.
 _SEGMENT_TABLE: dict[int, tuple[tuple[int, int], ...]] = {
     0: (), 15: (),
     1: ((0, 3),), 14: ((0, 3),),
@@ -332,7 +337,23 @@ _SEGMENT_TABLE: dict[int, tuple[tuple[int, int], ...]] = {
     4: ((1, 2),), 11: ((1, 2),),
     6: ((0, 2),), 9: ((0, 2),),
     7: ((2, 3),), 8: ((2, 3),),
+    16: ((0, 1), (2, 3)),
+    17: ((0, 3), (1, 2)),
 }
+
+
+def _segment_arrays() -> tuple[np.ndarray, np.ndarray]:
+    # The table as arrays: segment count per case, and edge pairs padded to 2.
+    count = np.zeros(18, dtype=np.intp)
+    edges = np.zeros((18, 2, 2), dtype=np.intp)
+    for case, pairs in _SEGMENT_TABLE.items():
+        count[case] = len(pairs)
+        for k, pair in enumerate(pairs):
+            edges[case, k] = pair
+    return count, edges
+
+
+_SEGMENT_COUNT, _SEGMENT_EDGES = _segment_arrays()
 
 
 @dataclass(frozen=True)
@@ -352,68 +373,97 @@ class LevelCurveSet:
         }
 
 
-def _edge_point(edge, i, j, ts, cs, vv):
-    # Linear interpolation of the zero crossing along one cell edge.
-    if edge == 0:
-        v0, v1 = vv[j, i], vv[j, i + 1]
-        s = v0 / (v0 - v1)
-        return float(ts[i] + s * (ts[i + 1] - ts[i])), float(cs[j])
-    if edge == 1:
-        v0, v1 = vv[j, i + 1], vv[j + 1, i + 1]
-        s = v0 / (v0 - v1)
-        return float(ts[i + 1]), float(cs[j] + s * (cs[j + 1] - cs[j]))
-    if edge == 2:
-        v0, v1 = vv[j + 1, i], vv[j + 1, i + 1]
-        s = v0 / (v0 - v1)
-        return float(ts[i] + s * (ts[i + 1] - ts[i])), float(cs[j + 1])
-    v0, v1 = vv[j, i], vv[j + 1, i]
-    s = v0 / (v0 - v1)
-    return float(ts[i]), float(cs[j] + s * (cs[j + 1] - cs[j]))
+def _stitch(starts: list[int], ends: list[int], points: list) -> tuple:
+    """Join segments that share a vertex into maximal polylines.
 
+    Segment k runs from vertex starts[k] to vertex ends[k].  A vertex is
+    the crossing on one grid edge, so at most two segments meet there.
+    Open curves come first, walked from their loose ends in coordinate
+    order; whatever remains is loops, each started at its first segment.
+    """
+    adjacency: list[list[int]] = [[] for _ in points]
+    for k, (p, q) in enumerate(zip(starts, ends)):
+        adjacency[p].append(k)
+        adjacency[q].append(k)
+    used = [False] * len(starts)
 
-def _key(point: tuple[float, float]) -> tuple[float, float]:
-    return (round(point[0], 9), round(point[1], 9))
-
-
-def _stitch(segments: list[tuple]) -> tuple:
-    """Join shared-endpoint segments into maximal polylines."""
-    adjacency: dict[tuple, list[int]] = {}
-    for idx, (p, q) in enumerate(segments):
-        adjacency.setdefault(_key(p), []).append(idx)
-        adjacency.setdefault(_key(q), []).append(idx)
-    used = [False] * len(segments)
-    polylines = []
-
-    def walk(start_key: tuple) -> list:
-        chain = [start_key]
-        key = start_key
+    def walk(chain: list[int]) -> list[int]:
+        vertex = chain[-1]
         while True:
-            nxt = None
-            for idx in adjacency[key]:
-                if not used[idx]:
-                    nxt = idx
-                    break
+            nxt = next((k for k in adjacency[vertex] if not used[k]), None)
             if nxt is None:
-                break
+                return chain
             used[nxt] = True
-            p, q = segments[nxt]
-            key = _key(q) if _key(p) == key else _key(p)
-            chain.append(key)
-        return chain
+            vertex = ends[nxt] if starts[nxt] == vertex else starts[nxt]
+            chain.append(vertex)
 
-    # Open curves first, from their loose ends; whatever remains is loops.
-    loose = sorted(k for k, ids in adjacency.items() if len(ids) % 2 == 1)
-    for key in loose:
-        if any(not used[i] for i in adjacency[key]):
-            polylines.append(walk(key))
-    for idx in range(len(segments)):
-        if not used[idx]:
-            used[idx] = True
-            p, q = segments[idx]
-            chain = walk(_key(q))
-            chain.insert(0, _key(p))
-            polylines.append(chain)
-    return tuple(tuple(chain) for chain in polylines)
+    loose = sorted(
+        (v for v, ids in enumerate(adjacency) if len(ids) == 1),
+        key=points.__getitem__,
+    )
+    chains = [walk([v]) for v in loose if not used[adjacency[v][0]]]
+    for k, (p, q) in enumerate(zip(starts, ends)):
+        if not used[k]:
+            used[k] = True
+            chains.append(walk([p, q]))
+    return tuple(tuple(points[v] for v in chain) for chain in chains)
+
+
+def _level_curve_set(field, ts, cs, values, scale, level) -> LevelCurveSet:
+    """Marching squares at one level over the node values of a grid."""
+    n = len(ts) - 1
+    vv = values - level
+    # Nudge exact hits off zero so every crossing is a clean sign change.
+    vv = np.where(vv == 0.0, 1e-15 * scale, vv)
+    above = (vv > 0.0).view(np.uint8)
+    case = (
+        above[:-1, :-1]
+        | above[:-1, 1:] << 1
+        | above[1:, 1:] << 2
+        | above[1:, :-1] << 3
+    ).ravel()
+    cells = np.flatnonzero((case != 0) & (case != 15))
+    case = case[cells].astype(np.intp)
+    rows, cols = np.divmod(cells, n)
+
+    saddle = np.flatnonzero((case == 5) | (case == 10))
+    if len(saddle):
+        si, sj = cols[saddle], rows[saddle]
+        center = field.evaluate(
+            0.5 * (ts[si] + ts[si + 1]), 0.5 * (cs[sj] + cs[sj + 1])
+        ) - level
+        case[saddle] = np.where((center > 0.0) == (case[saddle] == 5), 16, 17)
+
+    # Edge ids: horizontal edge (j, i) runs from node (j, i) to (j, i + 1)
+    # and is j*n + i; vertical edge (j, i) runs from node (j, i) to
+    # (j + 1, i) and is n_horizontal + j*(n + 1) + i.
+    n_horizontal = (n + 1) * n
+    bottom = rows * n + cols
+    left = n_horizontal + rows * (n + 1) + cols
+    cell_edges = np.stack((bottom, left + 1, bottom + n, left))
+
+    # Segments in row-major cell order, pairs in table order.
+    count = _SEGMENT_COUNT[case]
+    seg_cell = np.repeat(np.arange(len(cells)), count)
+    seg_pair = np.arange(len(seg_cell)) - np.repeat(np.cumsum(count) - count, count)
+    seg_edges = _SEGMENT_EDGES[case[seg_cell], seg_pair]
+    ends = cell_edges[seg_edges, seg_cell[:, None]]
+    edge_ids, vertex = np.unique(ends.T.ravel(), return_inverse=True)
+
+    # Linear interpolation of the zero crossing along each used edge.
+    vertical = edge_ids >= n_horizontal
+    j, i = np.divmod(edge_ids, n)
+    j[vertical], i[vertical] = np.divmod(edge_ids[vertical] - n_horizontal, n + 1)
+    v0 = vv[j, i]
+    v1 = vv[j + vertical, i + ~vertical]
+    s = v0 / (v0 - v1)
+    t = np.where(vertical, ts[i], ts[i] + s * (ts[i + ~vertical] - ts[i]))
+    c = np.where(vertical, cs[j] + s * (cs[j + vertical] - cs[j]), cs[j])
+    points = [(round(x, 9), round(y, 9)) for x, y in zip(t.tolist(), c.tolist())]
+
+    m = len(seg_cell)
+    vertex = vertex.tolist()
+    return LevelCurveSet(float(level), _stitch(vertex[:m], vertex[m:], points))
 
 
 def level_curves(
@@ -425,66 +475,33 @@ def level_curves(
     """Marching-squares iso-curves of the field at the given levels."""
     if grid < 16:
         raise ValueError("grid must be at least 16 cells per axis")
+    if not all(math.isfinite(level) for level in levels):
+        raise ValueError("levels must be finite")
     dom = _subdomain(field, domain)
     ts = np.linspace(dom.t_min, dom.t_max, grid + 1)
     cs = np.linspace(dom.c_min, dom.c_max, grid + 1)
     values = field.evaluate_grid(ts, cs)
     scale = float(np.max(np.abs(values))) + 1.0
-    out = []
-    for level in levels:
-        vv = values - level
-        # Nudge exact hits off zero so every crossing is a clean sign change.
-        vv = np.where(vv == 0.0, 1e-15 * scale, vv)
-        above = vv > 0.0
-        segments: list[tuple] = []
-        for j in range(grid):
-            for i in range(grid):
-                idx = (
-                    int(above[j, i])
-                    | int(above[j, i + 1]) << 1
-                    | int(above[j + 1, i + 1]) << 2
-                    | int(above[j + 1, i]) << 3
-                )
-                if idx in (0, 15):
-                    continue
-                if idx in (5, 10):
-                    center = field.evaluate(
-                        0.5 * (ts[i] + ts[i + 1]), 0.5 * (cs[j] + cs[j + 1])
-                    ) - level
-                    if (center > 0.0) == (idx == 5):
-                        pairs = ((0, 1), (2, 3))
-                    else:
-                        pairs = ((0, 3), (1, 2))
-                else:
-                    pairs = _SEGMENT_TABLE[idx]
-                for e0, e1 in pairs:
-                    segments.append(
-                        (
-                            _edge_point(e0, i, j, ts, cs, vv),
-                            _edge_point(e1, i, j, ts, cs, vv),
-                        )
-                    )
-        out.append(LevelCurveSet(float(level), _stitch(segments)))
-    return out
+    return [
+        _level_curve_set(field, ts, cs, values, scale, level) for level in levels
+    ]
 
 
 def build_analysis_report(
     field: RiskField,
+    curves: list[LevelCurveSet],
     domain: Rectangle | None = None,
     threshold: float = 1.0,
-    levels: tuple[float, ...] = (1.0,),
-    grid: int = 256,
     seed: int = 0,
     mc_samples: int = 10**6,
 ) -> dict:
-    """Full analysis bundle in plain-JSON form."""
+    """Full analysis bundle in plain-JSON form, with curves as its level sets."""
     dom = _subdomain(field, domain)
     certificate = certify_no_critical_points(field.with_domain(dom))
     region = risk_region_area(field, dom, threshold, seed=seed)
     crosscheck = monte_carlo_region_area(
         field, dom, threshold, samples=mc_samples, seed=seed
     )
-    curves = level_curves(field, dom, levels, grid)
     return {
         "field": field.as_json_dict(),
         "domain": dom.as_json_dict(),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -61,6 +62,10 @@ class RunConfig:
             raise ValueError("grid must be at least 16")
         if not self.levels:
             raise ValueError("levels must be nonempty")
+        if not all(math.isfinite(level) for level in self.levels):
+            raise ValueError("levels must be finite")
+        if not math.isfinite(self.threshold):
+            raise ValueError("threshold must be finite")
         if self.use_paper_dataset and self.input_path:
             raise ValueError("choose either --paper-dataset or --input, not both")
 
@@ -242,22 +247,21 @@ def cmd_fit(config: RunConfig) -> dict:
 def cmd_analyze(config: RunConfig) -> dict:
     field_obj = _load_field(config)
     out = _out_dir(config)
+    # One marching-squares pass per distinct level, the threshold included.
+    wanted = tuple(dict.fromkeys(config.levels + (config.threshold,)))
+    sets = analysis.level_curves(field_obj, levels=wanted, grid=config.grid)
+    by_level = dict(zip(wanted, sets))
+    curves = [by_level[level] for level in config.levels]
     report = analysis.build_analysis_report(
         field_obj,
+        curves,
         threshold=config.threshold,
-        levels=config.levels,
-        grid=config.grid,
         seed=config.seed,
         mc_samples=config.mc_samples,
     )
     _write_json(report, out / "analysis.json")
-    curves = analysis.level_curves(
-        field_obj, levels=config.levels, grid=config.grid
-    )
     svgplot.contour_plot_svg(field_obj, curves, out / "contours.svg")
-    boundary = analysis.level_curves(
-        field_obj, levels=(config.threshold,), grid=config.grid
-    )[0]
+    boundary = by_level[config.threshold]
     svgplot.region_plot_svg(
         field_obj, config.threshold, boundary, out / "region.svg"
     )

@@ -231,21 +231,31 @@ class RiskField:
         """h(t) = R(t, 0)."""
         return Polynomial(self.b)
 
-    def evaluate(self, t: float, c: float) -> float:
+    def evaluate(self, t, c):
+        """R at points (t, c); t and c are floats or broadcastable arrays.
+
+        Horner in t over the terms a_k c + b_k, so every element of an
+        array call is rounded exactly as the same point's scalar call.
+        """
         acc = 0.0
         for ak, bk in zip(reversed(self.a), reversed(self.b)):
             acc = acc * t + (ak * c + bk)
         return acc
 
-    def evaluate_grid(self, ts, cs):
-        """Vectorized evaluation: returns R with shape (len(cs), len(ts))."""
+    def slope_and_intercept(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """g(t) and h(t) over an array of stages, each by Horner's rule."""
         ts = np.asarray(ts, dtype=float)
-        cs = np.asarray(cs, dtype=float)
         g = np.zeros_like(ts)
         h = np.zeros_like(ts)
         for ak, bk in zip(reversed(self.a), reversed(self.b)):
             g = g * ts + ak
             h = h * ts + bk
+        return g, h
+
+    def evaluate_grid(self, ts, cs):
+        """Vectorized evaluation: returns R with shape (len(cs), len(ts))."""
+        g, h = self.slope_and_intercept(ts)
+        cs = np.asarray(cs, dtype=float)
         return cs[:, None] * g[None, :] + h[None, :]
 
     def partial_t(self, t: float, c: float) -> float:

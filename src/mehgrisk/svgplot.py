@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import LevelCurveSet
 from .fieldfit import Rectangle, RiskField
 from .geometry import mixed_partial_cubic
@@ -194,22 +196,24 @@ def region_plot_svg(
     canvas = _Canvas(dom, f"Critical-risk region R ≥ {_fmt(threshold)}")
     dt = (dom.t_max - dom.t_min) / grid
     dc = (dom.c_max - dom.c_min) / grid
+    mids = np.arange(grid) + 0.5
+    inside = field.evaluate(
+        dom.t_min + mids[None, :] * dt, dom.c_min + mids[:, None] * dc
+    ) >= threshold
+    # Each run of inside cells in a row starts where the padded row steps
+    # up and ends where it steps down.
+    padded = np.zeros((grid, grid + 2), dtype=np.int8)
+    padded[:, 1:-1] = inside
+    steps = np.diff(padded, axis=1)
     for j in range(grid):
-        c_mid = dom.c_min + (j + 0.5) * dc
-        run_start = None
-        for i in range(grid):
-            t_mid = dom.t_min + (i + 0.5) * dt
-            inside = field.evaluate(t_mid, c_mid) >= threshold
-            if inside and run_start is None:
-                run_start = i
-            if (not inside or i == grid - 1) and run_start is not None:
-                end = i + 1 if inside else i
-                canvas.rect_world(
-                    dom.t_min + run_start * dt, dom.c_min + j * dc,
-                    dom.t_min + end * dt, dom.c_min + (j + 1) * dc,
-                    "#d62728", 0.25,
-                )
-                run_start = None
+        starts = np.flatnonzero(steps[j] == 1).tolist()
+        ends = np.flatnonzero(steps[j] == -1).tolist()
+        for start, end in zip(starts, ends):
+            canvas.rect_world(
+                dom.t_min + start * dt, dom.c_min + j * dc,
+                dom.t_min + end * dt, dom.c_min + (j + 1) * dc,
+                "#d62728", 0.25,
+            )
     for line in boundary.polylines:
         canvas.polyline(line, "#d62728", 2.0)
     canvas.axes("stage t (age below)", "concentration c (mg/kg)", stage_map)

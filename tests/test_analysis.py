@@ -297,7 +297,7 @@ def test_level_curves_deterministic():
 def test_analysis_report_shape():
     f = published_field()
     report = build_analysis_report(
-        f, levels=(1.0, 8.0), grid=64, seed=1, mc_samples=10**4
+        f, level_curves(f, levels=(1.0, 8.0), grid=64), seed=1, mc_samples=10**4
     )
     for key in (
         "field", "threshold", "certificate", "mean_risk",
@@ -310,3 +310,29 @@ def test_analysis_report_shape():
     import json
 
     json.dumps(report)   # must be plain-JSON serializable
+
+
+NONFINITE_PROBE = """
+import sys
+from mehgrisk.analysis import level_curves, risk_region_area
+from mehgrisk.fieldfit import published_field
+x = float(sys.argv[1])
+for call in (
+    lambda: risk_region_area(published_field(), threshold=x),
+    lambda: level_curves(published_field(), levels=(1.0, x), grid=16),
+):
+    try:
+        call()
+    except ValueError as exc:
+        assert "finite" in str(exc), exc
+    else:
+        sys.exit(f"accepted {x!r}")
+"""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_threshold_and_levels_rejected(value, fresh_python):
+    # A NaN threshold used to send adaptive Simpson to depth 50 on every
+    # branch, so the call never returned; run it where a hang times out.
+    proc = fresh_python("-c", NONFINITE_PROBE, value, seconds=30.0)
+    assert proc.returncode == 0, proc.stderr

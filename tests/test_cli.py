@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from mehgrisk.cli import main
+from mehgrisk.cli import RunConfig, main
 from mehgrisk.fieldfit import PUBLISHED_A, PUBLISHED_B, RiskField
 
 
@@ -228,3 +228,22 @@ def test_bad_domain_and_levels(tmp_path, capsys):
     assert run("analyze", "--paper-dataset", "--levels", "a,b") == 2
     assert run("analyze", "--paper-dataset", "--grid", "4") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag", ["--threshold=nan", "--threshold=inf", "--levels=1,nan", "--levels=-inf"]
+)
+def test_nonfinite_threshold_and_levels_exit_2(flag, tmp_path, fresh_python):
+    proc = fresh_python(
+        "-m", "mehgrisk", "analyze", "--paper-dataset", "--grid", "16",
+        flag, "--out", str(tmp_path), seconds=30.0,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "must be finite" in proc.stderr
+
+
+def test_run_config_rejects_nonfinite():
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        RunConfig(threshold=math.nan)
+    with pytest.raises(ValueError, match="levels must be finite"):
+        RunConfig(levels=(1.0, math.inf))
