@@ -28,6 +28,7 @@ from .fieldfit import (
     build_field,
     published_field,
     survey_risk_table,
+    write_json,
 )
 from .polynomial import Polynomial
 
@@ -66,6 +67,10 @@ class RunConfig:
             raise ValueError("levels must be finite")
         if not math.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
+        if not (math.isfinite(self.flow_step) and self.flow_step > 0):
+            raise ValueError("flow_step must be finite and positive")
+        if self.flow_max_steps < 1:
+            raise ValueError("flow_max_steps must be at least 1")
         if self.use_paper_dataset and self.input_path:
             raise ValueError("choose either --paper-dataset or --input, not both")
 
@@ -192,10 +197,6 @@ def _load_field(config: RunConfig) -> RiskField:
     return build_field(table, config.domain)
 
 
-def _write_json(data: dict, path: Path) -> None:
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
-
-
 def _out_dir(config: RunConfig) -> Path:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     return config.output_dir
@@ -240,7 +241,7 @@ def cmd_fit(config: RunConfig) -> dict:
     out = _out_dir(config)
     field_obj.to_json(out / "field.json")
     report = _fit_report(config, field_obj)
-    _write_json(report, out / "fit_report.json")
+    write_json(report, out / "fit_report.json")
     return report
 
 
@@ -259,7 +260,7 @@ def cmd_analyze(config: RunConfig) -> dict:
         seed=config.seed,
         mc_samples=config.mc_samples,
     )
-    _write_json(report, out / "analysis.json")
+    write_json(report, out / "analysis.json")
     svgplot.contour_plot_svg(field_obj, curves, out / "contours.svg")
     boundary = by_level[config.threshold]
     svgplot.region_plot_svg(
@@ -279,7 +280,7 @@ def cmd_geometry(config: RunConfig) -> dict:
     out = _out_dir(config)
     search = _geometry_search(config)
     report = geometry.build_geometry_report(field_obj, search=search)
-    _write_json(report, out / "geometry.json")
+    write_json(report, out / "geometry.json")
     svgplot.curvature_profile_svg(
         field_obj,
         out / "curvature.svg",
@@ -317,7 +318,7 @@ def cmd_flow(config: RunConfig) -> dict:
         )
     svgplot.flow_portrait_svg(field_obj, trajectories, out / "flow.svg")
     report = {"step": config.flow_step, "trajectories": summary}
-    _write_json(report, out / "flow.json")
+    write_json(report, out / "flow.json")
     return report
 
 
@@ -352,7 +353,7 @@ def cmd_exposure(config: RunConfig) -> dict:
             }
         )
     report = {"rows": rows}
-    _write_json(report, out / "exposure.json")
+    write_json(report, out / "exposure.json")
     with open(out / "exposure.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         header = [
@@ -386,7 +387,7 @@ def cmd_report(config: RunConfig) -> dict:
     }
     if config.use_paper_dataset:
         bundle["exposure"] = cmd_exposure(config)
-    _write_json(bundle, _out_dir(config) / "report.json")
+    write_json(bundle, _out_dir(config) / "report.json")
     return bundle
 
 

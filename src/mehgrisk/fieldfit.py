@@ -295,9 +295,20 @@ class RiskField:
                 ) from None
 
     def to_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(self.as_json_dict(), path)
+
+
+def write_json(data: dict, path: str | Path) -> None:
+    """Write sorted, indented standard JSON.
+
+    NaN or inf raises ValueError naming the file, before the file is
+    opened, so a rejected value leaves no partial file behind.
+    """
+    try:
+        text = json.dumps(data, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    Path(path).write_text(text + "\n")
 
 
 def build_field(

@@ -247,3 +247,34 @@ def test_run_config_rejects_nonfinite():
         RunConfig(threshold=math.nan)
     with pytest.raises(ValueError, match="levels must be finite"):
         RunConfig(levels=(1.0, math.inf))
+    for step in (math.nan, math.inf, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="flow_step must be finite"):
+            RunConfig(flow_step=step)
+    with pytest.raises(ValueError, match="flow_max_steps must be at least 1"):
+        RunConfig(flow_max_steps=0)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("flow_step", math.nan), ("flow_max_steps", 0)]
+)
+def test_flow_config_out_of_range_exit_2(key, value, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert run(
+        "flow", "--paper-dataset", "--config", str(cfg), "--out", str(out)
+    ) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_nonfinite_table_writes_no_json(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text(
+        "hq,1,2,3,4,5\n0.27,1,2,3,4,5\n2.43,1,nan,3,4,5\n3.33,2,3,4,5,6\n"
+    )
+    out = tmp_path / "out"
+    assert run("fit", "--input", str(table), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "field.json" in err and "not JSON compliant" in err
+    assert list(out.iterdir()) == []

@@ -97,6 +97,9 @@ def test_flow_step_validation():
         flow(f, (3.0, 1.0), step=0.0)
     with pytest.raises(ValueError):
         flow(f, (3.0, 1.0), max_steps=0)
+    for step in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="step must be finite"):
+            flow(f, (3.0, 1.0), step=step)
 
 
 def test_all_grid_starts_leave_domain():
@@ -142,6 +145,21 @@ def test_recurrence_trivial_cases():
     assert check_no_recurrence(one, radius=0.05)
     with pytest.raises(ValueError):
         check_no_recurrence(one, radius=0.0)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_recurrence_rejects_nonfinite_radius(radius):
+    traj = flow(published_field(), (3.0, 1.0), step=0.01, max_steps=5)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        check_no_recurrence(traj, radius=radius)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_recurrence_rejects_nonfinite_samples(bad):
+    samples = ((0.0, 3.0, 1.0, 0.0), (0.1, 3.3, bad, 0.1), (0.2, 3.6, 1.0, 0.2))
+    traj = FlowTrajectory(samples=samples, exit_reason=EXIT_MAX_STEPS)
+    with pytest.raises(ValueError, match="samples must be finite"):
+        check_no_recurrence(traj, radius=0.05)
 
 
 def test_trajectory_csv_round_trip(tmp_path):
