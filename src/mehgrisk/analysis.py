@@ -18,7 +18,8 @@ from .fieldfit import Rectangle, RiskField
 from .polynomial import Polynomial, real_roots
 
 ROOT_TOL = 1e-10
-MC_CHUNK = 65536
+# Draws per Monte Carlo chunk: 2^15 timed best of 2^13..2^16 (2 vCPUs).
+MC_CHUNK = 2**15
 
 
 def _subdomain(field: RiskField, domain: Rectangle | None) -> Rectangle:
@@ -245,16 +246,30 @@ def monte_carlo_region_area(
     samples: int = 10**6,
     seed: int = 0,
 ) -> RegionArea:
-    """Seeded uniform-sampling estimate of the super-level area."""
+    """Seeded uniform-sampling estimate of the super-level area.
+
+    The sample is the first `samples` draws of t from ``default_rng(seed)``
+    paired with the next `samples` draws of c, as if all the t were drawn
+    before all the c.  Each draw takes one output of the PCG64 stream, so
+    a second generator jumped ahead by `samples` reads the c alongside
+    the t, and the count streams in chunks of `MC_CHUNK`: memory stays
+    fixed whatever `samples` is.
+    """
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     dom = _subdomain(field, domain)
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(dom.t_min, dom.t_max, samples)
-    cs = rng.uniform(dom.c_min, dom.c_max, samples)
+    t_rng = np.random.default_rng(seed)
+    c_rng = np.random.default_rng(seed)
+    c_rng.bit_generator.advance(int(samples))
     hits = 0
-    # Count in chunks so the temporaries stay small next to ts and cs.
     for lo in range(0, samples, MC_CHUNK):
-        g, h = field.slope_and_intercept(ts[lo : lo + MC_CHUNK])
-        hits += int(np.count_nonzero(g * cs[lo : lo + MC_CHUNK] + h >= threshold))
+        m = min(MC_CHUNK, samples - lo)
+        ts = t_rng.uniform(dom.t_min, dom.t_max, m)
+        cs = c_rng.uniform(dom.c_min, dom.c_max, m)
+        g, h = field.slope_and_intercept(ts)
+        g *= cs
+        g += h
+        hits += int(np.count_nonzero(g >= threshold))
     hit_fraction = hits / samples
     area = hit_fraction * dom.area
     std_error = dom.area * float(

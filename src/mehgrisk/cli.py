@@ -71,6 +71,10 @@ class RunConfig:
             raise ValueError("flow_step must be finite and positive")
         if self.flow_max_steps < 1:
             raise ValueError("flow_max_steps must be at least 1")
+        if self.mc_samples < 1:
+            raise ValueError("samples must be at least 1")
+        if not all(math.isfinite(x) for start in self.flow_starts for x in start):
+            raise ValueError("flow starts must be finite")
         if self.use_paper_dataset and self.input_path:
             raise ValueError("choose either --paper-dataset or --input, not both")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +38,9 @@ class Rectangle:
     c_max: float
 
     def __post_init__(self) -> None:
+        bounds = (self.t_min, self.t_max, self.c_min, self.c_max)
+        if not all(math.isfinite(x) for x in bounds):
+            raise ValueError(f"domain bounds must be finite, got {bounds}")
         if not self.t_min < self.t_max:
             raise ValueError("t_min must be below t_max")
         if not self.c_min < self.c_max:
@@ -116,6 +120,27 @@ def regress_linear(
     return slope, mean_y - slope * mean_x
 
 
+def _require_finite(name: str, values: tuple[float, ...]) -> None:
+    for k, x in enumerate(values):
+        if not math.isfinite(x):
+            raise ValueError(f"{name}[{k}] is not finite: {x!r}")
+
+
+def _csv_number(path, row: int, column: int, cell: str) -> float:
+    """One CSV cell as a finite float; an error names file, row and column."""
+    try:
+        x = float(cell)
+    except ValueError:
+        raise ValueError(
+            f"{path}, row {row}, column {column}: not a number: {cell!r}"
+        ) from None
+    if not math.isfinite(x):
+        raise ValueError(
+            f"{path}, row {row}, column {column}: not a finite number: {cell!r}"
+        )
+    return x
+
+
 @dataclass(frozen=True)
 class RiskTable:
     """Hazard quotients on a (concentration x stage-node) grid."""
@@ -136,6 +161,10 @@ class RiskTable:
             "values",
             tuple(tuple(float(v) for v in row) for row in self.values),
         )
+        for name in ("concentrations", "nodes"):
+            _require_finite(name, getattr(self, name))
+        for i, row in enumerate(self.values):
+            _require_finite(f"values[{i}]", row)
         if len(self.values) != len(self.concentrations):
             raise ValueError("one value row required per concentration")
         for row in self.values:
@@ -158,12 +187,10 @@ class RiskTable:
         header = rows[0]
         if len(header) < 2:
             raise ValueError(f"{path}, row 1: need node columns after the label")
-        try:
-            nodes = tuple(float(x) for x in header[1:])
-        except ValueError:
-            raise ValueError(
-                f"{path}, row 1: node header must be numeric stages"
-            ) from None
+        nodes = tuple(
+            _csv_number(path, 1, j, cell)
+            for j, cell in enumerate(header[1:], start=2)
+        )
         concentrations = []
         values = []
         for i, row in enumerate(rows[1:], start=2):
@@ -171,21 +198,13 @@ class RiskTable:
                 raise ValueError(
                     f"{path}, row {i}: expected {len(header)} cells, got {len(row)}"
                 )
-            try:
-                concentrations.append(float(row[0]))
-            except ValueError:
-                raise ValueError(
-                    f"{path}, row {i}, column 1: not a number: {row[0]!r}"
-                ) from None
-            parsed = []
-            for j, cell in enumerate(row[1:], start=2):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}, row {i}, column {j}: not a number: {cell!r}"
-                    ) from None
-            values.append(tuple(parsed))
+            concentrations.append(_csv_number(path, i, 1, row[0]))
+            values.append(
+                tuple(
+                    _csv_number(path, i, j, cell)
+                    for j, cell in enumerate(row[1:], start=2)
+                )
+            )
         return cls(tuple(concentrations), nodes, tuple(values))
 
     def to_csv(self, path: str | Path) -> None:
@@ -207,6 +226,8 @@ class RiskTable:
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: malformed table JSON: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -222,6 +243,8 @@ class RiskField:
             raise ValueError("field needs five slope and five intercept terms")
         object.__setattr__(self, "a", tuple(float(x) for x in self.a))
         object.__setattr__(self, "b", tuple(float(x) for x in self.b))
+        _require_finite("a", self.a)
+        _require_finite("b", self.b)
 
     def concentration_slope(self) -> Polynomial:
         """g(t) = dR/dc, a quartic in t alone."""
@@ -243,13 +266,22 @@ class RiskField:
         return acc
 
     def slope_and_intercept(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """g(t) and h(t) over an array of stages, each by Horner's rule."""
+        """g(t) and h(t) over an array of stages, each by Horner's rule.
+
+        In place, two arrays in all.  The chain starts from 0*t + a_4, so
+        every element rounds as in acc = acc*t + a_k from acc = 0, signed
+        zeros and non-finite stages included.
+        """
         ts = np.asarray(ts, dtype=float)
-        g = np.zeros_like(ts)
-        h = np.zeros_like(ts)
-        for ak, bk in zip(reversed(self.a), reversed(self.b)):
-            g = g * ts + ak
-            h = h * ts + bk
+        g = ts * 0.0
+        h = g.copy()
+        g += self.a[-1]
+        h += self.b[-1]
+        for ak, bk in zip(reversed(self.a[:-1]), reversed(self.b[:-1])):
+            g *= ts
+            g += ak
+            h *= ts
+            h += bk
         return g, h
 
     def evaluate_grid(self, ts, cs):
@@ -293,6 +325,8 @@ class RiskField:
                 raise ValueError(
                     f"{path}: malformed field JSON: {exc}"
                 ) from None
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
     def to_json(self, path: str | Path) -> None:
         write_json(self.as_json_dict(), path)

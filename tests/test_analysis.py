@@ -244,6 +244,20 @@ def test_monte_carlo_determinism():
     assert first == second
 
 
+@pytest.mark.parametrize("samples", [0, -5, 2.5, "1000", None])
+def test_monte_carlo_rejects_bad_sample_count(samples):
+    # A streamed count of -5 samples would return area -0.0 silently.
+    with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+        monte_carlo_region_area(published_field(), samples=samples)
+
+
+def test_monte_carlo_single_sample():
+    f = published_field()
+    one = monte_carlo_region_area(f, samples=1, seed=3)
+    assert one.area in (0.0, f.domain.area) and one.std_error == 0.0
+    assert monte_carlo_region_area(f, samples=np.int64(1), seed=3) == one
+
+
 def test_level_curves_residuals():
     f = published_field()
     sets = level_curves(f, levels=(1.0, 4.0, 12.0), grid=256)

@@ -231,7 +231,11 @@ def test_bad_domain_and_levels(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--threshold=nan", "--threshold=inf", "--levels=1,nan", "--levels=-inf"]
+    "flag",
+    [
+        "--threshold=nan", "--threshold=inf", "--levels=1,nan", "--levels=-inf",
+        "--domain=1,inf,0.2,3.5",
+    ],
 )
 def test_nonfinite_threshold_and_levels_exit_2(flag, tmp_path, fresh_python):
     proc = fresh_python(
@@ -276,5 +280,66 @@ def test_fit_nonfinite_table_writes_no_json(tmp_path, capsys):
     out = tmp_path / "out"
     assert run("fit", "--input", str(table), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert "field.json" in err and "not JSON compliant" in err
-    assert list(out.iterdir()) == []
+    assert "row 3, column 3: not a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "flow"])
+def test_nonfinite_table_exit_2_before_any_output(command, tmp_path, fresh_python):
+    # analyze used to hang in adaptive Simpson on the all-NaN field, and
+    # flow wrote flow_00.csv..flow_08.csv with NaN rows before failing.
+    table = tmp_path / "t.csv"
+    table.write_text(
+        "hq,1,2,3,4,5\n0.27,1,2,3,4,5\n2.43,1,nan,3,4,5\n3.33,2,3,4,5,6\n"
+    )
+    out = tmp_path / "out"
+    proc = fresh_python(
+        "-m", "mehgrisk", command, "--input", str(table), "--grid", "16",
+        "--out", str(out), seconds=30.0,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "row 3, column 3: not a finite number" in proc.stderr
+    assert not out.exists()
+
+
+def test_nonfinite_field_json_exit_2(tmp_path, fresh_python):
+    # An inf coefficient used to send analyze into the same endless
+    # adaptive Simpson recursion as a nan table cell.
+    data = RiskField(PUBLISHED_A, PUBLISHED_B).as_json_dict()
+    data["a"][2] = math.inf
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    proc = fresh_python(
+        "-m", "mehgrisk", "analyze", "--input", str(path), "--grid", "16",
+        "--out", str(out), seconds=30.0,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "field.json: a[2] is not finite" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_samples_below_one_exit_2(samples, tmp_path, capsys):
+    # 0 used to raise ZeroDivisionError and -5 "negative dimensions".
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"samples": samples}))
+    out = tmp_path / "out"
+    assert run(
+        "analyze", "--paper-dataset", "--config", str(cfg), "--out", str(out)
+    ) == 2
+    assert "samples must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        RunConfig(mc_samples=samples)
+
+
+def test_nonfinite_flow_start_exit_2(tmp_path, capsys):
+    # The first start's flow_00.csv used to be written before the NaN
+    # start failed.
+    out = tmp_path / "out"
+    assert run(
+        "flow", "--paper-dataset", "--starts", "2,1,nan,1", "--out", str(out)
+    ) == 2
+    assert "flow starts must be finite" in capsys.readouterr().err
+    assert not out.exists()

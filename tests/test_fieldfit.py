@@ -19,6 +19,7 @@ from mehgrisk.fieldfit import (
     published_field,
     regress_linear,
     survey_risk_table,
+    write_json,
 )
 
 # Published per-concentration quartics (ascending powers) and the linear
@@ -211,6 +212,69 @@ def test_table_csv_error_location(tmp_path):
     assert "column 4" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, row, column",
+    [
+        ("c,1,2,3,4,5\n0.27,0,0.8,nan,0.2,0.4\n", 2, 4),
+        ("c,1,2,3,4,5\n0.27,0,0.8,0.3,0.2,0.4\n-inf,0,1,2,3,4\n", 3, 1),
+        ("c,1,2,3,4,inf\n0.27,0,0.8,0.3,0.2,0.4\n", 1, 6),
+    ],
+    ids=["value", "concentration", "node"],
+)
+def test_table_csv_nonfinite_location(tmp_path, text, row, column):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        RiskTable.from_csv(path)
+    assert f"{path}, row {row}, column {column}: not a finite number" in str(
+        err.value
+    )
+
+
+def test_table_rejects_nonfinite():
+    good = survey_risk_table()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"concentrations\[1\] is not finite"):
+            RiskTable((0.27, bad, 3.33), good.nodes, good.values)
+        with pytest.raises(ValueError, match=r"nodes\[4\] is not finite"):
+            RiskTable(good.concentrations, (1, 2, 3, 4, bad), good.values)
+        values = (good.values[0], (0.0, 7.2, bad, 1.8, 3.5), good.values[2])
+        with pytest.raises(ValueError, match=r"values\[1\]\[2\] is not finite"):
+            RiskTable(good.concentrations, good.nodes, values)
+
+
+def test_table_json_nonfinite_names_file(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(
+        json.dumps({"concentrations": [0.27, 2.43], "nodes": [1, 2, 3, 4, 5],
+                    "values": [[0, 1, 2, 3, 4], [0, 1, math.nan, 3, 4]]})
+    )
+    with pytest.raises(ValueError, match=r"table.json: values\[1\]\[2\]"):
+        RiskTable.from_json(path)
+
+
+def test_field_rejects_nonfinite(tmp_path):
+    a, b = published_field().a, published_field().b
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"a\[3\] is not finite"):
+            RiskField(a[:3] + (bad,) + a[4:], b)
+        with pytest.raises(ValueError, match=r"b\[0\] is not finite"):
+            RiskField(a, (bad,) + b[1:])
+    path = tmp_path / "field.json"
+    data = published_field().as_json_dict()
+    data["b"][4] = math.nan
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=r"field.json: b\[4\] is not finite"):
+        RiskField.from_json(path)
+
+
+def test_write_json_rejects_nonfinite_before_opening(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="out.json"):
+        write_json({"x": [1.0, math.nan]}, path)
+    assert not path.exists()
+
+
 def test_table_csv_ragged_row(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("concentration,1,2,3,4,5\n0.27,0,0.8,0.3\n")
@@ -250,6 +314,12 @@ def test_rectangle_validation():
         Rectangle(2.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Rectangle(1.0, 2.0, 3.0, 3.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for k in range(4):
+            bounds = [1.0, 5.0, 0.2, 3.5]
+            bounds[k] = bad
+            with pytest.raises(ValueError, match="bounds must be finite"):
+                Rectangle(*bounds)
     r = Rectangle(1.0, 5.0, 0.2, 3.5)
     assert math.isclose(r.area, 13.2)
     assert r.contains(1.0, 0.2) and not r.contains(0.9, 1.0)
