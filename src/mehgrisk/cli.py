@@ -121,6 +121,16 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _config_int(merged: dict, key: str, default: int) -> int:
+    """An integer setting; 256.0 counts as 256, while 2.7 or "2" is refused."""
+    value = merged.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{key}: expected an integer, got {value!r}")
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file and flags; flags win."""
     merged: dict = {}
@@ -165,14 +175,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         domain_overridden=overridden,
         levels=tuple(merged.get("levels", DEFAULT_LEVELS)),
         threshold=float(merged.get("threshold", 1.0)),
-        grid=int(merged.get("grid", 256)),
-        seed=int(merged.get("seed", 0)),
-        mc_samples=int(merged.get("samples", 10**6)),
+        grid=_config_int(merged, "grid", 256),
+        seed=_config_int(merged, "seed", 0),
+        mc_samples=_config_int(merged, "samples", 10**6),
         flow_starts=tuple(
             (float(p[0]), float(p[1])) for p in merged.get("flow_starts", ())
         ),
         flow_step=float(merged.get("flow_step", 1e-3)),
-        flow_max_steps=int(merged.get("flow_max_steps", 20000)),
+        flow_max_steps=_config_int(merged, "flow_max_steps", 20000),
         output_dir=Path(out_dir),
     )
 
@@ -296,8 +306,11 @@ def cmd_geometry(config: RunConfig) -> dict:
 
 def cmd_flow(config: RunConfig) -> dict:
     field_obj = _load_field(config)
-    out = _out_dir(config)
     starts = config.default_flow_starts()
+    for start in starts:
+        if not field_obj.domain.contains(*start):
+            raise ValueError(f"start point {start!r} lies outside the domain")
+    out = _out_dir(config)
     trajectories = []
     summary = []
     for idx, start in enumerate(starts):
@@ -389,9 +402,23 @@ def cmd_report(config: RunConfig) -> dict:
         "geometry": geom,
         "flow": flow_report,
     }
+    files = {
+        "fit": "fit_report.json",
+        "analysis": "analysis.json",
+        "geometry": "geometry.json",
+        "flow": "flow.json",
+    }
     if config.use_paper_dataset:
         bundle["exposure"] = cmd_exposure(config)
-    write_json(bundle, _out_dir(config) / "report.json")
+        files["exposure"] = "exposure.json"
+    # Each sub-document was just written by write_json, so its text,
+    # indented one level, is its text inside the bundle's.
+    out = _out_dir(config)
+    members = (
+        f'  "{key}": ' + (out / files[key]).read_text()[:-1].replace("\n", "\n  ")
+        for key in sorted(files)
+    )
+    (out / "report.json").write_text("{\n" + ",\n".join(members) + "\n}\n")
     return bundle
 
 

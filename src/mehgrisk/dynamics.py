@@ -9,7 +9,6 @@ those claims checkable on computed samples.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,38 +69,36 @@ def flow(
     if not dom.contains(t0, c0):
         raise ValueError(f"start point {start!r} lies outside the domain")
 
-    a = field.a
-    b = field.b
-    gp = tuple(k * ak for k, ak in enumerate(a) if k > 0)
-    hp = tuple(k * bk for k, bk in enumerate(b) if k > 0)
+    # Horner's rule unrolled over the five terms, starting from 0.0 * t
+    # as the loop acc = acc * t + coef from acc = 0.0 does, so signed
+    # zeros round alike.
+    a0, a1, a2, a3, a4 = field.a
+    b0, b1, b2, b3, b4 = field.b
+    # Coefficients of g' and h', the t-derivatives of g and h.
+    ga2, ga3, ga4 = 2 * a2, 3 * a3, 4 * a4
+    hb2, hb3, hb4 = 2 * b2, 3 * b3, 4 * b4
 
     def value(t: float, c: float) -> float:
-        acc = 0.0
-        for ak, bk in zip(reversed(a), reversed(b)):
-            acc = acc * t + (ak * c + bk)
-        return acc
+        return ((((0.0 * t + (a4 * c + b4)) * t + (a3 * c + b3)) * t
+                 + (a2 * c + b2)) * t + (a1 * c + b1)) * t + (a0 * c + b0)
 
     def grad(t: float, c: float) -> tuple[float, float]:
-        gp_t = 0.0
-        hp_t = 0.0
-        g_t = 0.0
-        for coef in reversed(gp):
-            gp_t = gp_t * t + coef
-        for coef in reversed(hp):
-            hp_t = hp_t * t + coef
-        for coef in reversed(a):
-            g_t = g_t * t + coef
+        z = 0.0 * t
+        gp_t = (((z + ga4) * t + ga3) * t + ga2) * t + a1
+        hp_t = (((z + hb4) * t + hb3) * t + hb2) * t + b1
+        g_t = ((((z + a4) * t + a3) * t + a2) * t + a1) * t + a0
         return c * gp_t + hp_t, g_t
 
     def rk4(
         t: float, c: float, h: float, k1: tuple[float, float]
     ) -> tuple[float, float]:
-        k2 = grad(t + 0.5 * h * k1[0], c + 0.5 * h * k1[1])
-        k3 = grad(t + 0.5 * h * k2[0], c + 0.5 * h * k2[1])
-        k4 = grad(t + h * k3[0], c + h * k3[1])
+        k1t, k1c = k1
+        k2t, k2c = grad(t + 0.5 * h * k1t, c + 0.5 * h * k1c)
+        k3t, k3c = grad(t + 0.5 * h * k2t, c + 0.5 * h * k2c)
+        k4t, k4c = grad(t + h * k3t, c + h * k3c)
         return (
-            t + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            c + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+            t + h / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t),
+            c + h / 6.0 * (k1c + 2.0 * k2c + 2.0 * k3c + k4c),
         )
 
     samples = [(0.0, t0, c0, value(t0, c0))]
@@ -244,8 +241,14 @@ def _returns_after_leaving(
 def write_trajectory_csv(
     trajectory: FlowTrajectory, path: str | Path
 ) -> None:
+    """Write the samples as CSV with the header tau,t,c,R.
+
+    The text is what csv.writer writes: its numbers hold no comma, quote
+    or line break, so no field is quoted, and rows end in CR LF.
+    """
+    rows = "".join(
+        f"{tau:.9g},{t:.9g},{c:.9g},{r:.9g}\r\n"
+        for tau, t, c, r in trajectory.samples
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "t", "c", "R"])
-        for tau, t, c, r in trajectory.samples:
-            writer.writerow([f"{tau:.9g}", f"{t:.9g}", f"{c:.9g}", f"{r:.9g}"])
+        fh.write("tau,t,c,R\r\n" + rows)

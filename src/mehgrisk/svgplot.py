@@ -56,9 +56,16 @@ class _Canvas:
     def polyline(self, points, color: str, width: float = 1.5) -> None:
         if len(points) < 2:
             return
-        coords = " ".join(
-            f"{self.x(t):.2f},{self.y(c):.2f}" for t, c in points
+        # x() and y() over all points at once, in the same operation order.
+        w = self.world
+        pts = np.asarray(points, dtype=float)
+        xs = MARGIN_L + (pts[:, 0] - w.t_min) / (w.t_max - w.t_min) * (
+            WIDTH - MARGIN_L - MARGIN_R
         )
+        ys = HEIGHT - MARGIN_B - (pts[:, 1] - w.c_min) / (w.c_max - w.c_min) * (
+            HEIGHT - MARGIN_T - MARGIN_B
+        )
+        coords = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"/>'
@@ -232,12 +239,15 @@ def flow_portrait_svg(
     dom = domain or field.domain
     canvas = _Canvas(dom, "Gradient flow of the risk field")
     arrow_px = 0.45 * (WIDTH - MARGIN_L - MARGIN_R) / arrow_grid
+    g = field.concentration_slope()
+    gp = g.derivative()
+    hp = field.concentration_intercept().derivative()
     for i in range(arrow_grid):
         for j in range(arrow_grid):
             t = dom.t_min + (i + 0.5) * (dom.t_max - dom.t_min) / arrow_grid
             c = dom.c_min + (j + 0.5) * (dom.c_max - dom.c_min) / arrow_grid
-            g = field.concentration_slope()
-            dt_val = field.partial_t(t, c)
+            # R_t and R_c, as field.partial_t and field.partial_c give them.
+            dt_val = c * gp(t) + hp(t)
             dc_val = g(t)
             norm = math.hypot(dt_val, dc_val)
             if norm < 1e-15:

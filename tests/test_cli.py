@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from mehgrisk.cli import RunConfig, main
+from mehgrisk.cli import RunConfig, build_config, main, make_parser
 from mehgrisk.fieldfit import PUBLISHED_A, PUBLISHED_B, RiskField
 
 
@@ -343,3 +343,63 @@ def test_nonfinite_flow_start_exit_2(tmp_path, capsys):
     ) == 2
     assert "flow starts must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_flow_start_outside_domain_writes_nothing(tmp_path, capsys):
+    # The first start's flow_00.csv used to be written before the second
+    # start was found to lie outside the domain.
+    out = tmp_path / "out"
+    assert run(
+        "flow", "--paper-dataset", "--starts", "2,1,9,1", "--out", str(out)
+    ) == 2
+    err = capsys.readouterr().err
+    assert "start point (9.0, 1.0) lies outside the domain" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("samples", 2.7), ("grid", 16.9), ("seed", 0.5),
+        ("flow_max_steps", 100.25), ("grid", "32"), ("samples", None),
+        ("seed", True), ("grid", [32]),
+    ],
+)
+def test_config_integers_not_truncated(key, value, tmp_path, capsys):
+    # 2.7 samples and a 16.9 grid used to run as 2 and 16.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert run(
+        "analyze", "--paper-dataset", "--config", str(cfg), "--out", str(out)
+    ) == 2
+    assert f"{key}: expected an integer, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_integral_values_accepted(tmp_path):
+    cfg = tmp_path / "run.json"
+    for grid, samples in ((32, 1000), (32.0, 1000.0)):
+        cfg.write_text(json.dumps({
+            "grid": grid, "samples": samples, "seed": 7.0,
+            "flow_max_steps": 50.0,
+        }))
+        args = make_parser().parse_args(
+            ["analyze", "--paper-dataset", "--config", str(cfg)]
+        )
+        config = build_config(args)
+        assert (config.grid, config.mc_samples) == (32, 1000)
+        assert (config.seed, config.flow_max_steps) == (7, 50)
+        assert all(
+            type(v) is int
+            for v in (config.grid, config.mc_samples, config.seed,
+                      config.flow_max_steps)
+        )
+    cfg.write_text(json.dumps({"grid": 32.0, "samples": 1000.0}))
+    out = tmp_path / "out"
+    assert run(
+        "analyze", "--paper-dataset", "--config", str(cfg), "--out", str(out)
+    ) == 0
+    assert read_json(out / "analysis.json")["region_area_monte_carlo"][
+        "samples"
+    ] == 1000
