@@ -39,9 +39,7 @@ def _subdomain(field: RiskField, domain: Rectangle | None) -> Rectangle:
 
 def gradient(field: RiskField, t: float, c: float) -> tuple[float, float]:
     """Analytic gradient (dR/dt, dR/dc) of the field."""
-    g = field.concentration_slope()
-    h = field.concentration_intercept()
-    return c * g.derivative()(t) + h.derivative()(t), g(t)
+    return field.partial_t(t, c), field.partial_c(t)
 
 
 @dataclass(frozen=True)
@@ -81,9 +79,9 @@ def certify_no_critical_points(field: RiskField) -> CriticalPointCertificate:
     equation dR/dt = h'(t) + c g'(t) = 0 for an in-range concentration.
     """
     dom = field.domain
-    g = field.concentration_slope().trimmed()
-    hp = field.concentration_intercept().derivative().trimmed()
-    gp = g.derivative().trimmed()
+    g = field.g.trimmed()
+    hp = field.h_prime.trimmed()
+    gp = field.g_prime.trimmed()
     scale = max(g.scale(), hp.scale(), 1.0)
     tiny = 1e-12 * scale
 
@@ -168,8 +166,8 @@ def mean_risk(field: RiskField, domain: Rectangle | None = None) -> float:
     iint R = (integral of c dc)(integral of g dt) + (c-width)(integral of h dt).
     """
     dom = _subdomain(field, domain)
-    g_int = field.concentration_slope().integrate(dom.t_min, dom.t_max)
-    h_int = field.concentration_intercept().integrate(dom.t_min, dom.t_max)
+    g_int = field.g.integrate(dom.t_min, dom.t_max)
+    h_int = field.h.integrate(dom.t_min, dom.t_max)
     c_moment = 0.5 * (dom.c_max**2 - dom.c_min**2)
     total = c_moment * g_int + (dom.c_max - dom.c_min) * h_int
     return total / dom.area
@@ -297,8 +295,8 @@ def risk_region_area(
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
     dom = _subdomain(field, domain)
-    g = field.concentration_slope().trimmed()
-    h = field.concentration_intercept()
+    g = field.g.trimmed()
+    h = field.h
 
     roots = real_roots(g, dom.t_min, dom.t_max, ROOT_TOL) if g.degree >= 0 else ()
     if g.degree < 0 or roots:

@@ -26,11 +26,11 @@ from .fieldfit import (
     RiskField,
     RiskTable,
     build_field,
+    json_text,
     published_field,
     survey_risk_table,
     write_json,
 )
-from .polynomial import Polynomial
 
 ENV_OUT = "MEHGRISK_OUT"
 
@@ -187,10 +187,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _load_field(config: RunConfig) -> RiskField:
+def _load_field(config: RunConfig) -> tuple[RiskField, tuple[float, ...]]:
+    """The field to analyse and the concentrations of the table it was
+    fitted to; a field JSON comes with no table, so with none."""
     config.require_source()
     if config.use_paper_dataset:
-        return published_field().with_domain(config.domain)
+        field_obj = published_field().with_domain(config.domain)
+        return field_obj, survey_risk_table().concentrations
     path = Path(config.input_path)
     if not path.exists():
         raise ValueError(f"{path}: no such file")
@@ -201,14 +204,14 @@ def _load_field(config: RunConfig) -> RiskField:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: invalid JSON: {exc}") from None
         if isinstance(data, dict) and "a" in data and "b" in data:
-            loaded = RiskField.from_json(path)
+            field_obj = RiskField.from_json(path)
             if config.domain_overridden:
-                loaded = loaded.with_domain(config.domain)
-            return loaded
+                field_obj = field_obj.with_domain(config.domain)
+            return field_obj, ()
         table = RiskTable.from_json(path)
     else:
         table = RiskTable.from_csv(path)
-    return build_field(table, config.domain)
+    return build_field(table, config.domain), table.concentrations
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -216,51 +219,43 @@ def _out_dir(config: RunConfig) -> Path:
     return config.output_dir
 
 
-def _fit_report(config: RunConfig, field_obj: RiskField) -> dict:
-    g = field_obj.concentration_slope()
-    h = field_obj.concentration_intercept()
-    per_conc = []
+def _fit_report(
+    config: RunConfig, field_obj: RiskField, concentrations: tuple[float, ...]
+) -> dict:
     if config.use_paper_dataset:
         source = "builtin"
-        table = survey_risk_table()
-        concs = table.concentrations
     else:
         source = Path(config.input_path).name
-        concs = ()
-        path = Path(config.input_path)
-        if path.suffix.lower() != ".json":
-            concs = RiskTable.from_csv(path).concentrations
-    for conc in concs:
-        coeffs = tuple(
-            ak * conc + bk for ak, bk in zip(field_obj.a, field_obj.b)
-        )
+    per_conc = []
+    for conc in concentrations:
+        r = field_obj.g * conc + field_obj.h   # R(t, conc), a quartic in t
         per_conc.append(
             {
                 "concentration": conc,
-                "coefficients": list(coeffs),
-                "descending": Polynomial(coeffs).format_descending("t"),
+                "coefficients": list(r.coefficients),
+                "descending": r.format_descending("t"),
             }
         )
     return {
         "source": source,
         "field": field_obj.as_json_dict(),
-        "slope_descending": g.format_descending("t"),
-        "intercept_descending": h.format_descending("t"),
+        "slope_descending": field_obj.g.format_descending("t"),
+        "intercept_descending": field_obj.h.format_descending("t"),
         "per_concentration": per_conc,
     }
 
 
-def cmd_fit(config: RunConfig) -> dict:
-    field_obj = _load_field(config)
+def cmd_fit(
+    config: RunConfig, field_obj: RiskField, concentrations: tuple[float, ...]
+) -> dict:
     out = _out_dir(config)
     field_obj.to_json(out / "field.json")
-    report = _fit_report(config, field_obj)
+    report = _fit_report(config, field_obj, concentrations)
     write_json(report, out / "fit_report.json")
     return report
 
 
-def cmd_analyze(config: RunConfig) -> dict:
-    field_obj = _load_field(config)
+def cmd_analyze(config: RunConfig, field_obj: RiskField) -> dict:
     out = _out_dir(config)
     # One marching-squares pass per distinct level, the threshold included.
     wanted = tuple(dict.fromkeys(config.levels + (config.threshold,)))
@@ -289,8 +284,7 @@ def _geometry_search(config: RunConfig) -> tuple[float, float]:
     return geometry.DEFAULT_SEARCH
 
 
-def cmd_geometry(config: RunConfig) -> dict:
-    field_obj = _load_field(config)
+def cmd_geometry(config: RunConfig, field_obj: RiskField) -> dict:
     out = _out_dir(config)
     search = _geometry_search(config)
     report = geometry.build_geometry_report(field_obj, search=search)
@@ -304,22 +298,28 @@ def cmd_geometry(config: RunConfig) -> dict:
     return report
 
 
-def cmd_flow(config: RunConfig) -> dict:
-    field_obj = _load_field(config)
+def _flow_starts(
+    config: RunConfig, field_obj: RiskField
+) -> tuple[tuple[float, float], ...]:
     starts = config.default_flow_starts()
     for start in starts:
         if not field_obj.domain.contains(*start):
             raise ValueError(f"start point {start!r} lies outside the domain")
-    out = _out_dir(config)
-    trajectories = []
-    summary = []
-    for idx, start in enumerate(starts):
-        traj = dynamics.flow(
+    return starts
+
+
+def cmd_flow(config: RunConfig, field_obj: RiskField) -> dict:
+    """Integrate every start, then write; flow.json is encoded first, so
+    a non-finite summary fails before the output directory exists."""
+    trajectories = [
+        dynamics.flow(
             field_obj, start, step=config.flow_step,
             max_steps=config.flow_max_steps,
         )
-        trajectories.append(traj)
-        dynamics.write_trajectory_csv(traj, out / f"flow_{idx:02d}.csv")
+        for start in _flow_starts(config, field_obj)
+    ]
+    summary = []
+    for traj in trajectories:
         first = traj.samples[0]
         last = traj.samples[-1]
         summary.append(
@@ -333,9 +333,13 @@ def cmd_flow(config: RunConfig) -> dict:
                 "exit_reason": traj.exit_reason,
             }
         )
-    svgplot.flow_portrait_svg(field_obj, trajectories, out / "flow.svg")
     report = {"step": config.flow_step, "trajectories": summary}
-    write_json(report, out / "flow.json")
+    text = json_text(report, config.output_dir / "flow.json")
+    out = _out_dir(config)
+    for idx, traj in enumerate(trajectories):
+        dynamics.write_trajectory_csv(traj, out / f"flow_{idx:02d}.csv")
+    svgplot.flow_portrait_svg(field_obj, trajectories, out / "flow.svg")
+    (out / "flow.json").write_text(text)
     return report
 
 
@@ -392,10 +396,12 @@ def cmd_exposure(config: RunConfig) -> dict:
 
 
 def cmd_report(config: RunConfig) -> dict:
-    fit = cmd_fit(config)
-    analyze = cmd_analyze(config)
-    geom = cmd_geometry(config)
-    flow_report = cmd_flow(config)
+    field_obj, concentrations = _load_field(config)
+    _flow_starts(config, field_obj)
+    fit = cmd_fit(config, field_obj, concentrations)
+    analyze = cmd_analyze(config, field_obj)
+    geom = cmd_geometry(config, field_obj)
+    flow_report = cmd_flow(config, field_obj)
     bundle: dict = {
         "fit": fit,
         "analysis": analyze,
@@ -463,13 +469,11 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "fit": cmd_fit,
+# Commands that take the loaded field alone.
+_FIELD_COMMANDS = {
     "analyze": cmd_analyze,
     "geometry": cmd_geometry,
     "flow": cmd_flow,
-    "exposure": cmd_exposure,
-    "report": cmd_report,
 }
 
 
@@ -478,7 +482,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = build_config(args)
-        _DISPATCH[args.command](config)
+        if args.command == "exposure":
+            cmd_exposure(config)
+        elif args.command == "report":
+            cmd_report(config)
+        elif args.command == "fit":
+            cmd_fit(config, *_load_field(config))
+        else:
+            _FIELD_COMMANDS[args.command](config, _load_field(config)[0])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

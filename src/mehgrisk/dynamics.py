@@ -74,9 +74,8 @@ def flow(
     # zeros round alike.
     a0, a1, a2, a3, a4 = field.a
     b0, b1, b2, b3, b4 = field.b
-    # Coefficients of g' and h', the t-derivatives of g and h.
-    ga2, ga3, ga4 = 2 * a2, 3 * a3, 4 * a4
-    hb2, hb3, hb4 = 2 * b2, 3 * b3, 4 * b4
+    ga1, ga2, ga3, ga4 = field.g_prime.coefficients
+    hb1, hb2, hb3, hb4 = field.h_prime.coefficients
 
     def value(t: float, c: float) -> float:
         return ((((0.0 * t + (a4 * c + b4)) * t + (a3 * c + b3)) * t
@@ -84,8 +83,8 @@ def flow(
 
     def grad(t: float, c: float) -> tuple[float, float]:
         z = 0.0 * t
-        gp_t = (((z + ga4) * t + ga3) * t + ga2) * t + a1
-        hp_t = (((z + hb4) * t + hb3) * t + hb2) * t + b1
+        gp_t = (((z + ga4) * t + ga3) * t + ga2) * t + ga1
+        hp_t = (((z + hb4) * t + hb3) * t + hb2) * t + hb1
         g_t = ((((z + a4) * t + a3) * t + a2) * t + a1) * t + a0
         return c * gp_t + hp_t, g_t
 

@@ -233,11 +233,20 @@ class RiskTable:
 
 @dataclass(frozen=True)
 class RiskField:
-    """R(t, c) = sum_k (a_k c + b_k) t^k on a rectangular domain."""
+    """R(t, c) = sum_k (a_k c + b_k) t^k = g(t) c + h(t) on a rectangle.
+
+    The one field kernel: g = dR/dc, h = R(t, 0) and their t-derivatives
+    g' and h' are built once, with the field, and every layer reads the
+    field's derivatives from them.
+    """
 
     a: tuple[float, float, float, float, float]
     b: tuple[float, float, float, float, float]
     domain: Rectangle = field(default=DEFAULT_DOMAIN)
+    g: Polynomial = field(init=False, repr=False, compare=False)
+    h: Polynomial = field(init=False, repr=False, compare=False)
+    g_prime: Polynomial = field(init=False, repr=False, compare=False)
+    h_prime: Polynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.a) != NODE_COUNT or len(self.b) != NODE_COUNT:
@@ -246,14 +255,19 @@ class RiskField:
         object.__setattr__(self, "b", tuple(float(x) for x in self.b))
         _require_finite("a", self.a)
         _require_finite("b", self.b)
+        g, h = Polynomial(self.a), Polynomial(self.b)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "g_prime", g.derivative())
+        object.__setattr__(self, "h_prime", h.derivative())
 
     def concentration_slope(self) -> Polynomial:
         """g(t) = dR/dc, a quartic in t alone."""
-        return Polynomial(self.a)
+        return self.g
 
     def concentration_intercept(self) -> Polynomial:
         """h(t) = R(t, 0)."""
-        return Polynomial(self.b)
+        return self.h
 
     def evaluate(self, t, c):
         """R at points (t, c); t and c are floats or broadcastable arrays.
@@ -292,12 +306,10 @@ class RiskField:
         return cs[:, None] * g[None, :] + h[None, :]
 
     def partial_t(self, t: float, c: float) -> float:
-        gp = self.concentration_slope().derivative()
-        hp = self.concentration_intercept().derivative()
-        return c * gp(t) + hp(t)
+        return c * self.g_prime(t) + self.h_prime(t)
 
     def partial_c(self, t: float) -> float:
-        return self.concentration_slope()(t)
+        return self.g(t)
 
     def with_domain(self, domain: Rectangle) -> "RiskField":
         return RiskField(self.a, self.b, domain)
@@ -333,6 +345,15 @@ class RiskField:
         write_json(self.as_json_dict(), path)
 
 
+def json_text(data: dict, path: str | Path) -> str:
+    """The text write_json(data, path) writes; NaN or inf raises
+    ValueError naming the file, which is not touched."""
+    try:
+        return _json_text(data, "") + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def write_json(data: dict, path: str | Path) -> None:
     """Write sorted, indented standard JSON.
 
@@ -341,11 +362,7 @@ def write_json(data: dict, path: str | Path) -> None:
     before the file is opened, so a rejected value leaves no partial file
     behind.
     """
-    try:
-        text = _json_text(data, "")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(json_text(data, path))
 
 
 # Compact C encoder for string-free subtrees; its item separator is the
@@ -412,17 +429,10 @@ def build_field(
     """Interpolate each concentration row, then regress per power of t."""
     if len(table.concentrations) < 2:
         raise ValueError("need at least two concentrations to regress")
-    interpolants = [
-        interpolate(table.nodes, row) for row in table.values
-    ]
-    a = []
-    b = []
-    for k in range(NODE_COUNT):
-        ys = tuple(p.coefficients[k] for p in interpolants)
-        slope, intercept = regress_linear(table.concentrations, ys)
-        a.append(slope)
-        b.append(intercept)
-    return RiskField(tuple(a), tuple(b), domain)
+    rows = tuple(
+        interpolate(table.nodes, row).coefficients for row in table.values
+    )
+    return field_from_coefficient_rows(table.concentrations, rows, domain)
 
 
 def field_from_coefficient_rows(

@@ -32,16 +32,13 @@ def second_partials(
     field: RiskField, t: float, c: float
 ) -> tuple[float, float, float]:
     """(R_tt, R_tc, R_cc); the last is exactly 0 for affine-in-c fields."""
-    g = field.concentration_slope()
-    h = field.concentration_intercept()
-    r_tt = c * g.derivative().derivative()(t) + h.derivative().derivative()(t)
-    r_tc = g.derivative()(t)
-    return r_tt, r_tc, 0.0
+    r_tt = c * field.g_prime.derivative()(t) + field.h_prime.derivative()(t)
+    return r_tt, field.g_prime(t), 0.0
 
 
 def mixed_partial_cubic(field: RiskField) -> Polynomial:
     """q(t) = d2R/dtdc, the cubic whose roots carry all zero curvature."""
-    return field.concentration_slope().derivative()
+    return field.g_prime
 
 
 def gaussian_curvature(field: RiskField, t: float, c: float) -> float:
@@ -103,97 +100,45 @@ def _loci(
 def _max_curvature_affine(field: RiskField, dom: Rectangle) -> float:
     """Supremum of K over the rectangle for an affine-in-c field.
 
-    For fixed t the curvature is maximal where |R_t| is smallest, which
-    is an endpoint of the c-interval or the interior minimizer of
-    (h' + c g')^2.  A dense stage grid then resolves the 1-D problem.
+    For fixed t, K = -q^2 / (1 + R_t^2 + g^2)^2 is largest where R_t^2
+    is, and R_t = h' + c q is linear in c, so at an end of the
+    c-interval.  A dense stage grid then resolves the 1-D problem.
     """
-    g = field.concentration_slope()
-    h = field.concentration_intercept()
-    q = g.derivative()
-    hp = h.derivative()
     ts = np.linspace(dom.t_min, dom.t_max, 4097)
-    best = -np.inf
-    for t in ts:
-        qt = q(t)
-        hpt = hp(t)
-        gt = g(t)
-        if qt != 0.0:
-            c_opt = min(max(-hpt / qt, dom.c_min), dom.c_max)
-        else:
-            c_opt = dom.c_min
-        r_t = hpt + c_opt * qt
-        k = -(qt * qt) / (1.0 + r_t * r_t + gt * gt) ** 2
-        if k > best:
-            best = k
-    return float(best)
-
-
-def _fd_hessian_curvature(f, t: float, c: float, h: float = 1e-4) -> float:
-    f00 = f(t, c)
-    ftt = (f(t + h, c) - 2.0 * f00 + f(t - h, c)) / (h * h)
-    fcc = (f(t, c + h) - 2.0 * f00 + f(t, c - h)) / (h * h)
-    ftc = (
-        f(t + h, c + h) - f(t + h, c - h) - f(t - h, c + h) + f(t - h, c - h)
-    ) / (4.0 * h * h)
-    ft = (f(t + h, c) - f(t - h, c)) / (2.0 * h)
-    fc = (f(t, c + h) - f(t, c - h)) / (2.0 * h)
-    return (ftt * fcc - ftc * ftc) / (1.0 + ft * ft + fc * fc) ** 2
+    q, hp, g = field.g_prime(ts), field.h_prime(ts), field.g(ts)
+    r_t = np.maximum(np.abs(hp + dom.c_min * q), np.abs(hp + dom.c_max * q))
+    return float(np.max(-(q * q) / (1.0 + r_t * r_t + g * g) ** 2))
 
 
 def certify_hadamard(
-    field,
+    field: RiskField,
     domain: Rectangle | None = None,
     search: tuple[float, float] = DEFAULT_SEARCH,
     stage_map: StageMap = DEFAULT_STAGE_MAP,
-    grid: int = 64,
 ) -> CurvatureReport:
     """Certificate that the surface has nonpositive curvature everywhere.
 
-    For a RiskField the sign is structural: the curvature numerator is
-    -(q(t))^2.  The report still carries the domain supremum of K, which
-    is 0 exactly when a root of q falls inside the stage range.  Generic
-    scalar fields (anything callable as f(t, c)) are handled by
-    finite-difference curvature extremized over a grid.
+    The sign is structural: the curvature numerator is -(q(t))^2.  The
+    report still carries the domain supremum of K, which is 0 exactly
+    when a root of q falls inside the stage range.
     """
-    if isinstance(field, RiskField):
-        dom = field.domain if domain is None else domain
-        loci = _loci(field, search, stage_map, dom)
-        q = mixed_partial_cubic(field).trimmed()
-        if q.degree < 0:
-            return CurvatureReport(
-                max_curvature_on_domain=0.0,
-                zero_loci=(),
-                is_hadamard=True,
-                curvature_identically_zero=True,
-            )
-        if any(dom.t_min <= locus.stage <= dom.t_max for locus in loci):
-            max_k = 0.0
-        else:
-            max_k = _max_curvature_affine(field, dom)
+    dom = field.domain if domain is None else domain
+    loci = _loci(field, search, stage_map, dom)
+    q = field.g_prime.trimmed()
+    if q.degree < 0:
         return CurvatureReport(
-            max_curvature_on_domain=max_k,
-            zero_loci=loci,
-            is_hadamard=max_k <= 0.0,
+            max_curvature_on_domain=0.0,
+            zero_loci=(),
+            is_hadamard=True,
+            curvature_identically_zero=True,
         )
-
-    if domain is None:
-        raise ValueError("a domain rectangle is required for generic fields")
-    ts = np.linspace(domain.t_min, domain.t_max, grid)
-    cs = np.linspace(domain.c_min, domain.c_max, grid)
-    # Stay a finite-difference step away from the boundary.
-    pad_t = 2e-4 * (domain.t_max - domain.t_min)
-    pad_c = 2e-4 * (domain.c_max - domain.c_min)
-    max_k = -np.inf
-    for t in ts:
-        t = min(max(t, domain.t_min + pad_t), domain.t_max - pad_t)
-        for c in cs:
-            c = min(max(c, domain.c_min + pad_c), domain.c_max - pad_c)
-            k = _fd_hessian_curvature(field, float(t), float(c))
-            if k > max_k:
-                max_k = k
+    if any(dom.t_min <= locus.stage <= dom.t_max for locus in loci):
+        max_k = 0.0
+    else:
+        max_k = _max_curvature_affine(field, dom)
     return CurvatureReport(
-        max_curvature_on_domain=float(max_k),
-        zero_loci=(),
+        max_curvature_on_domain=max_k,
+        zero_loci=loci,
         is_hadamard=max_k <= 0.0,
     )
 

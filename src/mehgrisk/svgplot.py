@@ -14,7 +14,6 @@ import numpy as np
 
 from .analysis import LevelCurveSet
 from .fieldfit import Rectangle, RiskField
-from .geometry import mixed_partial_cubic
 from .stagemap import DEFAULT_STAGE_MAP, StageMap
 
 WIDTH = 640
@@ -239,16 +238,12 @@ def flow_portrait_svg(
     dom = domain or field.domain
     canvas = _Canvas(dom, "Gradient flow of the risk field")
     arrow_px = 0.45 * (WIDTH - MARGIN_L - MARGIN_R) / arrow_grid
-    g = field.concentration_slope()
-    gp = g.derivative()
-    hp = field.concentration_intercept().derivative()
     for i in range(arrow_grid):
         for j in range(arrow_grid):
             t = dom.t_min + (i + 0.5) * (dom.t_max - dom.t_min) / arrow_grid
             c = dom.c_min + (j + 0.5) * (dom.c_max - dom.c_min) / arrow_grid
-            # R_t and R_c, as field.partial_t and field.partial_c give them.
-            dt_val = c * gp(t) + hp(t)
-            dc_val = g(t)
+            dt_val = field.partial_t(t, c)
+            dc_val = field.partial_c(t)
             norm = math.hypot(dt_val, dc_val)
             if norm < 1e-15:
                 continue
@@ -288,7 +283,7 @@ def curvature_profile_svg(
     samples: int = 400,
 ) -> None:
     """Profile of the curvature numerator k(t) = -(q(t))^2 over the search range."""
-    q = mixed_partial_cubic(field)
+    q = field.g_prime
     ts = [
         search[0] + i * (search[1] - search[0]) / samples
         for i in range(samples + 1)

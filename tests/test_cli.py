@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 
 import pytest
 
+from mehgrisk import cli
 from mehgrisk.cli import RunConfig, build_config, main, make_parser
-from mehgrisk.fieldfit import PUBLISHED_A, PUBLISHED_B, RiskField
+from mehgrisk.fieldfit import PUBLISHED_A, PUBLISHED_B, RiskField, RiskTable
 
 
 def run(*argv: str) -> int:
@@ -403,3 +405,64 @@ def test_config_integral_values_accepted(tmp_path):
     assert read_json(out / "analysis.json")["region_area_monte_carlo"][
         "samples"
     ] == 1000
+
+
+def test_report_start_outside_domain_writes_nothing(tmp_path, capsys):
+    # report used to write field.json, fit_report.json, analysis.json,
+    # geometry.json and three SVGs before cmd_flow refused the start.
+    out = tmp_path / "out"
+    assert run(
+        "report", "--paper-dataset", "--starts", "2,1,9,1", "--out", str(out)
+    ) == 2
+    err = capsys.readouterr().err
+    assert "start point (9.0, 1.0) lies outside the domain" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_flow_nonfinite_summary_writes_nothing(tmp_path, fresh_python):
+    # Coefficients of 1e308 overflow along every trajectory; flow used to
+    # write flow_00.csv..flow_08.csv (inf and nan rows) and flow.svg
+    # before flow.json refused the non-finite summary.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "a": [1e308] * 5, "b": [0.0] * 5,
+        "domain": {"t": [1.0, 5.0], "c": [0.2, 3.5]},
+    }))
+    out = tmp_path / "out"
+    proc = fresh_python(
+        "-m", "mehgrisk", "flow", "--input", str(path), "--out", str(out),
+        seconds=30.0,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "flow.json: Out of range float values" in proc.stderr
+    assert not out.exists()
+
+
+def test_report_loads_and_fits_the_table_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+    from_csv = RiskTable.from_csv.__func__
+    build_field = cli.build_field
+
+    def counted_from_csv(cls, path):
+        calls["from_csv"] += 1
+        return from_csv(cls, path)
+
+    def counted_build_field(*args, **kwargs):
+        calls["build_field"] += 1
+        return build_field(*args, **kwargs)
+
+    monkeypatch.setattr(RiskTable, "from_csv", classmethod(counted_from_csv))
+    monkeypatch.setattr(cli, "build_field", counted_build_field)
+    table = tmp_path / "table.csv"
+    table.write_text(
+        "hq,1,2,3,4,5\n0.4,0,1.1,0.52,0.31,0.6\n1.6,0,4.8,2.1,1.3,2.4\n"
+        "2.9,0,8.7,3.9,2.2,4.1\n"
+    )
+    out = tmp_path / "out"
+    assert run("report", "--input", str(table), "--grid", "16", "--out", str(out)) == 0
+    assert calls == {"from_csv": 1, "build_field": 1}
+    concs = [
+        row["concentration"]
+        for row in read_json(out / "fit_report.json")["per_concentration"]
+    ]
+    assert concs == [0.4, 1.6, 2.9]
