@@ -237,6 +237,20 @@ class RegionArea:
         }
 
 
+def _uniform_into(rng, low: float, high: float, out: np.ndarray) -> None:
+    """Fill out with rng.uniform(low, high, len(out)), bit for bit.
+
+    uniform computes low + (high - low) * u from the same doubles u that
+    random draws; a span that overflows raises OverflowError as there.
+    """
+    span = high - low
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    rng.random(out=out)
+    out *= span
+    out += low
+
+
 def monte_carlo_region_area(
     field: RiskField,
     domain: Rectangle | None = None,
@@ -250,8 +264,8 @@ def monte_carlo_region_area(
     paired with the next `samples` draws of c, as if all the t were drawn
     before all the c.  Each draw takes one output of the PCG64 stream, so
     a second generator jumped ahead by `samples` reads the c alongside
-    the t, and the count streams in chunks of `MC_CHUNK`: memory stays
-    fixed whatever `samples` is.
+    the t, and the count streams in chunks of `MC_CHUNK` through five
+    buffers allocated once: memory stays fixed whatever `samples` is.
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
@@ -259,15 +273,21 @@ def monte_carlo_region_area(
     t_rng = np.random.default_rng(seed)
     c_rng = np.random.default_rng(seed)
     c_rng.bit_generator.advance(int(samples))
+    n = min(samples, MC_CHUNK)
+    ts, cs, g, h = (np.empty(n) for _ in range(4))
+    hit = np.empty(n, dtype=bool)
     hits = 0
     for lo in range(0, samples, MC_CHUNK):
         m = min(MC_CHUNK, samples - lo)
-        ts = t_rng.uniform(dom.t_min, dom.t_max, m)
-        cs = c_rng.uniform(dom.c_min, dom.c_max, m)
-        g, h = field.slope_and_intercept(ts)
+        if m < n:
+            ts, cs, g, h, hit = ts[:m], cs[:m], g[:m], h[:m], hit[:m]
+        _uniform_into(t_rng, dom.t_min, dom.t_max, ts)
+        _uniform_into(c_rng, dom.c_min, dom.c_max, cs)
+        field.slope_and_intercept(ts, out=(g, h))
         g *= cs
         g += h
-        hits += int(np.count_nonzero(g >= threshold))
+        np.greater_equal(g, threshold, out=hit)
+        hits += int(np.count_nonzero(hit))
     hit_fraction = hits / samples
     area = hit_fraction * dom.area
     std_error = dom.area * float(
@@ -512,9 +532,13 @@ def build_analysis_report(
     dom = _subdomain(field, domain)
     certificate = certify_no_critical_points(field.with_domain(dom))
     region = risk_region_area(field, dom, threshold, seed=seed)
-    crosscheck = monte_carlo_region_area(
-        field, dom, threshold, samples=mc_samples, seed=seed
-    )
+    # A fallback with the cross-check's samples is the cross-check itself.
+    if region.method == "monte_carlo" and region.samples == mc_samples:
+        crosscheck = region
+    else:
+        crosscheck = monte_carlo_region_area(
+            field, dom, threshold, samples=mc_samples, seed=seed
+        )
     return {
         "field": field.as_json_dict(),
         "domain": dom.as_json_dict(),

@@ -26,8 +26,10 @@ from .fieldfit import (
     RiskField,
     RiskTable,
     build_field,
+    from_json_data,
     json_text,
     published_field,
+    read_json,
     survey_risk_table,
     write_json,
 )
@@ -198,17 +200,15 @@ def _load_field(config: RunConfig) -> tuple[RiskField, tuple[float, ...]]:
     if not path.exists():
         raise ValueError(f"{path}: no such file")
     if path.suffix.lower() == ".json":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: invalid JSON: {exc}") from None
+        data = read_json(path)
         if isinstance(data, dict) and "a" in data and "b" in data:
-            field_obj = RiskField.from_json(path)
+            field_obj = from_json_data(
+                RiskField.from_json_dict, data, path, "field"
+            )
             if config.domain_overridden:
                 field_obj = field_obj.with_domain(config.domain)
             return field_obj, ()
-        table = RiskTable.from_json(path)
+        table = from_json_data(RiskTable.from_json_dict, data, path, "table")
     else:
         table = RiskTable.from_csv(path)
     return build_field(table, config.domain), table.concentrations
@@ -248,15 +248,20 @@ def _fit_report(
 def cmd_fit(
     config: RunConfig, field_obj: RiskField, concentrations: tuple[float, ...]
 ) -> dict:
-    out = _out_dir(config)
-    field_obj.to_json(out / "field.json")
     report = _fit_report(config, field_obj, concentrations)
-    write_json(report, out / "fit_report.json")
+    out = config.output_dir
+    field_text = json_text(field_obj.as_json_dict(), out / "field.json")
+    report_text = json_text(report, out / "fit_report.json")
+    _out_dir(config)
+    (out / "field.json").write_text(field_text)
+    (out / "fit_report.json").write_text(report_text)
     return report
 
 
-def cmd_analyze(config: RunConfig, field_obj: RiskField) -> dict:
-    out = _out_dir(config)
+def _analysis(config: RunConfig, field_obj: RiskField) -> tuple:
+    """The analysis report, its analysis.json text, the curves at the
+    configured levels and the threshold's boundary.  Nothing is written,
+    so a non-finite value fails before the output directory exists."""
     # One marching-squares pass per distinct level, the threshold included.
     wanted = tuple(dict.fromkeys(config.levels + (config.threshold,)))
     sets = analysis.level_curves(field_obj, levels=wanted, grid=config.grid)
@@ -269,9 +274,19 @@ def cmd_analyze(config: RunConfig, field_obj: RiskField) -> dict:
         seed=config.seed,
         mc_samples=config.mc_samples,
     )
-    write_json(report, out / "analysis.json")
+    text = json_text(report, config.output_dir / "analysis.json")
+    return report, text, curves, by_level[config.threshold]
+
+
+def cmd_analyze(
+    config: RunConfig, field_obj: RiskField, computed: tuple | None = None
+) -> dict:
+    """Write analysis.json and the contour and region plots; `computed`
+    is _analysis(config, field_obj) where the caller made it already."""
+    report, text, curves, boundary = computed or _analysis(config, field_obj)
+    out = _out_dir(config)
+    (out / "analysis.json").write_text(text)
     svgplot.contour_plot_svg(field_obj, curves, out / "contours.svg")
-    boundary = by_level[config.threshold]
     svgplot.region_plot_svg(
         field_obj, config.threshold, boundary, out / "region.svg"
     )
@@ -398,8 +413,9 @@ def cmd_exposure(config: RunConfig) -> dict:
 def cmd_report(config: RunConfig) -> dict:
     field_obj, concentrations = _load_field(config)
     _flow_starts(config, field_obj)
+    computed = _analysis(config, field_obj)
     fit = cmd_fit(config, field_obj, concentrations)
-    analyze = cmd_analyze(config, field_obj)
+    analyze = cmd_analyze(config, field_obj, computed)
     geom = cmd_geometry(config, field_obj)
     flow_report = cmd_flow(config, field_obj)
     bundle: dict = {
@@ -417,8 +433,8 @@ def cmd_report(config: RunConfig) -> dict:
     if config.use_paper_dataset:
         bundle["exposure"] = cmd_exposure(config)
         files["exposure"] = "exposure.json"
-    # Each sub-document was just written by write_json, so its text,
-    # indented one level, is its text inside the bundle's.
+    # Each sub-document was just written as json_text renders it, so its
+    # text, indented one level, is its text inside the bundle's.
     out = _out_dir(config)
     members = (
         f'  "{key}": ' + (out / files[key]).read_text()[:-1].replace("\n", "\n  ")

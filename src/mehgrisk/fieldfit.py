@@ -216,19 +216,16 @@ class RiskTable:
                 writer.writerow([conc, *row])
 
     @classmethod
+    def from_json_dict(cls, data: dict) -> "RiskTable":
+        return cls(
+            tuple(data["concentrations"]),
+            tuple(data["nodes"]),
+            tuple(tuple(row) for row in data["values"]),
+        )
+
+    @classmethod
     def from_json(cls, path: str | Path) -> "RiskTable":
-        with open(path) as fh:
-            data = json.load(fh)
-        try:
-            return cls(
-                tuple(data["concentrations"]),
-                tuple(data["nodes"]),
-                tuple(tuple(row) for row in data["values"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: malformed table JSON: {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        return from_json_data(cls.from_json_dict, read_json(path), path, "table")
 
 
 @dataclass(frozen=True)
@@ -280,16 +277,24 @@ class RiskField:
             acc = acc * t + (ak * c + bk)
         return acc
 
-    def slope_and_intercept(self, ts) -> tuple[np.ndarray, np.ndarray]:
+    def slope_and_intercept(
+        self, ts, out: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """g(t) and h(t) over an array of stages, each by Horner's rule.
 
-        In place, two arrays in all.  The chain starts from 0*t + a_4, so
-        every element rounds as in acc = acc*t + a_k from acc = 0, signed
-        zeros and non-finite stages included.
+        In place, two arrays in all: new ones, or the float arrays `out`
+        of the stages' shape.  The chain starts from 0*t + a_4, so every
+        element rounds as in acc = acc*t + a_k from acc = 0, signed zeros
+        and non-finite stages included.
         """
         ts = np.asarray(ts, dtype=float)
-        g = ts * 0.0
-        h = g.copy()
+        if out is None:
+            g = ts * 0.0
+            h = g.copy()
+        else:
+            g, h = out
+            np.multiply(ts, 0.0, out=g)
+            np.copyto(h, g)
         g += self.a[-1]
         h += self.b[-1]
         for ak, bk in zip(reversed(self.a[:-1]), reversed(self.b[:-1])):
@@ -331,18 +336,31 @@ class RiskField:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RiskField":
-        with open(path) as fh:
-            try:
-                return cls.from_json_dict(json.load(fh))
-            except (KeyError, TypeError, IndexError) as exc:
-                raise ValueError(
-                    f"{path}: malformed field JSON: {exc}"
-                ) from None
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+        return from_json_data(cls.from_json_dict, read_json(path), path, "field")
 
     def to_json(self, path: str | Path) -> None:
         write_json(self.as_json_dict(), path)
+
+
+def read_json(path: str | Path):
+    """The document in a JSON file; invalid JSON raises ValueError naming
+    the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+
+
+def from_json_data(build, data, path: str | Path, what: str):
+    """build(data) for a document read from path; a malformed document or
+    a rejected value raises ValueError naming the file."""
+    try:
+        return build(data)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"{path}: malformed {what} JSON: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def json_text(data: dict, path: str | Path) -> str:

@@ -212,12 +212,11 @@ def count_roots(chain: list[Polynomial], a: float, b: float) -> int:
 
 
 def isolate_roots(
-    p: Polynomial, a: float, b: float, max_depth: int = 80
+    chain: list[Polynomial], a: float, b: float, max_depth: int = 80
 ) -> list[tuple[float, float]]:
-    """Brackets (lo, hi], each containing exactly one distinct root of p."""
-    chain = sturm_sequence(p)
-    sq = chain[0]
-    if sq.degree <= 0:
+    """Brackets (lo, hi], each containing exactly one distinct root of the
+    polynomial whose Sturm chain is given."""
+    if chain[0].degree <= 0:
         return []
     out: list[tuple[float, float]] = []
     stack = [(a, b, count_roots(chain, a, b), 0)]
@@ -271,8 +270,9 @@ def real_roots(
     if p.degree <= 0:
         return ()
     pad = 1e-9 * (1.0 + abs(a)) + 1e-9 * (b - a)
-    brackets = isolate_roots(p, a - pad, b)
-    sq = sturm_sequence(p)[0]
+    chain = sturm_sequence(p)
+    sq = chain[0]
+    brackets = isolate_roots(chain, a - pad, b)
     roots = []
     for lo, hi in brackets:
         roots.append(min(max(bisect_root(sq, lo, hi, tol), a), b))

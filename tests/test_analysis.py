@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from mehgrisk import analysis
 from mehgrisk.analysis import (
     build_analysis_report,
     certify_no_critical_points,
@@ -18,7 +19,13 @@ from mehgrisk.analysis import (
     risk_probability,
     risk_region_area,
 )
-from mehgrisk.fieldfit import Rectangle, RiskField, published_field
+from mehgrisk.fieldfit import (
+    Rectangle,
+    RiskField,
+    RiskTable,
+    build_field,
+    published_field,
+)
 from mehgrisk.polynomial import real_roots
 
 DOMAIN = Rectangle(1.0, 5.0, 0.2, 3.5)
@@ -324,6 +331,37 @@ def test_analysis_report_shape():
     import json
 
     json.dumps(report)   # must be plain-JSON serializable
+
+
+def test_analysis_report_reuses_the_fallback(monkeypatch):
+    # The golden table fits g(1) = 0, so the region falls back to Monte
+    # Carlo; with the cross-check's samples that estimate is the
+    # cross-check, and the report used to compute it twice.
+    calls = []
+    estimate = analysis.monte_carlo_region_area
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "monte_carlo_region_area", counted)
+    table = RiskTable(
+        (0.4, 1.6, 2.9), (1.0, 2.0, 3.0, 4.0, 5.0),
+        ((0, 1.1, 0.52, 0.31, 0.6), (0, 4.8, 2.1, 1.3, 2.4),
+         (0, 8.7, 3.9, 2.2, 4.1)),
+    )
+    f = build_field(table)
+    report = build_analysis_report(f, [], seed=4, mc_samples=10**6)
+    assert report["region_area_method"] == "monte_carlo"
+    assert len(calls) == 1
+    assert report["region_area_monte_carlo"] == estimate(
+        f, threshold=1.0, samples=10**6, seed=4
+    ).as_json_dict()
+    assert report["region_area"] == report["region_area_monte_carlo"]["area"]
+    # Another sample count is a separate cross-check.
+    report = build_analysis_report(f, [], seed=4, mc_samples=10**4)
+    assert len(calls) == 3
+    assert report["region_area_monte_carlo"]["samples"] == 10**4
 
 
 NONFINITE_PROBE = """

@@ -466,3 +466,73 @@ def test_report_loads_and_fits_the_table_once(tmp_path, monkeypatch):
         for row in read_json(out / "fit_report.json")["per_concentration"]
     ]
     assert concs == [0.4, 1.6, 2.9]
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_overflowing_field_writes_nothing(command, tmp_path, fresh_python):
+    # Coefficients of 1e308 overflow in the analysis; analyze used to
+    # leave an empty output directory, and report field.json and
+    # fit_report.json, before analysis.json refused the values.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "a": [1e308] * 5, "b": [0.0] * 5,
+        "domain": {"t": [1.0, 5.0], "c": [0.2, 3.5]},
+    }))
+    out = tmp_path / "out"
+    proc = fresh_python(
+        "-m", "mehgrisk", command, "--input", str(path), "--grid", "16",
+        "--out", str(out), seconds=60.0,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "analysis.json: Out of range float values" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["field", "table"])
+def test_json_input_read_once(kind, tmp_path, monkeypatch):
+    # A field or table JSON used to be opened and parsed twice per load.
+    if kind == "field":
+        data = RiskField(PUBLISHED_A, PUBLISHED_B).as_json_dict()
+    else:
+        data = {"concentrations": [0.4, 1.6, 2.9], "nodes": [1, 2, 3, 4, 5],
+                "values": [[0, 1.1, 0.52, 0.31, 0.6], [0, 4.8, 2.1, 1.3, 2.4],
+                           [0, 8.7, 3.9, 2.2, 4.1]]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    opened = []
+    real_open = open
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted_open)
+    args = make_parser().parse_args(["fit", "--input", str(path)])
+    field_obj, concentrations = cli._load_field(build_config(args))
+    assert opened.count(str(path)) == 1
+    if kind == "field":
+        assert (field_obj.a, concentrations) == (PUBLISHED_A, ())
+    else:
+        assert concentrations == (0.4, 1.6, 2.9)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{", "input.json: invalid JSON: "),
+        ('{"a": [1, 2], "b": [0, 0, 0, 0, 0], "domain": {"t": [1, 5], '
+         '"c": [0.2, 3.5]}}', "input.json: field needs five slope"),
+        ('{"a": [1, 2, 3, 4, 5], "b": [0, 0, 0, 0, 0]}',
+         "input.json: malformed field JSON: 'domain'"),
+        ('{"nodes": [1, 2, 3, 4, 5]}',
+         "input.json: malformed table JSON: 'concentrations'"),
+        ('[1, 2]', "input.json: malformed table JSON: "),
+    ],
+)
+def test_bad_json_input_names_the_file(text, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run("analyze", "--input", str(path), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -4,7 +4,8 @@ The reference below is the original estimator: it draws every t, then
 every c, from one generator, and counts hits over slices of the two
 arrays with g and h from the out-of-place Horner chain acc = acc*t + a_k.
 The package's monte_carlo_region_area must return the same RegionArea
-exactly, and slope_and_intercept the same bits.
+exactly, and slope_and_intercept the same bits, into new arrays or into
+the caller's.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mehgrisk.analysis import MC_CHUNK, RegionArea, monte_carlo_region_area
+from mehgrisk.analysis import (
+    MC_CHUNK,
+    RegionArea,
+    _uniform_into,
+    monte_carlo_region_area,
+)
 from mehgrisk.fieldfit import Rectangle, RiskField, published_field
 
 _REFERENCE_CHUNK = 65536
@@ -106,8 +112,9 @@ def test_fixed_fields_match_reference(samples):
 
 
 def test_memory_does_not_grow_with_samples():
-    # The reference holds 2 x 8 MB of draws at 10^6 samples; the stream
-    # keeps a few chunk-sized arrays alive.
+    # The reference holds 2 x 8 MB of draws at 10^6 samples.  The stream
+    # allocates four float chunks and one bool chunk once per call (1.03
+    # MiB at MC_CHUNK = 2^15); fresh arrays per chunk peaked at 1.50 MiB.
     field = published_field()
     monte_carlo_region_area(field, samples=1000)
     tracemalloc.start()
@@ -116,15 +123,57 @@ def test_memory_does_not_grow_with_samples():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 8 * MC_CHUNK
+    assert peak < 5 * 8 * MC_CHUNK
+
+
+def test_overflowing_span_raises():
+    # uniform refuses a span high - low that overflows; so must the stream.
+    wide = RiskField((0.0,) * 5, (1.0,) * 5, Rectangle(-1e308, 1e308, 0.0, 1.0))
+    with pytest.raises(OverflowError):
+        monte_carlo_region_area(wide, samples=10)
+    tall = RiskField((0.0,) * 5, (1.0,) * 5, Rectangle(1.0, 5.0, -1e308, 1e308))
+    with pytest.raises(OverflowError):
+        monte_carlo_region_area(tall, samples=10)
+    with pytest.raises(OverflowError):
+        np.random.default_rng(0).uniform(-1e308, 1e308, 10)
+
+
+# uniform refuses high < low, so spans are nonnegative; the bounds are not.
+spans = st.sampled_from((0.0, 5e-324, 1e-300, 1e-12, 1.0, 4.0, 1e300, 1.7e308))
+lows = st.floats(-1e300, 1e300, allow_nan=False) | st.sampled_from((0.0, -0.0))
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    low=lows,
+    span=spans | st.floats(0.0, 1e300),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**63),
+)
+def test_scaled_draws_equal_uniform(low, span, n, seed):
+    # random(out=) scaled in place is low + (high - low) * u, the doubles
+    # uniform returns, for negative bounds and tiny and huge spans alike.
+    high = low + span
+    if not np.isfinite(high - low):
+        return
+    want = np.random.default_rng(seed).uniform(low, high, n)
+    got = np.empty(n)
+    rng = np.random.default_rng(seed)
+    _uniform_into(rng, low, high, got)
+    assert got.tobytes() == want.tobytes()
+    # Both consumed one stream output per draw.
+    assert rng.random() == np.random.default_rng(seed).random(n + 1)[-1]
 
 
 def _assert_same_bits(field, stages):
+    out = (np.full_like(stages, np.nan), np.full_like(stages, -0.0))
     with np.errstate(invalid="ignore", over="ignore"):  # 0*inf, huge t
         got = field.slope_and_intercept(stages)
+        into = field.slope_and_intercept(stages, out=out)
         want = _reference_slope_and_intercept(field, stages)
-    for x, y in zip(got, want):
-        assert x.tobytes() == y.tobytes()
+    assert into[0] is out[0] and into[1] is out[1]
+    for x, y, z in zip(got, into, want):
+        assert x.tobytes() == y.tobytes() == z.tobytes()
 
 
 finite_stage = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from mehgrisk import polynomial
 from mehgrisk.polynomial import (
     Polynomial,
     bisect_root,
@@ -102,7 +103,7 @@ def test_sturm_root_count_matches_numpy():
 def test_isolated_brackets_contain_one_root_each():
     # (x - 1)(x - 2)(x - 4), well separated roots
     p = Polynomial((-8.0, 14.0, -7.0, 1.0))
-    brackets = isolate_roots(p, 0.0, 10.0)
+    brackets = isolate_roots(sturm_sequence(p), 0.0, 10.0)
     assert len(brackets) == 3
     for (lo, hi), root in zip(brackets, (1.0, 2.0, 4.0)):
         assert lo < root <= hi
@@ -172,3 +173,20 @@ def test_format_descending():
     assert text == "-0.06 t^4 + 0.92 t^3 - 4.54 t^2 + 8.93 t - 5.25"
     assert Polynomial((0.0,)).format_descending() == "0"
     assert Polynomial((2.5,)).format_descending() == "2.5"
+
+
+def test_real_roots_builds_one_sturm_chain(monkeypatch):
+    # real_roots used to build the chain once to isolate and again for
+    # the square-free part it refines on.
+    calls = []
+    build = polynomial.sturm_sequence
+
+    def counted(p):
+        calls.append(p)
+        return build(p)
+
+    monkeypatch.setattr(polynomial, "sturm_sequence", counted)
+    p = Polynomial((-8.0, 14.0, -7.0, 1.0))   # (x - 1)(x - 2)(x - 4)
+    roots = polynomial.real_roots(p, 0.0, 10.0)
+    assert len(calls) == 1
+    assert [round(r, 8) for r in roots] == [1.0, 2.0, 4.0]
