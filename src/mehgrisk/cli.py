@@ -16,8 +16,12 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from . import analysis, dynamics, exposure, geometry, svgplot
 from .fieldfit import (
@@ -31,7 +35,6 @@ from .fieldfit import (
     published_field,
     read_json,
     survey_risk_table,
-    write_json,
 )
 
 ENV_OUT = "MEHGRISK_OUT"
@@ -189,17 +192,26 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _load_field(config: RunConfig) -> tuple[RiskField, tuple[float, ...]]:
-    """The field to analyse and the concentrations of the table it was
-    fitted to; a field JSON comes with no table, so with none."""
+def _input_file(config: RunConfig) -> tuple[Path | None, bool]:
+    """The input file and whether it is JSON; (None, False) for the
+    built-in dataset.  A missing source or file raises ValueError."""
     config.require_source()
     if config.use_paper_dataset:
-        field_obj = published_field().with_domain(config.domain)
-        return field_obj, survey_risk_table().concentrations
+        return None, False
     path = Path(config.input_path)
     if not path.exists():
         raise ValueError(f"{path}: no such file")
-    if path.suffix.lower() == ".json":
+    return path, path.suffix.lower() == ".json"
+
+
+def _load_field(config: RunConfig) -> tuple[RiskField, tuple[float, ...]]:
+    """The field to analyse and the concentrations of the table it was
+    fitted to; a field JSON comes with no table, so with none."""
+    path, is_json = _input_file(config)
+    if path is None:
+        field_obj = published_field().with_domain(config.domain)
+        return field_obj, survey_risk_table().concentrations
+    if is_json:
         data = read_json(path)
         if isinstance(data, dict) and "a" in data and "b" in data:
             field_obj = from_json_data(
@@ -214,9 +226,27 @@ def _load_field(config: RunConfig) -> tuple[RiskField, tuple[float, ...]]:
     return build_field(table, config.domain), table.concentrations
 
 
-def _out_dir(config: RunConfig) -> Path:
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    return config.output_dir
+# What a command produces: JSON documents and writers of the other
+# files (SVG, CSV), each keyed by its file name.
+Output = tuple[dict[str, dict], dict[str, Callable[[Path], None]]]
+
+
+def _write(
+    config: RunConfig, documents: dict, writers: dict
+) -> dict[str, str]:
+    """Encode every document, then make the output directory, write the
+    documents and run the writers; return the documents' texts.  A NaN or
+    inf value fails, naming its file, before anything is written."""
+    out = config.output_dir
+    texts = {
+        name: json_text(doc, out / name) for name, doc in documents.items()
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    for name, write in writers.items():
+        write(out / name)
+    return texts
 
 
 def _fit_report(
@@ -247,21 +277,14 @@ def _fit_report(
 
 def cmd_fit(
     config: RunConfig, field_obj: RiskField, concentrations: tuple[float, ...]
-) -> dict:
-    report = _fit_report(config, field_obj, concentrations)
-    out = config.output_dir
-    field_text = json_text(field_obj.as_json_dict(), out / "field.json")
-    report_text = json_text(report, out / "fit_report.json")
-    _out_dir(config)
-    (out / "field.json").write_text(field_text)
-    (out / "fit_report.json").write_text(report_text)
-    return report
+) -> Output:
+    return {
+        "field.json": field_obj.as_json_dict(),
+        "fit_report.json": _fit_report(config, field_obj, concentrations),
+    }, {}
 
 
-def _analysis(config: RunConfig, field_obj: RiskField) -> tuple:
-    """The analysis report, its analysis.json text, the curves at the
-    configured levels and the threshold's boundary.  Nothing is written,
-    so a non-finite value fails before the output directory exists."""
+def cmd_analyze(config: RunConfig, field_obj: RiskField) -> Output:
     # One marching-squares pass per distinct level, the threshold included.
     wanted = tuple(dict.fromkeys(config.levels + (config.threshold,)))
     sets = analysis.level_curves(field_obj, levels=wanted, grid=config.grid)
@@ -274,23 +297,13 @@ def _analysis(config: RunConfig, field_obj: RiskField) -> tuple:
         seed=config.seed,
         mc_samples=config.mc_samples,
     )
-    text = json_text(report, config.output_dir / "analysis.json")
-    return report, text, curves, by_level[config.threshold]
-
-
-def cmd_analyze(
-    config: RunConfig, field_obj: RiskField, computed: tuple | None = None
-) -> dict:
-    """Write analysis.json and the contour and region plots; `computed`
-    is _analysis(config, field_obj) where the caller made it already."""
-    report, text, curves, boundary = computed or _analysis(config, field_obj)
-    out = _out_dir(config)
-    (out / "analysis.json").write_text(text)
-    svgplot.contour_plot_svg(field_obj, curves, out / "contours.svg")
-    svgplot.region_plot_svg(
-        field_obj, config.threshold, boundary, out / "region.svg"
-    )
-    return report
+    return {"analysis.json": report}, {
+        "contours.svg": partial(svgplot.contour_plot_svg, field_obj, curves),
+        "region.svg": partial(
+            svgplot.region_plot_svg, field_obj, config.threshold,
+            by_level[config.threshold],
+        ),
+    }
 
 
 def _geometry_search(config: RunConfig) -> tuple[float, float]:
@@ -299,39 +312,25 @@ def _geometry_search(config: RunConfig) -> tuple[float, float]:
     return geometry.DEFAULT_SEARCH
 
 
-def cmd_geometry(config: RunConfig, field_obj: RiskField) -> dict:
-    out = _out_dir(config)
+def cmd_geometry(config: RunConfig, field_obj: RiskField) -> Output:
     search = _geometry_search(config)
     report = geometry.build_geometry_report(field_obj, search=search)
-    write_json(report, out / "geometry.json")
-    svgplot.curvature_profile_svg(
-        field_obj,
-        out / "curvature.svg",
-        search=search,
-        zero_stages=tuple(z["stage"] for z in report["zero_loci"]),
-    )
-    return report
+    zero_stages = tuple(z["stage"] for z in report["zero_loci"])
+    return {"geometry.json": report}, {
+        "curvature.svg": partial(
+            svgplot.curvature_profile_svg, field_obj, search=search,
+            zero_stages=zero_stages,
+        ),
+    }
 
 
-def _flow_starts(
-    config: RunConfig, field_obj: RiskField
-) -> tuple[tuple[float, float], ...]:
-    starts = config.default_flow_starts()
-    for start in starts:
-        if not field_obj.domain.contains(*start):
-            raise ValueError(f"start point {start!r} lies outside the domain")
-    return starts
-
-
-def cmd_flow(config: RunConfig, field_obj: RiskField) -> dict:
-    """Integrate every start, then write; flow.json is encoded first, so
-    a non-finite summary fails before the output directory exists."""
+def cmd_flow(config: RunConfig, field_obj: RiskField) -> Output:
     trajectories = [
         dynamics.flow(
             field_obj, start, step=config.flow_step,
             max_steps=config.flow_max_steps,
         )
-        for start in _flow_starts(config, field_obj)
+        for start in config.default_flow_starts()
     ]
     summary = []
     for traj in trajectories:
@@ -348,33 +347,45 @@ def cmd_flow(config: RunConfig, field_obj: RiskField) -> dict:
                 "exit_reason": traj.exit_reason,
             }
         )
-    report = {"step": config.flow_step, "trajectories": summary}
-    text = json_text(report, config.output_dir / "flow.json")
-    out = _out_dir(config)
-    for idx, traj in enumerate(trajectories):
-        dynamics.write_trajectory_csv(traj, out / f"flow_{idx:02d}.csv")
-    svgplot.flow_portrait_svg(field_obj, trajectories, out / "flow.svg")
-    (out / "flow.json").write_text(text)
-    return report
+    writers = {
+        f"flow_{idx:02d}.csv": partial(dynamics.write_trajectory_csv, traj)
+        for idx, traj in enumerate(trajectories)
+    }
+    writers["flow.svg"] = partial(
+        svgplot.flow_portrait_svg, field_obj, trajectories
+    )
+    return {"flow.json": {"step": config.flow_step, "trajectories": summary}}, writers
 
 
 def _exposure_records(config: RunConfig) -> list[exposure.ProfileRecord]:
-    config.require_source()
-    if config.use_paper_dataset:
+    path, is_json = _input_file(config)
+    if path is None:
         return exposure.survey_profiles()
-    path = Path(config.input_path)
-    if not path.exists():
-        raise ValueError(f"{path}: no such file")
-    if path.suffix.lower() == ".json":
+    if is_json:
         return exposure.load_profiles_json(path)
     return exposure.load_profiles_csv(path)
 
 
-def cmd_exposure(config: RunConfig) -> dict:
-    records = _exposure_records(config)
-    out = _out_dir(config)
+def _write_exposure_csv(rows: list[dict], path: Path) -> None:
+    """exposure.csv: the rows of exposure.json, in its column order."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(rows[0].keys())
+        for row in rows:
+            writer.writerow(
+                [
+                    row["group"], f"{row['age_min']:g}", f"{row['age_max']:g}",
+                    f"{row['concentration_mg_per_kg']:g}",
+                    f"{row['exposure_mg_per_kg_day']:.9g}",
+                    f"{row['risk_coefficient']:.6g}",
+                    "yes" if row["acceptable"] else "no",
+                ]
+            )
+
+
+def cmd_exposure(config: RunConfig) -> Output:
     rows = []
-    for rec in records:
+    for rec in _exposure_records(config):
         e = exposure.exposure(rec.profile)
         verdict = exposure.risk_coefficient(e, rec.profile.reference_dose)
         rows.append(
@@ -388,60 +399,43 @@ def cmd_exposure(config: RunConfig) -> dict:
                 "acceptable": verdict.acceptable,
             }
         )
-    report = {"rows": rows}
-    write_json(report, out / "exposure.json")
-    with open(out / "exposure.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [
-            "group", "age_min", "age_max", "concentration_mg_per_kg",
-            "exposure_mg_per_kg_day", "risk_coefficient", "acceptable",
-        ]
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["group"], f"{row['age_min']:g}", f"{row['age_max']:g}",
-                    f"{row['concentration_mg_per_kg']:g}",
-                    f"{row['exposure_mg_per_kg_day']:.9g}",
-                    f"{row['risk_coefficient']:.6g}",
-                    "yes" if row["acceptable"] else "no",
-                ]
-            )
-    return report
+    return {"exposure.json": {"rows": rows}}, {
+        "exposure.csv": partial(_write_exposure_csv, rows),
+    }
 
 
-def cmd_report(config: RunConfig) -> dict:
+# report.json's keys, sorted, and the files whose documents they hold.
+_BUNDLE = {"analysis": "analysis.json", "exposure": "exposure.json",
+           "fit": "fit_report.json", "flow": "flow.json",
+           "geometry": "geometry.json"}
+
+
+def cmd_report(config: RunConfig) -> None:
+    """Write every command's files, then report.json, which bundles the
+    JSON documents."""
     field_obj, concentrations = _load_field(config)
-    _flow_starts(config, field_obj)
-    computed = _analysis(config, field_obj)
-    fit = cmd_fit(config, field_obj, concentrations)
-    analyze = cmd_analyze(config, field_obj, computed)
-    geom = cmd_geometry(config, field_obj)
-    flow_report = cmd_flow(config, field_obj)
-    bundle: dict = {
-        "fit": fit,
-        "analysis": analyze,
-        "geometry": geom,
-        "flow": flow_report,
-    }
-    files = {
-        "fit": "fit_report.json",
-        "analysis": "analysis.json",
-        "geometry": "geometry.json",
-        "flow": "flow.json",
-    }
+    outputs = [
+        cmd_fit(config, field_obj, concentrations),
+        cmd_analyze(config, field_obj),
+        cmd_geometry(config, field_obj),
+        cmd_flow(config, field_obj),
+    ]
     if config.use_paper_dataset:
-        bundle["exposure"] = cmd_exposure(config)
-        files["exposure"] = "exposure.json"
-    # Each sub-document was just written as json_text renders it, so its
-    # text, indented one level, is its text inside the bundle's.
-    out = _out_dir(config)
+        outputs.append(cmd_exposure(config))
+    documents: dict = {}
+    writers: dict = {}
+    for docs, files in outputs:
+        documents |= docs
+        writers |= files
+    texts = _write(config, documents, writers)
+    # A document's text, indented one level, is its text inside the bundle.
     members = (
-        f'  "{key}": ' + (out / files[key]).read_text()[:-1].replace("\n", "\n  ")
-        for key in sorted(files)
+        f'  "{key}": ' + texts[name][:-1].replace("\n", "\n  ")
+        for key, name in _BUNDLE.items()
+        if name in texts
     )
-    (out / "report.json").write_text("{\n" + ",\n".join(members) + "\n}\n")
-    return bundle
+    text = "{\n" + ",\n".join(members) + "\n}\n"
+    (config.output_dir / "report.json").write_text(text)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -498,18 +492,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = build_config(args)
-        if args.command == "exposure":
-            cmd_exposure(config)
-        elif args.command == "report":
-            cmd_report(config)
-        elif args.command == "fit":
-            cmd_fit(config, *_load_field(config))
-        else:
-            _FIELD_COMMANDS[args.command](config, _load_field(config)[0])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        # numpy's overflow warnings are noise: _write refuses every NaN or
+        # inf they leave, naming its file, before the first write.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "report":
+                cmd_report(config)
+            elif args.command == "exposure":
+                _write(config, *cmd_exposure(config))
+            elif args.command == "fit":
+                _write(config, *cmd_fit(config, *_load_field(config)))
+            else:
+                command = _FIELD_COMMANDS[args.command]
+                _write(config, *command(config, _load_field(config)[0]))
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

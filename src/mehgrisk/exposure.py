@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +34,6 @@ RFD_ADULT = 0.0003
 # Fraction of "fish" meat that is actually shark in the surveyed market.
 SHARK_SUBSTITUTION = 0.6037
 
-LIFE_EXPECTANCY_YEARS = 78.0
 DAYS_PER_YEAR = 365.25
 DAYS_PER_MONTH = DAYS_PER_YEAR / 12.0      # 30.44 used by the meal limit
 WEEKS_PER_YEAR = 52.0
@@ -124,9 +124,8 @@ def exposure_factor(
 class ExposureProfile:
     """Inputs for one consumer group at one tissue concentration.
 
-    frequency is in events/day and duration in days; both feed the total
-    dose equation.  intake_rate is kg per event before shark substitution;
-    the substitution fraction is applied inside exposure().
+    intake_rate is kg per event before shark substitution; the
+    substitution fraction is applied inside exposure().
     """
 
     concentration: float
@@ -137,9 +136,6 @@ class ExposureProfile:
     averaging_years: float
     reference_dose: float
     substitution_fraction: float = 1.0
-    life_expectancy: float = LIFE_EXPECTANCY_YEARS
-    frequency: float = 0.0
-    duration: float = 0.0
 
     def __post_init__(self) -> None:
         _require_positive(
@@ -147,13 +143,10 @@ class ExposureProfile:
             exposure_years=self.exposure_years,
             averaging_years=self.averaging_years,
             reference_dose=self.reference_dose,
-            life_expectancy=self.life_expectancy,
         )
         _require_nonnegative(
             concentration=self.concentration,
             intake_rate=self.intake_rate,
-            frequency=self.frequency,
-            duration=self.duration,
         )
         if not 0 <= self.substitution_fraction <= 1:
             raise ValueError(
@@ -258,12 +251,12 @@ def profile_from_survey(
         averaging_years=span_years,
         reference_dose=rfd,
         substitution_fraction=substitution_fraction,
-        frequency=portions_per_month / DAYS_PER_MONTH,
-        duration=span_years * DAYS_PER_YEAR,
     )
 
 
 def _record_from_mapping(row: dict, where: str) -> ProfileRecord:
+    if not isinstance(row, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {row!r}")
     missing = [c for c in PROFILE_COLUMNS if c not in row or row[c] in ("", None)]
     if missing:
         raise ValueError(f"{where}: missing column {missing[0]!r}")
@@ -275,6 +268,8 @@ def _record_from_mapping(row: dict, where: str) -> ProfileRecord:
             raise ValueError(
                 f"{where}, column {col!r}: not a number: {row[col]!r}"
             ) from None
+        if not math.isfinite(values[col]):
+            raise ValueError(f"{where}, column {col!r}: not a finite number")
     if values["age_max"] <= values["age_min"]:
         raise ValueError(f"{where}, column 'age_max': must exceed age_min")
     try:
@@ -319,7 +314,10 @@ def load_profiles_csv(path: str | Path) -> list[ProfileRecord]:
 def load_profiles_json(path: str | Path) -> list[ProfileRecord]:
     """Read survey profiles from a JSON array of row objects."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a nonempty JSON array of rows")
     return [

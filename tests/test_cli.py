@@ -468,14 +468,26 @@ def test_report_loads_and_fits_the_table_once(tmp_path, monkeypatch):
     assert concs == [0.4, 1.6, 2.9]
 
 
-@pytest.mark.parametrize("command", ["analyze", "report"])
-def test_overflowing_field_writes_nothing(command, tmp_path, fresh_python):
-    # Coefficients of 1e308 overflow in the analysis; analyze used to
-    # leave an empty output directory, and report field.json and
-    # fit_report.json, before analysis.json refused the values.
+@pytest.mark.parametrize(
+    "command, value, name",
+    [
+        pytest.param("analyze", 1e308, "analysis.json", id="analyze"),
+        pytest.param("report", 1e308, "analysis.json", id="report"),
+        pytest.param("report", 1e200, "geometry.json", id="report-1e200"),
+        pytest.param("report", 1e150, "flow.json", id="report-1e150"),
+    ],
+)
+def test_overflowing_field_writes_nothing(
+    command, value, name, tmp_path, fresh_python
+):
+    # Coefficients this large overflow in the analysis (1e308), the
+    # curvature (1e200) or the flow summary (1e150).  analyze used to
+    # leave an empty output directory, and report every file it wrote
+    # before the first document that refused the values; numpy printed
+    # its overflow warnings first.
     path = tmp_path / "big.json"
     path.write_text(json.dumps({
-        "a": [1e308] * 5, "b": [0.0] * 5,
+        "a": [value] * 5, "b": [0.0] * 5,
         "domain": {"t": [1.0, 5.0], "c": [0.2, 3.5]},
     }))
     out = tmp_path / "out"
@@ -484,8 +496,68 @@ def test_overflowing_field_writes_nothing(command, tmp_path, fresh_python):
         "--out", str(out), seconds=60.0,
     )
     assert proc.returncode == 2, proc.stderr
-    assert "analysis.json: Out of range float values" in proc.stderr
+    assert f"{name}: Out of range float values" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert not out.exists()
+
+
+PROFILE_HEADER = (
+    "group,age_min,age_max,body_weight_kg,intake_g_per_month,"
+    "portions_per_month,concentration_mg_per_kg,rfd,substitution_fraction\n"
+)
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("p.csv", PROFILE_HEADER + "men,12,60,73.44,262.6,2.6,nan,0.0003,0.6\n",
+         "p.csv, row 2, column 'concentration_mg_per_kg': not a finite number"),
+        ("p.csv", PROFILE_HEADER + "men,12,60,inf,262.6,2.6,1,0.0003,0.6\n",
+         "p.csv, row 2, column 'body_weight_kg': not a finite number"),
+        ("p.json", "[1, 2]", "p.json, entry 0: expected a JSON object, got 1"),
+        ("p.json", "[{", "p.json: invalid JSON: "),
+    ],
+    ids=["csv-nan", "csv-inf", "json-not-object", "json-invalid"],
+)
+def test_bad_profile_file_exit_2(name, text, message, tmp_path, fresh_python):
+    # A nan or inf cell used to pass the sign checks and fail only at
+    # exposure.json, after the output directory was made; [1, 2] raised
+    # TypeError (exit 1); invalid JSON did not name the file.
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "out"
+    proc = fresh_python(
+        "-m", "mehgrisk", "exposure", "--input", str(path), "--out", str(out),
+        seconds=30.0,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert not out.exists()
+
+
+def test_report_makes_the_output_directory_after_encoding(tmp_path, monkeypatch):
+    # Every document is encoded before the directory exists, so a value
+    # that cannot be written fails before any file is.
+    events = []
+    json_text = cli.json_text
+    mkdir = cli.Path.mkdir
+
+    def traced_json_text(data, path):
+        events.append("json_text")
+        return json_text(data, path)
+
+    def traced_mkdir(self, *args, **kwargs):
+        events.append("mkdir")
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "json_text", traced_json_text)
+    monkeypatch.setattr(cli.Path, "mkdir", traced_mkdir)
+    out = tmp_path / "out"
+    assert run("report", "--paper-dataset", "--grid", "32", "--out", str(out)) == 0
+    assert events.count("mkdir") == 1
+    assert events.index("mkdir") == len(events) - 1
+    assert events.count("json_text") == 6
+    assert (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("kind", ["field", "table"])
