@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -25,7 +24,6 @@ import numpy as np
 
 from . import analysis, dynamics, exposure, geometry, svgplot
 from .fieldfit import (
-    DEFAULT_DOMAIN,
     Rectangle,
     RiskField,
     RiskTable,
@@ -39,21 +37,15 @@ from .fieldfit import (
 
 ENV_OUT = "MEHGRISK_OUT"
 
-DEFAULT_LEVELS = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0)
-
-_CONFIG_KEYS = {
-    "paper_dataset", "input", "domain", "levels", "threshold", "grid",
-    "seed", "out", "samples", "flow_starts", "flow_step", "flow_max_steps",
-}
+MAX_GRID = 2048   # level curves hold grid^2 values per array: 33.6 MB
 
 
 @dataclass(frozen=True)
 class RunConfig:
     use_paper_dataset: bool = False
     input_path: str | None = None
-    domain: Rectangle = DEFAULT_DOMAIN
-    domain_overridden: bool = False
-    levels: tuple[float, ...] = DEFAULT_LEVELS
+    domain: Rectangle | None = None   # None: the input's own domain
+    levels: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0)
     threshold: float = 1.0
     grid: int = 256
     seed: int = 0
@@ -61,11 +53,11 @@ class RunConfig:
     flow_starts: tuple[tuple[float, float], ...] = ()
     flow_step: float = 1e-3
     flow_max_steps: int = 20000
-    output_dir: Path = dc_field(default_factory=lambda: Path("mehgrisk_out"))
+    output_dir: Path = Path("mehgrisk_out")
 
     def __post_init__(self) -> None:
-        if self.grid < 16:
-            raise ValueError("grid must be at least 16")
+        if not 16 <= self.grid <= MAX_GRID:
+            raise ValueError(f"grid must be between 16 and {MAX_GRID}")
         if not self.levels:
             raise ValueError("levels must be nonempty")
         if not all(math.isfinite(level) for level in self.levels):
@@ -78,6 +70,8 @@ class RunConfig:
             raise ValueError("flow_max_steps must be at least 1")
         if self.mc_samples < 1:
             raise ValueError("samples must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not all(math.isfinite(x) for start in self.flow_starts for x in start):
             raise ValueError("flow starts must be finite")
         if self.use_paper_dataset and self.input_path:
@@ -87,109 +81,127 @@ class RunConfig:
         if not self.use_paper_dataset and not self.input_path:
             raise ValueError("no dataset: pass --paper-dataset or --input PATH")
 
-    def default_flow_starts(self) -> tuple[tuple[float, float], ...]:
-        if self.flow_starts:
-            return self.flow_starts
-        dom = self.domain
-        fracs = (0.25, 0.5, 0.75)
-        return tuple(
-            (
-                dom.t_min + ft * (dom.t_max - dom.t_min),
-                dom.c_min + fc * (dom.c_max - dom.c_min),
-            )
-            for ft in fracs
-            for fc in fracs
-        )
+
+# The checks: each turns a JSON value into a RunConfig field's value, or
+# None for unset, and raises ValueError on a value of the wrong type.
+
+def _expected(what: str, value) -> ValueError:
+    return ValueError(f"expected {what}, got {value!r}")
 
 
-def _parse_floats(text: str, expected: int | None, what: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"{what}: expected comma-separated numbers, got {text!r}")
-    if expected is not None and len(values) != expected:
-        raise ValueError(f"{what}: expected {expected} values, got {len(values)}")
-    return values
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _expected("a number", value)
+    return float(value)
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid config JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"{path}: unknown config key {sorted(unknown)[0]!r}")
-    return data
-
-
-def _config_int(merged: dict, key: str, default: int) -> int:
-    """An integer setting; 256.0 counts as 256, while 2.7 or "2" is refused."""
-    value = merged.get(key, default)
+def _integer(value) -> int:
+    """256.0 counts as 256, while 2.7, "2" or true is refused."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{key}: expected an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _expected("an integer", value)
+    return value
+
+
+def _list(item: Callable, count: int | None = None) -> Callable:
+    """The check of a list of items, count of them if count is given."""
+    def check(value) -> tuple:
+        if not isinstance(value, list) or count not in (None, len(value)):
+            raise _expected("a list" + (f" of {count}" if count else ""), value)
+        return tuple(map(item, value))
+    return check
+
+
+def _string(value) -> str | None:
+    """A string; the empty one counts as unset."""
+    if not isinstance(value, str):
+        raise _expected("a string", value)
+    return value or None
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise _expected("true or false", value)
+    return value
+
+
+def _comma_numbers(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
+def _comma_pairs(text: str) -> list[list[float]]:
+    values = _comma_numbers(text)
+    return [values[i:i + 2] for i in range(0, len(values), 2)]
+
+
+@dataclass(frozen=True)
+class Option:
+    """A setting: its config key, RunConfig field and check; its flag, if
+    any, with the parse of the flag's text into a JSON value (None: the
+    text), help and commands (None: all).  A _boolean flag is a switch."""
+
+    key: str
+    field: str
+    check: Callable
+    flag: str | None = None
+    parse: Callable[[str], object] | None = None
+    help: str | None = None
+    commands: tuple[str, ...] | None = None
+
+
+OPTIONS = {opt.key: opt for opt in (
+    Option("paper_dataset", "use_paper_dataset", _boolean, "--paper-dataset",
+           help="use the built-in published survey dataset"),
+    Option("input", "input_path", _string, "--input",
+           help="input table/field/profile file"),
+    Option("domain", "domain", lambda v: Rectangle(*_list(_number, 4)(v)),
+           "--domain", _comma_numbers,
+           "analysis rectangle as tmin,tmax,cmin,cmax"),
+    Option("levels", "levels", _list(_number), "--levels", _comma_numbers,
+           "contour levels L1,L2,..."),
+    Option("threshold", "threshold", _number, "--threshold", float,
+           "risk threshold"),
+    Option("grid", "grid", _integer, "--grid", int, "contour grid resolution"),
+    Option("seed", "seed", _integer, "--seed", int, "Monte Carlo seed"),
+    Option("out", "output_dir", lambda v: Path(v) if _string(v) else None,
+           "--out", help="output directory"),
+    Option("flow_starts", "flow_starts", _list(_list(_number, 2)), "--starts",
+           _comma_pairs, "flow start points t1,c1,t2,c2,...",
+           ("flow", "report")),
+    Option("samples", "mc_samples", _integer),
+    Option("flow_step", "flow_step", _number),
+    Option("flow_max_steps", "flow_max_steps", _integer),
+)}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file and flags; flags win."""
-    merged: dict = {}
-    if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config))
-    if args.paper_dataset:
-        merged["paper_dataset"] = True
-    if args.input is not None:
-        merged["input"] = args.input
-    if args.domain is not None:
-        merged["domain"] = list(_parse_floats(args.domain, 4, "--domain"))
-    if args.levels is not None:
-        merged["levels"] = list(_parse_floats(args.levels, None, "--levels"))
-    if args.threshold is not None:
-        merged["threshold"] = args.threshold
-    if args.grid is not None:
-        merged["grid"] = args.grid
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if args.out is not None:
-        merged["out"] = args.out
-    starts = getattr(args, "starts", None)
-    if starts is not None:
-        pairs = _parse_floats(starts, None, "--starts")
-        if len(pairs) % 2 != 0:
-            raise ValueError("--starts: expected t,c pairs")
-        merged["flow_starts"] = [
-            [pairs[i], pairs[i + 1]] for i in range(0, len(pairs), 2)
-        ]
-
-    domain = DEFAULT_DOMAIN
-    overridden = False
-    if "domain" in merged:
-        d = merged["domain"]
-        domain = Rectangle(d[0], d[1], d[2], d[3])
-        overridden = True
-    out_dir = merged.get("out") or os.environ.get(ENV_OUT) or "mehgrisk_out"
-    return RunConfig(
-        use_paper_dataset=bool(merged.get("paper_dataset", False)),
-        input_path=merged.get("input"),
-        domain=domain,
-        domain_overridden=overridden,
-        levels=tuple(merged.get("levels", DEFAULT_LEVELS)),
-        threshold=float(merged.get("threshold", 1.0)),
-        grid=_config_int(merged, "grid", 256),
-        seed=_config_int(merged, "seed", 0),
-        mc_samples=_config_int(merged, "samples", 10**6),
-        flow_starts=tuple(
-            (float(p[0]), float(p[1])) for p in merged.get("flow_starts", ())
-        ),
-        flow_step=float(merged.get("flow_step", 1e-3)),
-        flow_max_steps=_config_int(merged, "flow_max_steps", 20000),
-        output_dir=Path(out_dir),
-    )
+    """Merge MEHGRISK_OUT, the config file and the flags, a later source
+    winning.  Each value is checked where it enters: a bad one raises
+    ValueError naming the flag, or the config file and key."""
+    given = [(OPTIONS["out"], os.environ.get(ENV_OUT, ""), ENV_OUT, None)]
+    if args.config:
+        data = read_json(args.config)
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+        for key, value in data.items():
+            if key not in OPTIONS:
+                raise ValueError(f"{args.config}: unknown config key {key!r}")
+            given.append((OPTIONS[key], value, f"{args.config}: {key}", None))
+    for opt in OPTIONS.values():
+        text = opt.flag and getattr(args, opt.flag[2:].replace("-", "_"), None)
+        if text is not None:
+            given.append((opt, text, opt.flag, opt.parse))
+    values = {}
+    for opt, value, where, parse in given:
+        try:
+            checked = opt.check(parse(value) if parse else value)
+            if checked is not None:
+                RunConfig(**{opt.field: checked})   # its range checks
+                values[opt.field] = checked
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return RunConfig(**values)
 
 
 def _input_file(config: RunConfig) -> tuple[Path | None, bool]:
@@ -208,22 +220,21 @@ def _load_field(config: RunConfig) -> tuple[RiskField, tuple[float, ...]]:
     """The field to analyse and the concentrations of the table it was
     fitted to; a field JSON comes with no table, so with none."""
     path, is_json = _input_file(config)
+    data = read_json(path) if is_json else None
+    table = None
     if path is None:
-        field_obj = published_field().with_domain(config.domain)
-        return field_obj, survey_risk_table().concentrations
-    if is_json:
-        data = read_json(path)
-        if isinstance(data, dict) and "a" in data and "b" in data:
-            field_obj = from_json_data(
-                RiskField.from_json_dict, data, path, "field"
-            )
-            if config.domain_overridden:
-                field_obj = field_obj.with_domain(config.domain)
-            return field_obj, ()
-        table = from_json_data(RiskTable.from_json_dict, data, path, "table")
+        field_obj, table = published_field(), survey_risk_table()
+    elif isinstance(data, dict) and "a" in data and "b" in data:
+        field_obj = from_json_data(RiskField.from_json_dict, data, path, "field")
     else:
-        table = RiskTable.from_csv(path)
-    return build_field(table, config.domain), table.concentrations
+        if is_json:
+            table = from_json_data(RiskTable.from_json_dict, data, path, "table")
+        else:
+            table = RiskTable.from_csv(path)
+        field_obj = build_field(table)
+    if config.domain is not None:
+        field_obj = field_obj.with_domain(config.domain)
+    return field_obj, table.concentrations if table else ()
 
 
 # What a command produces: JSON documents and writers of the other
@@ -306,14 +317,9 @@ def cmd_analyze(config: RunConfig, field_obj: RiskField) -> Output:
     }
 
 
-def _geometry_search(config: RunConfig) -> tuple[float, float]:
-    if config.domain_overridden:
-        return (config.domain.t_min, config.domain.t_max)
-    return geometry.DEFAULT_SEARCH
-
-
 def cmd_geometry(config: RunConfig, field_obj: RiskField) -> Output:
-    search = _geometry_search(config)
+    dom = config.domain
+    search = (dom.t_min, dom.t_max) if dom else geometry.DEFAULT_SEARCH
     report = geometry.build_geometry_report(field_obj, search=search)
     zero_stages = tuple(z["stage"] for z in report["zero_loci"])
     return {"geometry.json": report}, {
@@ -325,12 +331,20 @@ def cmd_geometry(config: RunConfig, field_obj: RiskField) -> Output:
 
 
 def cmd_flow(config: RunConfig, field_obj: RiskField) -> Output:
+    # By default, a 3 x 3 grid of starts inside the field's domain.
+    dom, fracs = field_obj.domain, (0.25, 0.5, 0.75)
+    starts = config.flow_starts or [
+        (dom.t_min + ft * (dom.t_max - dom.t_min),
+         dom.c_min + fc * (dom.c_max - dom.c_min))
+        for ft in fracs
+        for fc in fracs
+    ]
     trajectories = [
         dynamics.flow(
             field_obj, start, step=config.flow_step,
             max_steps=config.flow_max_steps,
         )
-        for start in config.default_flow_starts()
+        for start in starts
     ]
     summary = []
     for traj in trajectories:
@@ -438,23 +452,6 @@ def cmd_report(config: RunConfig) -> None:
     (config.output_dir / "report.json").write_text(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--paper-dataset", action="store_true",
-        help="use the built-in published survey dataset",
-    )
-    parser.add_argument("--input", help="input table/field/profile file")
-    parser.add_argument(
-        "--domain", help="analysis rectangle as tmin,tmax,cmin,cmax"
-    )
-    parser.add_argument("--levels", help="contour levels L1,L2,...")
-    parser.add_argument("--threshold", type=float, help="risk threshold")
-    parser.add_argument("--grid", type=int, help="contour grid resolution")
-    parser.add_argument("--seed", type=int, help="Monte Carlo seed")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--config", help="JSON config file (flags win)")
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mehgrisk",
@@ -471,11 +468,13 @@ def make_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name in ("flow", "report"):
-            p.add_argument(
-                "--starts", help="flow start points t1,c1,t2,c2,..."
-            )
+        for opt in OPTIONS.values():
+            if opt.flag and name in (opt.commands or commands):
+                p.add_argument(
+                    opt.flag, help=opt.help, default=None,
+                    action="store_true" if opt.check is _boolean else "store",
+                )
+        p.add_argument("--config", help="JSON config file (flags win)")
     return parser
 
 

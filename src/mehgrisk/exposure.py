@@ -21,10 +21,11 @@ follow the published definitions of the respective equations.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+from .fieldfit import SURVEY_CONCENTRATIONS, read_json
 
 # Reference doses, mg/kg/day.  The lower value applies to sensitive
 # groups (children, seniors), the higher one to adult men.
@@ -313,11 +314,7 @@ def load_profiles_csv(path: str | Path) -> list[ProfileRecord]:
 
 def load_profiles_json(path: str | Path) -> list[ProfileRecord]:
     """Read survey profiles from a JSON array of row objects."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    data = read_json(path)
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a nonempty JSON array of rows")
     return [
@@ -343,8 +340,6 @@ _SURVEY_GROUPS = (
     ("men", 12.0, 60.0, 73.44, 262.60, 2.6, RFD_ADULT),
     ("senior", 60.0, 90.0, 68.85, 193.38, 2.1, RFD_SENSITIVE),
 )
-
-SURVEY_CONCENTRATIONS = (0.27, 2.43, 3.33)
 
 
 def survey_profiles(

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .exposure import SURVEY_CONCENTRATIONS
 from .polynomial import Polynomial
 
 DEGREE = 4
@@ -348,7 +347,7 @@ def read_json(path: str | Path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # bad JSON or bad UTF-8
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -479,6 +478,9 @@ def field_from_coefficient_rows(
 # certificate.
 PUBLISHED_A = (-19.48, 33.17, -16.89, 3.45, -0.24)
 PUBLISHED_B = (-0.04, 0.09, -0.06, 0.007, 0.006)
+
+# The concentrations (mg/kg) measured in the survey.
+SURVEY_CONCENTRATIONS = (0.27, 2.43, 3.33)
 
 
 def published_field() -> RiskField:

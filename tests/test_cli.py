@@ -608,3 +608,106 @@ def test_bad_json_input_names_the_file(text, message, tmp_path, capsys):
     assert run("analyze", "--input", str(path), "--out", str(out)) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"levels": ["x"]}', "levels: expected a number, got 'x'"),
+        ('{"levels": 3}', "levels: expected a list, got 3"),
+        ('{"domain": [1, 2, 3]}', "domain: expected a list of 4, got"),
+        ('{"domain": "abcd"}', "domain: expected a list of 4, got"),
+        ('{"threshold": null}', "threshold: expected a number, got None"),
+        ('{"flow_starts": [[1]]}',
+         "flow_starts: expected a list of 2, got [1]"),
+        ('{"out": 7}', "out: expected a string, got 7"),
+        ('{"flow_step": "1e-3"}', "flow_step: expected a number, got '1e-3'"),
+        ('{"paper_dataset": "no"}',
+         "paper_dataset: expected true or false, got 'no'"),
+        ('{"seed": -1}', "seed: seed must be non-negative"),
+        ("[1, 2]", "config must be a JSON object"),
+        ("{", "invalid JSON: "),
+        ("\xff\xfe{", "invalid JSON: "),
+    ],
+    ids=[
+        "levels-item", "levels-scalar", "domain-3", "domain-string",
+        "threshold-null", "starts-short", "out-int", "step-string",
+        "paper-dataset-string", "seed-negative", "not-object",
+        "invalid-json", "invalid-utf8",
+    ],
+)
+def test_bad_config_value_exit_2(text, message, tmp_path, monkeypatch, capsys):
+    # The first seven raised a TypeError or IndexError (exit 1); a string
+    # flow_step was parsed, "no" ran fit on the built-in dataset, a
+    # negative seed failed in numpy without naming the setting, and bytes
+    # that are not UTF-8 gave a message without the file name.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MEHGRISK_OUT", raising=False)
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(text.encode("latin-1"))
+    assert run("fit", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: {message}" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize(
+    "command", ["fit", "analyze", "geometry", "flow", "exposure", "report"]
+)
+def test_defaults_declared_once(command, monkeypatch):
+    monkeypatch.delenv("MEHGRISK_OUT", raising=False)
+    assert build_config(make_parser().parse_args([command])) == RunConfig()
+
+
+# Each flag's value as its text and as a JSON value.
+FLAG_VALUES = {
+    "paper_dataset": (None, True), "input": ("t.csv", "t.csv"),
+    "domain": ("1,4,0.5,3", [1, 4, 0.5, 3]), "levels": ("1,2.5", [1, 2.5]),
+    "threshold": ("2.5", 2.5), "grid": ("32", 32), "seed": ("7", 7),
+    "out": ("d", "d"), "flow_starts": ("2,1,3,2", [[2, 1], [3, 2]]),
+}
+
+
+def test_flag_and_config_key_agree(tmp_path):
+    flagged = [opt for opt in cli.OPTIONS.values() if opt.flag]
+    assert {opt.key for opt in flagged} == FLAG_VALUES.keys()
+    cfg = tmp_path / "c.json"
+    for opt in flagged:
+        text, value = FLAG_VALUES[opt.key]
+        cfg.write_text(json.dumps({opt.key: value}))
+        by_flag = build_config(make_parser().parse_args(
+            ["report", opt.flag] + ([text] if text is not None else [])
+        ))
+        by_key = build_config(
+            make_parser().parse_args(["report", "--config", str(cfg)])
+        )
+        assert by_flag == by_key != RunConfig(), opt.key
+
+
+def test_grid_bound(tmp_path, capsys):
+    # Level curves allocate grid^2 nodes per array, so the bound is
+    # checked before any work; nothing of that size is allocated here.
+    with pytest.raises(ValueError, match=f"between 16 and {cli.MAX_GRID}"):
+        RunConfig(grid=cli.MAX_GRID + 1)
+    assert RunConfig(grid=cli.MAX_GRID).grid == cli.MAX_GRID
+    out = tmp_path / "out"
+    assert run(
+        "analyze", "--paper-dataset", "--grid", str(cli.MAX_GRID + 1),
+        "--out", str(out),
+    ) == 2
+    assert "--grid: grid must be between 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flow_default_starts_in_the_fields_domain(tmp_path):
+    # The default starts used to be spread over the default domain, so a
+    # field JSON on t in [1, 3] failed at the start (4.0, 1.025).
+    data = RiskField(PUBLISHED_A, PUBLISHED_B).as_json_dict()
+    data["domain"]["t"] = [1.0, 3.0]
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert run("flow", "--input", str(path), "--out", str(out)) == 0
+    rows = read_json(out / "flow.json")["trajectories"]
+    starts = [row["start"] for row in rows]
+    assert len(starts) == 9 and max(t for t, _ in starts) == 2.5
