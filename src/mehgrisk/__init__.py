@@ -13,12 +13,10 @@ from .analysis import (
     LevelCurveSet,
     RegionArea,
     certify_no_critical_points,
-    gradient,
     level_curves,
     mean_risk,
     mean_risk_simpson,
     monte_carlo_region_area,
-    risk_probability,
     risk_region_area,
 )
 from .dynamics import FlowTrajectory, check_no_recurrence, flow
@@ -87,7 +85,6 @@ __all__ = [
     "field_from_coefficient_rows",
     "flow",
     "gaussian_curvature",
-    "gradient",
     "interpolate",
     "level_curves",
     "mean_risk",
@@ -98,7 +95,6 @@ __all__ = [
     "published_field",
     "regress_linear",
     "risk_coefficient",
-    "risk_probability",
     "risk_region_area",
     "second_partials",
     "survey_risk_table",

@@ -2,9 +2,9 @@
 
 Everything here leans on the field's structure R(t, c) = g(t) c + h(t):
 critical-point certification reduces to root isolation of the quartic g,
-the mean risk has a closed form from polynomial antiderivatives, and the
-threshold region collapses to a one-dimensional integral whenever g keeps
-one sign on the stage range.
+the mean risk has a closed form from polynomial antiderivatives, and each
+level set is the graph c*(t) = (L - h(t))/g(t), under which the threshold
+region collapses to a 1-D integral whenever g keeps one sign.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from .fieldfit import Rectangle, RiskField
 from .polynomial import Polynomial, real_roots
 
 ROOT_TOL = 1e-10
+# Level-curve bisection in t resolves 2^-REFINE_ROUNDS of a t cell.
+REFINE_ROUNDS = 20
 # Draws per Monte Carlo chunk: 2^15 timed best of 2^13..2^16 (2 vCPUs).
 MC_CHUNK = 2**15
 
@@ -35,11 +37,6 @@ def _subdomain(field: RiskField, domain: Rectangle | None) -> Rectangle:
     ):
         raise ValueError("analysis domain exceeds the field domain")
     return domain
-
-
-def gradient(field: RiskField, t: float, c: float) -> tuple[float, float]:
-    """Analytic gradient (dR/dt, dR/dc) of the field."""
-    return field.partial_t(t, c), field.partial_c(t)
 
 
 @dataclass(frozen=True)
@@ -296,6 +293,23 @@ def monte_carlo_region_area(
     return RegionArea(area, "monte_carlo", std_error, samples, seed)
 
 
+def _cuts(
+    field: RiskField, dom: Rectangle, level: float, slope_roots: tuple
+) -> dict[float, float | None]:
+    """Where c*(t) = (level - h(t))/g(t) may enter or leave D, increasing:
+    each cut maps to the c edge c* crosses there, or to None at the ends of
+    the stage range and at slope_roots, the roots of g there."""
+    g = field.g.trimmed()
+    cuts = dict.fromkeys((dom.t_min, dom.t_max))
+    for c_edge in (dom.c_min, dom.c_max):
+        crossing = Polynomial.constant(level) - field.h - c_edge * g
+        cuts.update(dict.fromkeys(
+            real_roots(crossing, dom.t_min, dom.t_max, ROOT_TOL), c_edge
+        ))
+    cuts.update(dict.fromkeys(slope_roots))   # a root of g wins a tie
+    return dict(sorted(cuts.items()))
+
+
 def risk_region_area(
     field: RiskField,
     domain: Rectangle | None = None,
@@ -308,9 +322,9 @@ def risk_region_area(
     With dR/dc of one sign on the stage range the region is bounded by the
     graph of c*(t) = (threshold - h(t))/g(t), and the area reduces to a 1-D
     integral of the clamped column length.  The integrand is piecewise
-    smooth; adaptive Simpson runs between clamp crossings located by root
-    isolation.  If g changes sign inside the range the reduction is
-    invalid and a seeded Monte Carlo estimate is returned instead.
+    smooth; adaptive Simpson runs between the cuts of `_cuts`.  If g
+    changes sign inside the range the reduction is invalid and a seeded
+    Monte Carlo estimate is returned instead.
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
@@ -328,13 +342,7 @@ def risk_region_area(
         clamped = min(max(c_star, dom.c_min), dom.c_max)
         return dom.c_max - clamped if positive else clamped - dom.c_min
 
-    # Split the integral where the boundary curve crosses a clamp level;
-    # each crossing is a root of the quartic threshold - h - c_edge * g.
-    cuts = {dom.t_min, dom.t_max}
-    for c_edge in (dom.c_min, dom.c_max):
-        crossing = Polynomial.constant(threshold) - h - c_edge * g
-        cuts.update(real_roots(crossing, dom.t_min, dom.t_max, ROOT_TOL))
-    pieces = sorted(cuts)
+    pieces = list(_cuts(field, dom, threshold, roots))
     piece_tol = tol / max(1, len(pieces) - 1)
     area = 0.0
     for lo, hi in zip(pieces, pieces[1:]):
@@ -342,51 +350,6 @@ def risk_region_area(
             area += adaptive_simpson(column_length, lo, hi, piece_tol)
     area = min(max(area, 0.0), dom.area)
     return RegionArea(area, "reduction")
-
-
-def risk_probability(
-    field: RiskField,
-    domain: Rectangle | None = None,
-    threshold: float = 1.0,
-    seed: int = 0,
-) -> float:
-    """Fraction of the domain where R >= threshold."""
-    dom = _subdomain(field, domain)
-    return risk_region_area(field, dom, threshold, seed=seed).area / dom.area
-
-
-# ---------------------------------------------------------------------------
-# Level curves (marching squares)
-
-# Cell edges: 0 bottom, 1 right, 2 top, 3 left.  Corner bits: 1 bottom
-# left, 2 bottom right, 4 top right, 8 top left.  The two saddle cases
-# (5, 10) are resolved by the sign at the cell center; cases 16 and 17
-# are the two ways a resolved saddle joins its edges.
-_SEGMENT_TABLE: dict[int, tuple[tuple[int, int], ...]] = {
-    0: (), 15: (),
-    1: ((0, 3),), 14: ((0, 3),),
-    2: ((0, 1),), 13: ((0, 1),),
-    3: ((1, 3),), 12: ((1, 3),),
-    4: ((1, 2),), 11: ((1, 2),),
-    6: ((0, 2),), 9: ((0, 2),),
-    7: ((2, 3),), 8: ((2, 3),),
-    16: ((0, 1), (2, 3)),
-    17: ((0, 3), (1, 2)),
-}
-
-
-def _segment_arrays() -> tuple[np.ndarray, np.ndarray]:
-    # The table as arrays: segment count per case, and edge pairs padded to 2.
-    count = np.zeros(18, dtype=np.intp)
-    edges = np.zeros((18, 2, 2), dtype=np.intp)
-    for case, pairs in _SEGMENT_TABLE.items():
-        count[case] = len(pairs)
-        for k, pair in enumerate(pairs):
-            edges[case, k] = pair
-    return count, edges
-
-
-_SEGMENT_COUNT, _SEGMENT_EDGES = _segment_arrays()
 
 
 @dataclass(frozen=True)
@@ -406,97 +369,50 @@ class LevelCurveSet:
         }
 
 
-def _stitch(starts: list[int], ends: list[int], points: list) -> tuple:
-    """Join segments that share a vertex into maximal polylines.
+def _level_polylines(field, dom, level, roots, ts, dc) -> tuple:
+    """The polylines of {R = level} in dom; see level_curves."""
+    g, h, gp, hp = field.g, field.h, field.g_prime, field.h_prime
+    if g.is_zero():   # R = h(t): R = level on the lines t = t0 where h(t0) = level
+        saddles, cuts = real_roots(level - h, dom.t_min, dom.t_max, ROOT_TOL), {}
+    else:   # roots of g where h is as near the level as R moves over ROOT_TOL
+        saddles = tuple(t0 for t0 in roots if abs(h(t0) - level) <= ROOT_TOL * (
+            1.0 + abs(hp(t0)) + abs(gp(t0)) * max(-dom.c_min, dom.c_max)))
+        cuts = _cuts(field, dom, level, roots)
 
-    Segment k runs from vertex starts[k] to vertex ends[k].  A vertex is
-    the crossing on one grid edge, so at most two segments meet there.
-    Open curves come first, walked from their loose ends in coordinate
-    order; whatever remains is loops, each started at its first segment.
-    """
-    adjacency: list[list[int]] = [[] for _ in points]
-    for k, (p, q) in enumerate(zip(starts, ends)):
-        adjacency[p].append(k)
-        adjacency[q].append(k)
-    used = [False] * len(starts)
+    def end(t: float) -> float:
+        # The edge c* crosses at the cut, or at a root of g its limit
+        # -h'/g'; R is near the level all along t = t0 if the piece ends there.
+        if cuts[t] is not None:
+            return cuts[t]
+        if t in roots or g(t) == 0.0:
+            return -hp(t) / gp(t) if gp(t) != 0.0 else dom.c_min
+        return (level - h(t)) / g(t)
 
-    def walk(chain: list[int]) -> list[int]:
-        vertex = chain[-1]
-        while True:
-            nxt = next((k for k in adjacency[vertex] if not used[k]), None)
-            if nxt is None:
-                return chain
-            used[nxt] = True
-            vertex = ends[nxt] if starts[nxt] == vertex else starts[nxt]
-            chain.append(vertex)
+    def graph(t: np.ndarray) -> np.ndarray:   # c* where g has no root
+        g_t, h_t = field.slope_and_intercept(t)
+        return np.clip((level - h_t) / g_t, dom.c_min, dom.c_max)
 
-    loose = sorted(
-        (v for v, ids in enumerate(adjacency) if len(ids) == 1),
-        key=points.__getitem__,
+    lines = []
+    stages = list(cuts)
+    for lo, hi in zip(stages, stages[1:]):
+        mid = 0.5 * (lo + hi)
+        if not (g(mid) and dom.c_min <= (level - h(mid)) / g(mid) <= dom.c_max):
+            continue
+        inner = ts[(ts > lo + ROOT_TOL) & (ts < hi - ROOT_TOL)]   # g != 0 there
+        t = np.concatenate(([lo], inner, [hi]))
+        c = np.clip(np.r_[end(lo), graph(inner), end(hi)], dom.c_min, dom.c_max)
+        for _ in range(REFINE_ROUNDS):
+            steep = np.flatnonzero(np.abs(np.diff(c)) > dc) + 1
+            if not len(steep):
+                break
+            t_mid = 0.5 * (t[steep - 1] + t[steep])
+            t, c = np.insert(t, steep, t_mid), np.insert(c, steep, graph(t_mid))
+        lines.append((t, c))
+    lines.extend(((t0, t0), (dom.c_min, dom.c_max)) for t0 in saddles)
+    return tuple(
+        tuple(zip(np.round(t, 9).tolist(), np.round(c, 9).tolist()))
+        for t, c in lines
     )
-    chains = [walk([v]) for v in loose if not used[adjacency[v][0]]]
-    for k, (p, q) in enumerate(zip(starts, ends)):
-        if not used[k]:
-            used[k] = True
-            chains.append(walk([p, q]))
-    return tuple(tuple(points[v] for v in chain) for chain in chains)
-
-
-def _level_curve_set(field, ts, cs, values, scale, level) -> LevelCurveSet:
-    """Marching squares at one level over the node values of a grid."""
-    n = len(ts) - 1
-    vv = values - level
-    # Nudge exact hits off zero so every crossing is a clean sign change.
-    vv = np.where(vv == 0.0, 1e-15 * scale, vv)
-    above = (vv > 0.0).view(np.uint8)
-    case = (
-        above[:-1, :-1]
-        | above[:-1, 1:] << 1
-        | above[1:, 1:] << 2
-        | above[1:, :-1] << 3
-    ).ravel()
-    cells = np.flatnonzero((case != 0) & (case != 15))
-    case = case[cells].astype(np.intp)
-    rows, cols = np.divmod(cells, n)
-
-    saddle = np.flatnonzero((case == 5) | (case == 10))
-    if len(saddle):
-        si, sj = cols[saddle], rows[saddle]
-        center = field.evaluate(
-            0.5 * (ts[si] + ts[si + 1]), 0.5 * (cs[sj] + cs[sj + 1])
-        ) - level
-        case[saddle] = np.where((center > 0.0) == (case[saddle] == 5), 16, 17)
-
-    # Edge ids: horizontal edge (j, i) runs from node (j, i) to (j, i + 1)
-    # and is j*n + i; vertical edge (j, i) runs from node (j, i) to
-    # (j + 1, i) and is n_horizontal + j*(n + 1) + i.
-    n_horizontal = (n + 1) * n
-    bottom = rows * n + cols
-    left = n_horizontal + rows * (n + 1) + cols
-    cell_edges = np.stack((bottom, left + 1, bottom + n, left))
-
-    # Segments in row-major cell order, pairs in table order.
-    count = _SEGMENT_COUNT[case]
-    seg_cell = np.repeat(np.arange(len(cells)), count)
-    seg_pair = np.arange(len(seg_cell)) - np.repeat(np.cumsum(count) - count, count)
-    seg_edges = _SEGMENT_EDGES[case[seg_cell], seg_pair]
-    ends = cell_edges[seg_edges, seg_cell[:, None]]
-    edge_ids, vertex = np.unique(ends.T.ravel(), return_inverse=True)
-
-    # Linear interpolation of the zero crossing along each used edge.
-    vertical = edge_ids >= n_horizontal
-    j, i = np.divmod(edge_ids, n)
-    j[vertical], i[vertical] = np.divmod(edge_ids[vertical] - n_horizontal, n + 1)
-    v0 = vv[j, i]
-    v1 = vv[j + vertical, i + ~vertical]
-    s = v0 / (v0 - v1)
-    t = np.where(vertical, ts[i], ts[i] + s * (ts[i + ~vertical] - ts[i]))
-    c = np.where(vertical, cs[j] + s * (cs[j + vertical] - cs[j]), cs[j])
-    points = [(round(x, 9), round(y, 9)) for x, y in zip(t.tolist(), c.tolist())]
-
-    m = len(seg_cell)
-    vertex = vertex.tolist()
-    return LevelCurveSet(float(level), _stitch(vertex[:m], vertex[m:], points))
 
 
 def level_curves(
@@ -505,18 +421,26 @@ def level_curves(
     levels: tuple[float, ...] = (1.0,),
     grid: int = 256,
 ) -> list[LevelCurveSet]:
-    """Marching-squares iso-curves of the field at the given levels."""
+    """Level sets {R = L} in D as polylines, from the boundary graph.
+
+    R is affine in c, so the level set is the graph c*(t) = (L - h(t))/g(t)
+    wherever that lies in D.  Each piece between consecutive cuts whose
+    midpoint does is one polyline, t increasing, with vertices at its ends
+    and at the grid's t nodes, bisected in t where c moves more than one
+    of the grid's c cells.  At a saddle level, where h(t0) = L at a root
+    t0 of g, the line t = t0 is one more polyline.
+    """
     if grid < 16:
         raise ValueError("grid must be at least 16 cells per axis")
     if not all(math.isfinite(level) for level in levels):
         raise ValueError("levels must be finite")
     dom = _subdomain(field, domain)
+    roots = real_roots(field.g, dom.t_min, dom.t_max, ROOT_TOL)
     ts = np.linspace(dom.t_min, dom.t_max, grid + 1)
-    cs = np.linspace(dom.c_min, dom.c_max, grid + 1)
-    values = field.evaluate_grid(ts, cs)
-    scale = float(np.max(np.abs(values))) + 1.0
+    dc = (dom.c_max - dom.c_min) / grid
     return [
-        _level_curve_set(field, ts, cs, values, scale, level) for level in levels
+        LevelCurveSet(level, _level_polylines(field, dom, level, roots, ts, dc))
+        for level in map(float, levels)
     ]
 
 

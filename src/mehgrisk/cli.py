@@ -37,7 +37,7 @@ from .fieldfit import (
 
 ENV_OUT = "MEHGRISK_OUT"
 
-MAX_GRID = 2048   # level curves hold grid^2 values per array: 33.6 MB
+MAX_GRID = 2048   # input validation: level curves take O(grid) memory per level
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,7 @@ def cmd_fit(
 
 
 def cmd_analyze(config: RunConfig, field_obj: RiskField) -> Output:
-    # One marching-squares pass per distinct level, the threshold included.
+    # One level-curve pass per distinct level, the threshold included.
     wanted = tuple(dict.fromkeys(config.levels + (config.threshold,)))
     sets = analysis.level_curves(field_obj, levels=wanted, grid=config.grid)
     by_level = dict(zip(wanted, sets))

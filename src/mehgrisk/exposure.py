@@ -296,17 +296,20 @@ def _record_from_mapping(row: dict, where: str) -> ProfileRecord:
 def load_profiles_csv(path: str | Path) -> list[ProfileRecord]:
     """Read survey profiles from CSV; errors carry row and column."""
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty profile file")
-        unknown = set(reader.fieldnames) - set(PROFILE_COLUMNS)
-        if unknown:
-            raise ValueError(
-                f"{path}: unknown column {sorted(unknown)[0]!r}"
-            )
-        for i, row in enumerate(reader, start=2):
-            records.append(_record_from_mapping(row, f"{path}, row {i}"))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ValueError(f"{path}: empty profile file")
+            unknown = set(reader.fieldnames) - set(PROFILE_COLUMNS)
+            if unknown:
+                raise ValueError(
+                    f"{path}: unknown column {sorted(unknown)[0]!r}"
+                )
+            for i, row in enumerate(reader, start=2):
+                records.append(_record_from_mapping(row, f"{path}, row {i}"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a text file: {exc}") from None
     if not records:
         raise ValueError(f"{path}: no profile rows")
     return records

@@ -26,6 +26,9 @@ from .polynomial import Polynomial
 
 DEGREE = 4
 NODE_COUNT = DEGREE + 1
+# A domain side must span at least this fraction of its bounds' size,
+# max(1, |lo|, |hi|): plots and grids cannot resolve a narrower one.
+MIN_SPAN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,10 +44,16 @@ class Rectangle:
         bounds = (self.t_min, self.t_max, self.c_min, self.c_max)
         if not all(math.isfinite(x) for x in bounds):
             raise ValueError(f"domain bounds must be finite, got {bounds}")
-        if not self.t_min < self.t_max:
-            raise ValueError("t_min must be below t_max")
-        if not self.c_min < self.c_max:
-            raise ValueError("c_min must be below c_max")
+        for axis, lo, hi in (
+            ("t", self.t_min, self.t_max), ("c", self.c_min, self.c_max)
+        ):
+            if not lo < hi:
+                raise ValueError(f"{axis}_min must be below {axis}_max")
+            if hi - lo < MIN_SPAN * max(1.0, abs(lo), abs(hi)):
+                raise ValueError(
+                    f"{axis} span {hi - lo:.3g} is narrower than {MIN_SPAN:g} "
+                    f"of its bounds' size"
+                )
 
     @property
     def area(self) -> float:
@@ -179,8 +188,11 @@ class RiskTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "RiskTable":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        try:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not a text file: {exc}") from None
         rows = [r for r in rows if any(cell.strip() for cell in r)]
         if not rows:
             raise ValueError(f"{path}: empty table")
@@ -206,13 +218,6 @@ class RiskTable:
                 )
             )
         return cls(tuple(concentrations), nodes, tuple(values))
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["concentration", *self.nodes])
-            for conc, row in zip(self.concentrations, self.values):
-                writer.writerow([conc, *row])
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RiskTable":
@@ -251,19 +256,20 @@ class RiskField:
         object.__setattr__(self, "b", tuple(float(x) for x in self.b))
         _require_finite("a", self.a)
         _require_finite("b", self.b)
+        # |R| <= sum_k (|a_k| max|c| + |b_k|) max|t|^k on the domain.
+        d = self.domain
+        bound = Polynomial(tuple(
+            abs(ak) * max(-d.c_min, d.c_max) + abs(bk)
+            for ak, bk in zip(self.a, self.b)
+        ))(max(-d.t_min, d.t_max))
+        if not math.isfinite(bound):
+            raise ValueError("field overflows on its domain: the bound on |R| "
+                             "is not a finite float")
         g, h = Polynomial(self.a), Polynomial(self.b)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g_prime", g.derivative())
         object.__setattr__(self, "h_prime", h.derivative())
-
-    def concentration_slope(self) -> Polynomial:
-        """g(t) = dR/dc, a quartic in t alone."""
-        return self.g
-
-    def concentration_intercept(self) -> Polynomial:
-        """h(t) = R(t, 0)."""
-        return self.h
 
     def evaluate(self, t, c):
         """R at points (t, c); t and c are floats or broadcastable arrays.
@@ -337,9 +343,6 @@ class RiskField:
     def from_json(cls, path: str | Path) -> "RiskField":
         return from_json_data(cls.from_json_dict, read_json(path), path, "field")
 
-    def to_json(self, path: str | Path) -> None:
-        write_json(self.as_json_dict(), path)
-
 
 def read_json(path: str | Path):
     """The document in a JSON file; invalid JSON raises ValueError naming
@@ -363,23 +366,13 @@ def from_json_data(build, data, path: str | Path, what: str):
 
 
 def json_text(data: dict, path: str | Path) -> str:
-    """The text write_json(data, path) writes; NaN or inf raises
-    ValueError naming the file, which is not touched."""
+    """The text of data as the JSON file path: that of json.dumps(data,
+    sort_keys=True, indent=2, allow_nan=False) and a newline.  NaN or inf
+    raises ValueError naming the file, which is not touched."""
     try:
         return _json_text(data, "") + "\n"
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def write_json(data: dict, path: str | Path) -> None:
-    """Write sorted, indented standard JSON.
-
-    The text is that of json.dumps(data, sort_keys=True, indent=2,
-    allow_nan=False).  NaN or inf raises ValueError naming the file,
-    before the file is opened, so a rejected value leaves no partial file
-    behind.
-    """
-    Path(path).write_text(json_text(data, path))
 
 
 # Compact C encoder for string-free subtrees; its item separator is the

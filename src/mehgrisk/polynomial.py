@@ -8,11 +8,15 @@ machinery below both exact and fast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Relative threshold below which a remainder in the Sturm chain is treated
 # as identically zero.  Scaled by the magnitude of the operands.
 _EPS = 1e-12
+# Log of the relative size below which real_roots drops a polynomial's
+# top term on its interval: the Sturm chain's own noise threshold.
+_NEGLIGIBLE = math.log(_EPS)
 
 
 @dataclass(frozen=True)
@@ -266,7 +270,18 @@ def real_roots(
     slightly to catch a root sitting exactly on a; results are clamped
     back into [a, b].
     """
-    p = p.trimmed()
+    # A top term below the chain's noise threshold on [a, b] (such as
+    # 2e-16 t^4 or 1e-304 t^4 beside 0.25 t^3) makes the float Sturm chain
+    # find false common factors or overflow; its extra roots lie far
+    # outside, so it is dropped.
+    log_m = math.log(max(abs(a), abs(b)) or 1.0)
+    sizes = [
+        math.log(abs(c)) + k * log_m if c else -math.inf
+        for k, c in enumerate(p.trimmed().coefficients)
+    ]
+    while len(sizes) > 1 and sizes[-1] < max(sizes) + _NEGLIGIBLE:
+        sizes.pop()
+    p = Polynomial(p.coefficients[: len(sizes)]).trimmed()
     if p.degree <= 0:
         return ()
     pad = 1e-9 * (1.0 + abs(a)) + 1e-9 * (b - a)

@@ -52,9 +52,8 @@ class _Canvas:
         frac = (c - w.c_min) / (w.c_max - w.c_min)
         return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
 
-    def polyline(self, points, color: str, width: float = 1.5) -> None:
-        if len(points) < 2:
-            return
+    def coords(self, points) -> str:
+        """The pixel coordinates of world points as an SVG points list."""
         # x() and y() over all points at once, in the same operation order.
         w = self.world
         pts = np.asarray(points, dtype=float)
@@ -64,10 +63,20 @@ class _Canvas:
         ys = HEIGHT - MARGIN_B - (pts[:, 1] - w.c_min) / (w.c_max - w.c_min) * (
             HEIGHT - MARGIN_T - MARGIN_B
         )
-        coords = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+        return " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+
+    def polyline(self, points, color: str, width: float = 1.5) -> None:
+        if len(points) < 2:
+            return
         self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"/>'
+            f'<polyline points="{self.coords(points)}" fill="none" '
+            f'stroke="{color}" stroke-width="{width}"/>'
+        )
+
+    def polygon(self, points, fill: str, opacity: float) -> None:
+        self.parts.append(
+            f'<polygon points="{self.coords(points)}" fill="{fill}" '
+            f'fill-opacity="{opacity}" stroke="none"/>'
         )
 
     def line(self, t0, c0, t1, c1, color="#333333", width=1.0, dash="") -> None:
@@ -144,20 +153,14 @@ class _Canvas:
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+    """Multiples k*step of a 1-2-5 step in [lo, hi]: at most about
+    target + 1 of them, since step >= (hi - lo)/target."""
     span = hi - lo
     raw = span / target
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= hi + 1e-9 * span:
-        out.append(round(v, 10))
-        v += step
-    return out
+    step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag)
+    first, last = math.ceil(lo / step), math.floor((hi + 1e-9 * span) / step)
+    return [round(k * step, 10) for k in range(first, last + 1)]
 
 
 def _fmt(v: float) -> str:
@@ -195,31 +198,29 @@ def region_plot_svg(
     path: str | Path,
     domain: Rectangle | None = None,
     stage_map: StageMap = DEFAULT_STAGE_MAP,
-    grid: int = 128,
 ) -> None:
-    """Shade {R >= threshold} by row runs and overlay its boundary curve."""
+    """Shade {R >= threshold} from its boundary curve and overlay it.
+
+    The boundary is level_curves' set at the threshold: graphs c*(t),
+    t increasing, over disjoint t intervals, and vertical lines.  Each
+    graph is closed along the c edge on the region's side, c_max where
+    dR/dc > 0 and c_min where it is negative.  Between the intervals
+    R - threshold keeps one sign, read at the middle of each gap.
+    """
     dom = domain or field.domain
     canvas = _Canvas(dom, f"Critical-risk region R ≥ {_fmt(threshold)}")
-    dt = (dom.t_max - dom.t_min) / grid
-    dc = (dom.c_max - dom.c_min) / grid
-    mids = np.arange(grid) + 0.5
-    inside = field.evaluate(
-        dom.t_min + mids[None, :] * dt, dom.c_min + mids[:, None] * dc
-    ) >= threshold
-    # Each run of inside cells in a row starts where the padded row steps
-    # up and ends where it steps down.
-    padded = np.zeros((grid, grid + 2), dtype=np.int8)
-    padded[:, 1:-1] = inside
-    steps = np.diff(padded, axis=1)
-    for j in range(grid):
-        starts = np.flatnonzero(steps[j] == 1).tolist()
-        ends = np.flatnonzero(steps[j] == -1).tolist()
-        for start, end in zip(starts, ends):
-            canvas.rect_world(
-                dom.t_min + start * dt, dom.c_min + j * dc,
-                dom.t_min + end * dt, dom.c_min + (j + 1) * dc,
-                "#d62728", 0.25,
-            )
+    ends = []
+    for line in boundary.polylines:
+        (t0, _), (t1, _) = line[0], line[-1]
+        ends += [t0, t1]
+        if t0 < t1:
+            edge = dom.c_max if field.partial_c(0.5 * (t0 + t1)) > 0 else dom.c_min
+            canvas.polygon([*line, (t1, edge), (t0, edge)], "#d62728", 0.25)
+    bounds = [dom.t_min, *sorted(ends), dom.t_max]
+    c_mid = 0.5 * (dom.c_min + dom.c_max)
+    for lo, hi in zip(bounds[::2], bounds[1::2]):
+        if lo < hi and field.evaluate(0.5 * (lo + hi), c_mid) >= threshold:
+            canvas.rect_world(lo, dom.c_min, hi, dom.c_max, "#d62728", 0.25)
     for line in boundary.polylines:
         canvas.polyline(line, "#d62728", 2.0)
     canvas.axes("stage t (age below)", "concentration c (mg/kg)", stage_map)

@@ -114,6 +114,12 @@ def test_bad_table_csv(tmp_path, capsys):
     bad.write_text("hq,1,2,3,4,5\n0.5,1,2,3\n")
     assert run("fit", "--input", str(bad), "--out", str(tmp_path)) == 2
     assert "row 2" in capsys.readouterr().err
+    # Bytes that are not UTF-8 gave an error without the file's name.
+    bad.write_bytes(b"hq,1,2,3,4,5\n0.5,\xff,2,3,4,5\n")
+    out = tmp_path / "out"
+    assert run("fit", "--input", str(bad), "--out", str(out)) == 2
+    assert f"error: {bad}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_synthetic_table_round_trip(tmp_path):
@@ -246,6 +252,47 @@ def test_nonfinite_threshold_and_levels_exit_2(flag, tmp_path, fresh_python):
     )
     assert proc.returncode == 2, proc.stderr
     assert "must be finite" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, domain",
+    [
+        ("analyze", "1,5,0.2,0.20000000000000004"),
+        ("geometry", "1,1.0000000000000002,0.2,3.5"),
+        ("analyze", "1,5,0,5e-324"),
+    ],
+    ids=["analyze-c-ulp", "geometry-t-ulp", "analyze-c-subnormal"],
+)
+def test_narrow_domain_exit_2(command, domain, tmp_path, fresh_python):
+    # The first two wrote their JSON, then looped without end drawing
+    # ticks (analyze grew by about 40 MB/s); the third failed with a bare
+    # "math domain error" and left analysis.json behind.
+    out = tmp_path / "out"
+    proc = fresh_python(
+        "-m", "mehgrisk", command, "--paper-dataset", f"--domain={domain}",
+        "--grid", "16", "--out", str(out), seconds=10.0,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "--domain: " in proc.stderr and "narrower than" in proc.stderr
+    assert not out.exists()
+
+
+def test_narrow_domain_names_config_key_and_field_file(tmp_path, capsys):
+    narrow = {"t": [1.0, 5.0], "c": [0.2, 0.2 + 1e-12]}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"domain": [1.0, 5.0, *narrow["c"]]}))
+    field = tmp_path / "field.json"
+    data = RiskField(PUBLISHED_A, PUBLISHED_B).as_json_dict()
+    field.write_text(json.dumps(data | {"domain": narrow}))
+    out = tmp_path / "out"
+    for argv, where in (
+        (["--paper-dataset", "--config", str(cfg)], f"{cfg}: domain: "),
+        (["--input", str(field)], f"{field}: "),
+    ):
+        assert run("analyze", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert where in err and "c span 1e-12 is narrower than" in err
+        assert not out.exists()
 
 
 def test_run_config_rejects_nonfinite():
@@ -420,12 +467,13 @@ def test_report_start_outside_domain_writes_nothing(tmp_path, capsys):
 
 
 def test_flow_nonfinite_summary_writes_nothing(tmp_path, fresh_python):
-    # Coefficients of 1e308 overflow along every trajectory; flow used to
+    # Coefficients of 1e150 overflow along every trajectory; flow used to
     # write flow_00.csv..flow_08.csv (inf and nan rows) and flow.svg
-    # before flow.json refused the non-finite summary.
+    # before flow.json refused the non-finite summary.  (At 1e308 the
+    # field itself overflows on its domain and is refused at load.)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({
-        "a": [1e308] * 5, "b": [0.0] * 5,
+        "a": [1e150] * 5, "b": [0.0] * 5,
         "domain": {"t": [1.0, 5.0], "c": [0.2, 3.5]},
     }))
     out = tmp_path / "out"
@@ -469,22 +517,26 @@ def test_report_loads_and_fits_the_table_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command, value, name",
+    "command, value, message",
     [
-        pytest.param("analyze", 1e308, "analysis.json", id="analyze"),
-        pytest.param("report", 1e308, "analysis.json", id="report"),
-        pytest.param("report", 1e200, "geometry.json", id="report-1e200"),
-        pytest.param("report", 1e150, "flow.json", id="report-1e150"),
+        pytest.param("analyze", 1e308, "big.json: field overflows", id="analyze"),
+        pytest.param("report", 1e308, "big.json: field overflows", id="report"),
+        pytest.param("fit", 1e308, "big.json: field overflows", id="fit"),
+        pytest.param("report", 1e200, "geometry.json: Out of range float values",
+                     id="report-1e200"),
+        pytest.param("report", 1e150, "flow.json: Out of range float values",
+                     id="report-1e150"),
     ],
 )
 def test_overflowing_field_writes_nothing(
-    command, value, name, tmp_path, fresh_python
+    command, value, message, tmp_path, fresh_python
 ):
-    # Coefficients this large overflow in the analysis (1e308), the
-    # curvature (1e200) or the flow summary (1e150).  analyze used to
-    # leave an empty output directory, and report every file it wrote
-    # before the first document that refused the values; numpy printed
-    # its overflow warnings first.
+    # At 1e308 the field overflows on its domain and is refused at load;
+    # fit used to write it.  Coefficients of 1e200 overflow in the
+    # curvature and 1e150 in the flow summary.  analyze used to leave an
+    # empty output directory, and report every file it wrote before the
+    # first document that refused the values; numpy printed its overflow
+    # warnings first.
     path = tmp_path / "big.json"
     path.write_text(json.dumps({
         "a": [value] * 5, "b": [0.0] * 5,
@@ -496,7 +548,7 @@ def test_overflowing_field_writes_nothing(
         "--out", str(out), seconds=60.0,
     )
     assert proc.returncode == 2, proc.stderr
-    assert f"{name}: Out of range float values" in proc.stderr
+    assert message in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert not out.exists()
 
@@ -516,15 +568,18 @@ PROFILE_HEADER = (
          "p.csv, row 2, column 'body_weight_kg': not a finite number"),
         ("p.json", "[1, 2]", "p.json, entry 0: expected a JSON object, got 1"),
         ("p.json", "[{", "p.json: invalid JSON: "),
+        ("p.csv", PROFILE_HEADER + "m\xe9n,12,60,73.44,262.6,2.6,1,0.0003,0.6\n",
+         "p.csv: "),
     ],
-    ids=["csv-nan", "csv-inf", "json-not-object", "json-invalid"],
+    ids=["csv-nan", "csv-inf", "json-not-object", "json-invalid", "csv-not-utf8"],
 )
 def test_bad_profile_file_exit_2(name, text, message, tmp_path, fresh_python):
     # A nan or inf cell used to pass the sign checks and fail only at
     # exposure.json, after the output directory was made; [1, 2] raised
-    # TypeError (exit 1); invalid JSON did not name the file.
+    # TypeError (exit 1); invalid JSON, and bytes that are not UTF-8, did
+    # not name the file.
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text.encode("latin-1"))
     out = tmp_path / "out"
     proc = fresh_python(
         "-m", "mehgrisk", "exposure", "--input", str(path), "--out", str(out),

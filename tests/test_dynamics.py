@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from mehgrisk.analysis import gradient
 from mehgrisk.dynamics import (
     EXIT_LEFT_DOMAIN,
     EXIT_MAX_STEPS,
@@ -53,7 +52,7 @@ def test_flow_energy_identity():
         tau1, t, c, _ = s[i]
         tau2, _, _, r2 = s[i + 1]
         rate = (r2 - r0) / (tau2 - tau0)
-        gt, gc = gradient(f, t, c)
+        gt, gc = f.partial_t(t, c), f.partial_c(t)
         speed_sq = gt * gt + gc * gc
         assert math.isclose(rate, speed_sq, rel_tol=0.1)
         checked += 1

@@ -18,8 +18,8 @@ from mehgrisk.fieldfit import (
     interpolate,
     published_field,
     regress_linear,
+    json_text,
     survey_risk_table,
-    write_json,
 )
 
 # Published per-concentration quartics (ascending powers) and the linear
@@ -198,7 +198,9 @@ def test_evaluate_grid_matches_scalar():
 def test_table_csv_round_trip(tmp_path):
     table = survey_risk_table()
     path = tmp_path / "table.csv"
-    table.to_csv(path)
+    rows = [("concentration", *table.nodes)]
+    rows += [(conc, *row) for conc, row in zip(table.concentrations, table.values)]
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
     back = RiskTable.from_csv(path)
     assert back == table
 
@@ -271,7 +273,7 @@ def test_field_rejects_nonfinite(tmp_path):
 def test_write_json_rejects_nonfinite_before_opening(tmp_path):
     path = tmp_path / "out.json"
     with pytest.raises(ValueError, match="out.json"):
-        write_json({"x": [1.0, math.nan]}, path)
+        json_text({"x": [1.0, math.nan]}, path)
     assert not path.exists()
 
 
@@ -302,7 +304,7 @@ def test_table_validation():
 def test_field_json_round_trip(tmp_path):
     f = published_field()
     path = tmp_path / "field.json"
-    f.to_json(path)
+    path.write_text(json_text(f.as_json_dict(), path))
     data = json.loads(path.read_text())
     assert data["a"] == list(f.a)
     back = RiskField.from_json(path)

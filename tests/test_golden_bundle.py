@@ -2,10 +2,14 @@
 
 The digests were recorded from the package before the field kernel and
 the load-once pipeline were introduced (numpy 2.4.6, Python 3.11.7,
-x86-64 Linux).  A refactor that changes no result keeps every one of
-them; a change that alters a file on purpose updates its digest here and
-says why.  Another numpy or platform may round differently, so a
-mismatch there calls for a look at the diff before the digests change.
+x86-64 Linux).  Those of analysis.json, report.json, contours.svg and
+region.svg were recorded again when the level curves became the exact
+boundary graph: their vertices and the region's shading changed, and
+nothing else in analysis.json did.  A refactor that changes no result
+keeps every one of them; a change that alters a file on purpose updates
+its digest here and says why.  Another numpy or platform may round
+differently, so a mismatch there calls for a look at the diff before the
+digests change.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ TABLE_CSV = (
 )
 
 PAPER_SEED_0 = {
-        "analysis.json": "c7976e5e4f18b12abc55cfb42c9329f82bb9fd1deaa4fd74c990d2f6616ef760",
-        "contours.svg": "e76cd9ec4b85e5a526ba1eb1a188ed2e49c39c8f4361a10190bf716c0c65077a",
+        "analysis.json": "7f67af76aafc87507d63abfcf8023f8ff3e846a2bb3f01f95fc4a2fdafa121d1",
+        "contours.svg": "b5283a7ac1efbc292c81482d06cd8c68154479ab038bfcb6ab1ec9981963205b",
         "curvature.svg": "ba78379b5b3e3d2bbeda2fce92eff79a67f9ef0573510446ca0d8e5e1309665d",
         "exposure.csv": "2317025039c76f33eae85b369a5b5aa094371c578e0f7ec3e6ba441a4801f6cd",
         "exposure.json": "4e702465c8f72ae7ec7f9fa5d30bd029c08b1876e39a587730f28717908411fa",
@@ -44,13 +48,13 @@ PAPER_SEED_0 = {
         "flow_07.csv": "9da67e9235e5fc9dcefde02216550e6955bbbea0695ee46682c04d7ed3b1af27",
         "flow_08.csv": "1585d681765c9d4d949859da65d296023c55ddb75c6ba70a3edbabbd0ba5d147",
         "geometry.json": "f6c0eef0bb7c15e61aa4fb4d7b8901b01c59bfc2cabd68894a57a594bc5c0ee3",
-        "region.svg": "827b3ffc0f15e30d5a02b8d572cbf5f5d9cfe4a69e87930dae005cd33668bd78",
-        "report.json": "eb6d349e8cb6c582617d312ce80144a857dd272e69eddce9b71cfb886f50451a",
+        "region.svg": "c21378b9e754c9921fed36744466423618b1d95d8a121d1ef44bbf64fb52a0a3",
+        "report.json": "a912fe62e716b3cee6ddc05948d355cb368734c1db5edd7e98fed4ee90d7bc8f",
 }
 
 TABLE_REPORT = {
-        "analysis.json": "8173cf6a0f7c7a33b4287a3852e12be2cc9061e7514af100596e13e314b5c437",
-        "contours.svg": "7d3b03023a446dca912b9903c4268fbfe976ed8347c664a49be46e402c53eb84",
+        "analysis.json": "ea04c0fcd9eee506c0ca69524531133a5e5fa9ae097888e7db79ba70d4dc9f0b",
+        "contours.svg": "28fa9d2f6cf8b2e82227972d64bed67d276623c47cfc7f5ba4909cc5ec8ecc22",
         "curvature.svg": "407b23fc0c125ef9ca582e25bd956380b735c28e99c521bf68ec4ee5c0218251",
         "field.json": "88edff2f798f4655e6e5c12d0e5ac7d2d4bd90de268b51bc33fdad85a2f691df",
         "fit_report.json": "9161690d3664731ca6c3a85a27175eda00df8fe57962d6210bfb985eac774b0e",
@@ -66,8 +70,8 @@ TABLE_REPORT = {
         "flow_07.csv": "e64f70ba5a236f9bae99cab3c086e29bdb81de047775c1a6743a5cdefcc07321",
         "flow_08.csv": "c18b98d6157e399462d4fcac935193d7a60fe4250f024f82f97f64408641f9d1",
         "geometry.json": "b16f3dca3ce5499315fd7465472f10ef4af2b44d55f99a108e989f78051a5e92",
-        "region.svg": "a1b570c611d31fb1291750b62ce6f844025485a907b58367a4e015b9021133e2",
-        "report.json": "0a78408b6d899e36747efdf5e1981a5de8b07d195ea9254844a485115ee9cec0",
+        "region.svg": "ed12c53dd021cd611614b0d5da45b4d6c586137453434cc0c346d0b27e54ec50",
+        "report.json": "57bceaa9ef69ba324dd9a4f2c2792a59e8ae2e49db37cca4c43302d2692d4501",
 }
 
 

@@ -128,10 +128,12 @@ def test_memory_does_not_grow_with_samples():
 
 def test_overflowing_span_raises():
     # uniform refuses a span high - low that overflows; so must the stream.
-    wide = RiskField((0.0,) * 5, (1.0,) * 5, Rectangle(-1e308, 1e308, 0.0, 1.0))
+    # R = 1 is bounded on these domains, so the field accepts them.
+    one = (1.0, 0.0, 0.0, 0.0, 0.0)
+    wide = RiskField((0.0,) * 5, one, Rectangle(-1e308, 1e308, 0.0, 1.0))
     with pytest.raises(OverflowError):
         monte_carlo_region_area(wide, samples=10)
-    tall = RiskField((0.0,) * 5, (1.0,) * 5, Rectangle(1.0, 5.0, -1e308, 1e308))
+    tall = RiskField((0.0,) * 5, one, Rectangle(1.0, 5.0, -1e308, 1e308))
     with pytest.raises(OverflowError):
         monte_carlo_region_area(tall, samples=10)
     with pytest.raises(OverflowError):

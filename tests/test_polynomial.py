@@ -190,3 +190,11 @@ def test_real_roots_builds_one_sturm_chain(monkeypatch):
     roots = polynomial.real_roots(p, 0.0, 10.0)
     assert len(calls) == 1
     assert [round(r, 8) for r in roots] == [1.0, 2.0, 4.0]
+
+
+def test_negligible_top_term_keeps_the_roots():
+    # 3e-304 t^4 beside 0.2 t^3 scaled the Sturm chain into overflow, and
+    # real_roots found no root where there is one.
+    p = Polynomial((1.0, 0.0, 0.0, -0.2, -3e-304))
+    (root,) = real_roots(p, 1.0, 5.0)
+    assert abs(root - 5.0 ** (1 / 3)) < 1e-9

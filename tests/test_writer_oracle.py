@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from mehgrisk.cli import main
 from mehgrisk.dynamics import FlowTrajectory, write_trajectory_csv
-from mehgrisk.fieldfit import Rectangle, write_json
+from mehgrisk.fieldfit import MIN_SPAN, Rectangle, json_text
 from mehgrisk.svgplot import _Canvas
 
 
@@ -32,10 +32,7 @@ def _reference_json(data) -> str:
 
 
 def _written_json(data) -> str:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "doc.json"
-        write_json(data, path)
-        return path.read_text()
+    return json_text(data, "doc.json")
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -108,7 +105,7 @@ def test_write_json_matches_stdlib_on_edge_cases(data):
 def test_write_json_rejects_nonfinite_before_opening(data, tmp_path):
     path = tmp_path / "doc.json"
     with pytest.raises(ValueError, match="doc.json: .*not JSON compliant"):
-        write_json(data, path)
+        json_text(data, path)
     assert not path.exists()
 
 
@@ -186,9 +183,13 @@ coordinate = (
 
 @st.composite
 def worlds(draw):
+    """Worlds Rectangle accepts: no side too narrow to resolve."""
     t0, t1 = sorted(draw(st.lists(bound, min_size=2, max_size=2, unique=True)))
     c0, c1 = sorted(draw(st.lists(bound, min_size=2, max_size=2, unique=True)))
-    return Rectangle(t0, t1, c0, c1)
+    try:
+        return Rectangle(t0, t1, c0, c1)
+    except ValueError:
+        reject()
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,6 +208,19 @@ def test_polyline_matches_fstring_loop(world, points, as_lists):
         'fill="none" stroke="#123456" stroke-width="1.5"/>'
     )
     assert canvas.parts[-1] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=bound, fraction=st.floats(0.0, 0.9), axis=st.sampled_from(("t", "c")))
+def test_narrow_world_is_refused(lo, fraction, axis):
+    # A side a few ulps wide made the pixel scale overflow and the tick
+    # loop run without end; Rectangle refuses it where the domain is made.
+    hi = max(
+        lo + fraction * MIN_SPAN * max(1.0, abs(lo)), math.nextafter(lo, math.inf)
+    )
+    sides = {"t": (lo, hi, 0.0, 1.0), "c": (0.0, 1.0, lo, hi)}[axis]
+    with pytest.raises(ValueError, match=f"{axis} span .* narrower than"):
+        Rectangle(*sides)
 
 
 def test_polyline_skips_fewer_than_two_points():
