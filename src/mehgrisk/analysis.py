@@ -362,10 +362,8 @@ class LevelCurveSet:
     def as_json_dict(self) -> dict:
         return {
             "level": self.level,
-            "polylines": [
-                [[round(t, 9), round(c, 9)] for t, c in line]
-                for line in self.polylines
-            ],
+            # level_curves already rounded every vertex to 9 decimals.
+            "polylines": [list(map(list, line)) for line in self.polylines],
         }
 
 

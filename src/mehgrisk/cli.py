@@ -38,6 +38,10 @@ from .fieldfit import (
 ENV_OUT = "MEHGRISK_OUT"
 
 MAX_GRID = 2048   # input validation: level curves take O(grid) memory per level
+# Each kept flow sample costs about 176 B (a tuple of four floats and its
+# slot), about 210 B while the trajectory is built, so 10^6 steps cap one
+# trajectory near 200 MB.
+MAX_FLOW_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,8 @@ class RunConfig:
             raise ValueError("flow_step must be finite and positive")
         if self.flow_max_steps < 1:
             raise ValueError("flow_max_steps must be at least 1")
+        if self.flow_max_steps > MAX_FLOW_STEPS:
+            raise ValueError(f"flow_max_steps must be at most {MAX_FLOW_STEPS}")
         if self.mc_samples < 1:
             raise ValueError("samples must be at least 1")
         if self.seed < 0:

@@ -63,7 +63,8 @@ class _Canvas:
         ys = HEIGHT - MARGIN_B - (pts[:, 1] - w.c_min) / (w.c_max - w.c_min) * (
             HEIGHT - MARGIN_T - MARGIN_B
         )
-        return " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+        pairs = zip(xs.tolist(), ys.tolist())
+        return " ".join(["%.2f,%.2f" % p for p in pairs])
 
     def polyline(self, points, color: str, width: float = 1.5) -> None:
         if len(points) < 2:

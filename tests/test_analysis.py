@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mehgrisk import analysis
 from mehgrisk.analysis import (
+    LevelCurveSet,
     build_analysis_report,
     certify_no_critical_points,
     level_curves,
@@ -315,6 +319,38 @@ def test_level_curves_deterministic():
     assert one == two
 
 
+# Vertex coordinates up to 1e15 in size; near 8.4e6 the floats are
+# spaced wider than 1e-9, and 2**53 / 1e9 is where 9 decimals stop
+# fitting in a double's 53 bits.
+vertex = st.floats(-1e15, 1e15) | st.sampled_from(
+    (0.0, -0.0, 5e-324, -4.9e-10, 5e-10, 8.5e6 + 0.1, 2.0**53 / 1e9)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(
+        st.lists(st.tuples(vertex, vertex), min_size=1, max_size=20),
+        max_size=4,
+    )
+)
+def test_level_curve_json_rounds_once(lines):
+    # Polylines stored as level_curves stores them: np.round(..., 9).
+    polylines = []
+    for line in lines:
+        t, c = np.round(np.array(line).T, 9).tolist()
+        polylines.append(tuple(zip(t, c)))
+    cset = LevelCurveSet(2.0, tuple(polylines))
+    # An independent reference: Python's round of each stored vertex.
+    want = {
+        "level": 2.0,
+        "polylines": [
+            [[round(t, 9), round(c, 9)] for t, c in line] for line in polylines
+        ],
+    }
+    assert json.dumps(cset.as_json_dict()) == json.dumps(want)
+
+
 def test_analysis_report_shape():
     f = published_field()
     report = build_analysis_report(
@@ -328,8 +364,6 @@ def test_analysis_report_shape():
         assert key in report
     assert report["certificate"]["has_critical_points"] is False
     assert len(report["levels"]) == 2
-    import json
-
     json.dumps(report)   # must be plain-JSON serializable
 
 

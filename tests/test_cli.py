@@ -754,6 +754,31 @@ def test_grid_bound(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_flow_max_steps_bound(tmp_path, fresh_python):
+    # Each kept sample holds about 176 B, so the bound is checked before
+    # any work.  The built-in field's flows leave its domain within a few
+    # thousand steps of the default size, so even a missing bound would
+    # allocate nothing of the bound's size here.
+    too_many = cli.MAX_FLOW_STEPS + 1
+    with pytest.raises(ValueError, match="flow_max_steps must be at most"):
+        RunConfig(flow_max_steps=too_many)
+    assert RunConfig(flow_max_steps=cli.MAX_FLOW_STEPS).flow_max_steps == (
+        cli.MAX_FLOW_STEPS
+    )
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"flow_max_steps": too_many}))
+    out = tmp_path / "out"
+    proc = fresh_python(
+        "-m", "mehgrisk", "flow", "--paper-dataset", "--config", str(cfg),
+        "--out", str(out), seconds=30.0,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"{cfg}: flow_max_steps: flow_max_steps must be at most" in (
+        proc.stderr
+    )
+    assert not out.exists()
+
+
 def test_flow_default_starts_in_the_fields_domain(tmp_path):
     # The default starts used to be spread over the default domain, so a
     # field JSON on t in [1, 3] failed at the start (4.0, 1.025).

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mehgrisk.dynamics import (
     EXIT_LEFT_DOMAIN,
@@ -16,7 +19,7 @@ from mehgrisk.dynamics import (
     flow,
     write_trajectory_csv,
 )
-from mehgrisk.fieldfit import RiskField, published_field
+from mehgrisk.fieldfit import Rectangle, RiskField, published_field
 
 
 def test_risk_increases_along_flow():
@@ -80,6 +83,85 @@ def test_flow_zero_field_underflows():
     traj = flow(f, (3.0, 1.0), max_steps=50)
     assert traj.exit_reason == EXIT_STEP_UNDERFLOW
     assert len(traj.samples) == 1
+
+
+def test_flow_evaluates_risk_once_per_trajectory(monkeypatch):
+    calls = []
+    evaluate = RiskField.evaluate
+
+    def counted(self, t, c):
+        calls.append(np.shape(t))
+        return evaluate(self, t, c)
+
+    monkeypatch.setattr(RiskField, "evaluate", counted)
+    f = published_field()
+    exits = set()
+    for start, max_steps in (((3.0, 1.0), 20000), ((3.0, 1.0), 50)):
+        traj = flow(f, start, max_steps=max_steps)
+        exits.add(traj.exit_reason)
+        # One array call covering every sample, the clipped one included.
+        assert calls == [(len(traj.samples),)]
+        calls.clear()
+    traj = flow(RiskField((0.0,) * 5, (0.0,) * 5), (3.0, 1.0))
+    assert calls == [(1,)]
+    assert exits == {EXIT_LEFT_DOMAIN, EXIT_MAX_STEPS}
+
+
+def _assert_risk_is_scalar_evaluate(field, traj):
+    # The array call rounds every element as the scalar call does: same
+    # repr, so same bits and same signed zeros.
+    for _, t, c, r in traj.samples:
+        assert repr(r) == repr(field.evaluate(t, c))
+
+
+coefficient = (
+    st.floats(-3.0, 3.0)
+    | st.sampled_from((0.0, -0.0, 1e-14, -1e-14))
+)
+
+
+# c spans 0, so samples at c = -0.0 and +0.0 both occur.
+SPANS_ZERO = Rectangle(1.0, 5.0, -1.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=st.lists(coefficient, min_size=5, max_size=5),
+    b=st.lists(coefficient, min_size=5, max_size=5),
+    start=st.tuples(st.floats(1.0, 5.0), st.floats(-1.0, 1.0)),
+    step=st.sampled_from((1e-3, 0.05, 0.25)),
+    max_steps=st.integers(1, 200),
+)
+def test_flow_risk_matches_scalar_evaluate(a, b, start, step, max_steps):
+    field = RiskField(tuple(a), tuple(b), SPANS_ZERO)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = flow(field, start, step=step, max_steps=max_steps)
+    _assert_risk_is_scalar_evaluate(field, traj)
+
+
+@pytest.mark.parametrize(
+    "field, start",
+    [
+        (published_field(), (3.0, 1.0)),           # ends on a clipped sample
+        (RiskField((-0.0,) * 5, (-0.0,) * 5, SPANS_ZERO), (2.0, -0.0)),
+        (RiskField((-0.0,) * 5, (0.0, 1.0, -0.0, -0.0, -0.0), SPANS_ZERO),
+         (1.5, -0.0)),
+        # R is finite on the domain but the gradient overflows, so the
+        # clipped sample is nan: the float chain is silent, as must be
+        # the array call.
+        (RiskField((1e300,) * 5, (0.0,) * 5), (5.0, 3.5)),
+        (RiskField((1e300,) * 5, (-1e300,) * 5), (3.0, 1.0)),
+        # |R| at (5, 3.5) is within an ulp of its bound, near the largest
+        # float.
+        (RiskField((0.0,) * 4 + (7.7e304,), (0.0,) * 5), (5.0, 3.5)),
+    ],
+)
+def test_flow_risk_matches_scalar_evaluate_edge_cases(field, start):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = flow(field, start, step=0.01, max_steps=2000)
+    _assert_risk_is_scalar_evaluate(field, traj)
 
 
 def test_flow_rejects_outside_start():
