@@ -194,7 +194,11 @@ def sturm_sequence(p: Polynomial) -> list[Polynomial]:
     last = chain[-1]
     if last.degree > 0:
         # Nontrivial gcd: p has repeated roots.  Restart on p / gcd.
-        reduced, _ = divmod_poly(p, last)
+        reduced, rem = divmod_poly(p, last)
+        if not _cleanup(rem, scale).is_zero():
+            # A remainder with a tiny top term made the next one huge and
+            # the one after it round to zero: a false common factor.
+            raise ArithmeticError("float Sturm chain found a false common factor")
         return sturm_sequence(reduced)
     return chain
 
@@ -261,6 +265,21 @@ def bisect_root(
     return 0.5 * (lo + hi)
 
 
+def _sign_change_roots(p: Polynomial, a: float, b: float, tol: float) -> list:
+    """Roots of p in [a, b] from signs alone: p is monotone between the
+    roots of p', found the same way, so each such piece holds a root when
+    p changes sign or vanishes at its ends.  A root where p only touches
+    zero is missed; real_roots uses this where its Sturm chain failed."""
+    if p.degree <= 0:
+        return []
+    stops = [a, *_sign_change_roots(p.derivative().trimmed(), a, b, tol), b]
+    return [
+        bisect_root(p, lo, hi, tol)
+        for lo, hi in zip(stops, stops[1:])
+        if p(lo) == 0.0 or p(hi) == 0.0 or (p(lo) < 0.0) != (p(hi) < 0.0)
+    ]
+
+
 def real_roots(
     p: Polynomial, a: float, b: float, tol: float = 1e-10
 ) -> tuple[float, ...]:
@@ -285,7 +304,10 @@ def real_roots(
     if p.degree <= 0:
         return ()
     pad = 1e-9 * (1.0 + abs(a)) + 1e-9 * (b - a)
-    chain = sturm_sequence(p)
+    try:
+        chain = sturm_sequence(p)
+    except ArithmeticError:
+        return tuple(sorted(set(_sign_change_roots(p, a, b, tol))))
     sq = chain[0]
     brackets = isolate_roots(chain, a - pad, b)
     roots = []

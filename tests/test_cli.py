@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import json
 import math
+import re
 
 import pytest
 
@@ -551,6 +552,31 @@ def test_overflowing_field_writes_nothing(
     assert message in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_wide_concentration_domain_mean_is_finite(command, tmp_path, fresh_python):
+    # R = h(t) on c in [0, 1e300]: mean_risk used to square the c bounds
+    # and die with an OverflowError traceback and exit 1.  The mean is
+    # finite now; the command writes it, or exits 2 naming the file that
+    # refuses some other value and writes nothing.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "a": [0.0] * 5, "b": list(PUBLISHED_B),
+        "domain": {"t": [1.0, 5.0], "c": [0.0, 1e300]},
+    }))
+    out = tmp_path / "out"
+    proc = fresh_python(
+        "-m", "mehgrisk", command, "--input", str(path), "--grid", "16",
+        "--out", str(out), seconds=60.0,
+    )
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    if proc.returncode == 0:
+        assert math.isfinite(read_json(out / "analysis.json")["mean_risk"])
+    else:
+        assert proc.returncode == 2, proc.stderr
+        assert re.match(rf"error: {re.escape(str(out))}/\S+: ", proc.stderr)
+        assert not out.exists()
 
 
 PROFILE_HEADER = (

@@ -5,11 +5,16 @@ the load-once pipeline were introduced (numpy 2.4.6, Python 3.11.7,
 x86-64 Linux).  Those of analysis.json, report.json, contours.svg and
 region.svg were recorded again when the level curves became the exact
 boundary graph: their vertices and the region's shading changed, and
-nothing else in analysis.json did.  A refactor that changes no result
-keeps every one of them; a change that alters a file on purpose updates
-its digest here and says why.  Another numpy or platform may round
-differently, so a mismatch there calls for a look at the diff before the
-digests change.
+nothing else in analysis.json did.  Those of analysis.json and report.json
+were recorded again, for both bundles, when the region area became a
+Gauss-Kronrod integral and the Simpson mean a collapsed sum:
+tests/bundle_compare.py finds region_area and probability moved by a
+relative 8.2e-11 (toward the exact area) and mean_risk_simpson by at most
+1.5e-15, and every other value, key and file equal.  A refactor that
+changes no result keeps every one of them; a change that alters a file on
+purpose updates its digest here and says why, with the comparator's
+report.  Another numpy or platform may round differently, so a mismatch
+there calls for a look at the diff before the digests change.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ TABLE_CSV = (
 )
 
 PAPER_SEED_0 = {
-        "analysis.json": "7f67af76aafc87507d63abfcf8023f8ff3e846a2bb3f01f95fc4a2fdafa121d1",
+        "analysis.json": "820d56ef548ba1446c63ca50ebbb72f412c9b3758b60da9c6fb68fed0a51e068",
         "contours.svg": "b5283a7ac1efbc292c81482d06cd8c68154479ab038bfcb6ab1ec9981963205b",
         "curvature.svg": "ba78379b5b3e3d2bbeda2fce92eff79a67f9ef0573510446ca0d8e5e1309665d",
         "exposure.csv": "2317025039c76f33eae85b369a5b5aa094371c578e0f7ec3e6ba441a4801f6cd",
@@ -49,11 +54,11 @@ PAPER_SEED_0 = {
         "flow_08.csv": "1585d681765c9d4d949859da65d296023c55ddb75c6ba70a3edbabbd0ba5d147",
         "geometry.json": "f6c0eef0bb7c15e61aa4fb4d7b8901b01c59bfc2cabd68894a57a594bc5c0ee3",
         "region.svg": "c21378b9e754c9921fed36744466423618b1d95d8a121d1ef44bbf64fb52a0a3",
-        "report.json": "a912fe62e716b3cee6ddc05948d355cb368734c1db5edd7e98fed4ee90d7bc8f",
+        "report.json": "b0b418fc521d30677a71fb18a22d322b06c4ad178cb7e0cfc67d47128820f706",
 }
 
 TABLE_REPORT = {
-        "analysis.json": "ea04c0fcd9eee506c0ca69524531133a5e5fa9ae097888e7db79ba70d4dc9f0b",
+        "analysis.json": "6a4a7782cf70e9424c38c6611fecf2f74449468e41c9da3c12382e383a692e52",
         "contours.svg": "28fa9d2f6cf8b2e82227972d64bed67d276623c47cfc7f5ba4909cc5ec8ecc22",
         "curvature.svg": "407b23fc0c125ef9ca582e25bd956380b735c28e99c521bf68ec4ee5c0218251",
         "field.json": "88edff2f798f4655e6e5c12d0e5ac7d2d4bd90de268b51bc33fdad85a2f691df",
@@ -71,7 +76,7 @@ TABLE_REPORT = {
         "flow_08.csv": "c18b98d6157e399462d4fcac935193d7a60fe4250f024f82f97f64408641f9d1",
         "geometry.json": "b16f3dca3ce5499315fd7465472f10ef4af2b44d55f99a108e989f78051a5e92",
         "region.svg": "ed12c53dd021cd611614b0d5da45b4d6c586137453434cc0c346d0b27e54ec50",
-        "report.json": "57bceaa9ef69ba324dd9a4f2c2792a59e8ae2e49db37cca4c43302d2692d4501",
+        "report.json": "33927149a45d251654a1372799c76be1069b969500f846dbac86ba08493cbd53",
 }
 
 

@@ -198,3 +198,31 @@ def test_negligible_top_term_keeps_the_roots():
     p = Polynomial((1.0, 0.0, 0.0, -0.2, -3e-304))
     (root,) = real_roots(p, 1.0, 5.0)
     assert abs(root - 5.0 ** (1 / 3)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        (12.216890299320234, -3.5, 0.0, -4.172325136e-07, -0.000213623046875),
+        (11.045035426647509, -3.5, 0.0, 4.172325136e-07, 0.001953125),
+        (-0.50390625, -1.0, 0.0, 0.00390625, 2.0),
+    ],
+    ids=["lost-root", "lost-root-2", "spurious-root"],
+)
+def test_false_common_factor_falls_back_to_sign_changes(coefficients):
+    # Polynomials from fields a property test drew: two crossings with
+    # c = 3.5 and one slope g >= 0.5 on [1, 5].  The first remainder's top
+    # coefficient is 1e-10 or 1e-6 of the rest, so the float chain ends in
+    # a false common factor.  real_roots then found no root of the first
+    # two, though each changes sign over [1, 5], and a root of the third
+    # at 1.0103, where it is 0.52; the region area missed a clamp crossing
+    # or fell back to Monte Carlo.  numpy's companion-matrix roots are the
+    # reference.
+    p = Polynomial(coefficients)
+    with pytest.raises(ArithmeticError, match="false common factor"):
+        sturm_sequence(p)
+    want = sorted(r.real for r in np.roots(coefficients[::-1])
+                  if abs(r.imag) < 1e-9 and 1.0 <= r.real <= 5.0)
+    found = real_roots(p, 1.0, 5.0)
+    assert len(found) == len(want)
+    assert all(abs(x - y) < 1e-9 for x, y in zip(found, want))
