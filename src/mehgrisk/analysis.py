@@ -16,15 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldfit import Rectangle, RiskField
-from .polynomial import Polynomial, real_roots
+from .polynomial import ROOT_TOL, Polynomial, real_roots
 
-ROOT_TOL = 1e-10
 # Level-curve bisection in t resolves 2^-REFINE_ROUNDS of a t cell.
 REFINE_ROUNDS = 20
 # Draws per Monte Carlo chunk: 2^15 timed best of 2^13..2^16 (2 vCPUs).
 MC_CHUNK = 2**15
-# Integrand evaluations a region integral may spend after its first pass.
+# Integrand evaluations a region integral may spend after its first pass,
+# and the absolute error it aims for.
 QUAD_BUDGET = 15 * 2048
+QUAD_TOL = 1e-10
 # G7K15 on [-1, 1] (QUADPACK qk15): the Kronrod nodes x >= 0, their
 # weights, and the 7-point Gauss weights, 0 where a node is Kronrod's only.
 _XK = (0.991455371120812639, 0.949107912342758525, 0.864864423359769073,
@@ -40,21 +41,6 @@ _WG = (0.0, 0.129484966168869693, 0.0, 0.279705391489276668,
 _GK_NODES = tuple(-x for x in _XK[:-1]) + _XK[::-1]
 _GK_WEIGHTS = tuple(w[:-1] + w[::-1] for w in (
     _WK, tuple(k - g for k, g in zip(_WK, _WG))))
-
-
-def _subdomain(field: RiskField, domain: Rectangle | None) -> Rectangle:
-    if domain is None:
-        return field.domain
-    fd = field.domain
-    pad = 1e-9
-    if (
-        domain.t_min < fd.t_min - pad
-        or domain.t_max > fd.t_max + pad
-        or domain.c_min < fd.c_min - pad
-        or domain.c_max > fd.c_max + pad
-    ):
-        raise ValueError("analysis domain exceeds the field domain")
-    return domain
 
 
 @dataclass(frozen=True)
@@ -125,7 +111,7 @@ def certify_no_critical_points(field: RiskField) -> CriticalPointCertificate:
             "isolated roots of dR/dt in the stage range",
         )
 
-    roots = real_roots(g, dom.t_min, dom.t_max, ROOT_TOL)
+    roots = field.slope_roots
 
     # Minimum of g over the closed range: endpoints plus interior
     # stationary points of g.
@@ -175,20 +161,18 @@ def certify_no_critical_points(field: RiskField) -> CriticalPointCertificate:
     )
 
 
-def mean_risk(field: RiskField, domain: Rectangle | None = None) -> float:
-    """Average of R over the rectangle, from the closed-form integral:
+def mean_risk(field: RiskField) -> float:
+    """Average of R over the field's domain, from the closed-form integral:
     mean(c) mean(g) + mean(h), which squares no c bound and so stays
     finite on a domain that reaches 1e300 in c."""
-    dom = _subdomain(field, domain)
+    dom = field.domain
     g_int = field.g.integrate(dom.t_min, dom.t_max)
     h_int = field.h.integrate(dom.t_min, dom.t_max)
     c_mean = 0.5 * dom.c_min + 0.5 * dom.c_max
     return (c_mean * g_int + h_int) / (dom.t_max - dom.t_min)
 
 
-def mean_risk_simpson(
-    field: RiskField, domain: Rectangle | None = None, cells: int = 400
-) -> float:
+def mean_risk_simpson(field: RiskField, cells: int = 400) -> float:
     """Composite 2-D Simpson quadrature of the mean; numeric crosscheck.
 
     With weights w on both axes, the grid sum of w_i w_j R(t_j, c_i) is
@@ -197,7 +181,7 @@ def mean_risk_simpson(
     """
     if cells % 2 != 0:
         raise ValueError("Simpson rule needs an even cell count")
-    dom = _subdomain(field, domain)
+    dom = field.domain
     w = np.ones(cells + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -245,12 +229,12 @@ def _uniform_into(rng, low: float, high: float, out: np.ndarray) -> None:
 
 def monte_carlo_region_area(
     field: RiskField,
-    domain: Rectangle | None = None,
     threshold: float = 1.0,
     samples: int = 10**6,
     seed: int = 0,
 ) -> RegionArea:
-    """Seeded uniform-sampling estimate of the super-level area.
+    """Seeded uniform-sampling estimate of the super-level area in the
+    field's domain.
 
     The sample is the first `samples` draws of t from ``default_rng(seed)``
     paired with the next `samples` draws of c, as if all the t were drawn
@@ -261,7 +245,7 @@ def monte_carlo_region_area(
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
-    dom = _subdomain(field, domain)
+    dom = field.domain
     t_rng = np.random.default_rng(seed)
     c_rng = np.random.default_rng(seed)
     c_rng.bit_generator.advance(int(samples))
@@ -288,12 +272,11 @@ def monte_carlo_region_area(
     return RegionArea(area, "monte_carlo", std_error, samples, seed)
 
 
-def _cuts(
-    field: RiskField, dom: Rectangle, level: float, slope_roots: tuple
-) -> dict[float, float | None]:
+def _cuts(field: RiskField, level: float) -> dict[float, float | None]:
     """Where c*(t) = (level - h(t))/g(t) may enter or leave D, increasing:
     each cut maps to the c edge c* crosses there, or to None at the ends of
-    the stage range and at slope_roots, the roots of g there."""
+    the stage range and at the field's slope_roots, the roots of g there."""
+    dom = field.domain
     g = field.g.trimmed()
     cuts = dict.fromkeys((dom.t_min, dom.t_max))
     for c_edge in (dom.c_min, dom.c_max):
@@ -301,7 +284,7 @@ def _cuts(
         cuts.update(dict.fromkeys(
             real_roots(crossing, dom.t_min, dom.t_max, ROOT_TOL), c_edge
         ))
-    cuts.update(dict.fromkeys(slope_roots))   # a root of g wins a tie
+    cuts.update(dict.fromkeys(field.slope_roots))   # a root of g wins a tie
     return dict(sorted(cuts.items()))
 
 
@@ -335,31 +318,25 @@ def _gauss_kronrod(f, lo, hi, tol: float, budget: int):
 
 
 def risk_region_area(
-    field: RiskField,
-    domain: Rectangle | None = None,
-    threshold: float = 1.0,
-    tol: float = 1e-10,
-    seed: int = 0,
+    field: RiskField, threshold: float = 1.0, seed: int = 0
 ) -> RegionArea:
-    """Area of {(t, c) in D : R(t, c) >= threshold}.
+    """Area of {(t, c) in D : R(t, c) >= threshold}, D the field's domain.
 
     With dR/dc of one sign on the stage range the region is bounded by the
     graph of c*(t) = (threshold - h(t))/g(t), and the area reduces to a 1-D
     integral of the clamped column length.  The integrand is analytic
     between the cuts of `_cuts`, so a globally adaptive Gauss-Kronrod rule
-    takes all the pieces at once, to the absolute error target tol or
+    takes all the pieces at once, to the absolute error target QUAD_TOL or
     until QUAD_BUDGET evaluations are spent.  If g changes sign inside the
     range the reduction is invalid and a seeded Monte Carlo estimate is
     returned instead.
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    dom = _subdomain(field, domain)
-    g = field.g.trimmed()
-
-    roots = real_roots(g, dom.t_min, dom.t_max, ROOT_TOL) if g.degree >= 0 else ()
-    if g.degree < 0 or roots:
-        return monte_carlo_region_area(field, dom, threshold, seed=seed)
+    dom = field.domain
+    g = field.g
+    if g.is_zero() or field.slope_roots:
+        return monte_carlo_region_area(field, threshold, seed=seed)
     positive = g(0.5 * (dom.t_min + dom.t_max)) > 0.0
 
     def column_length(t: np.ndarray) -> np.ndarray:
@@ -367,9 +344,9 @@ def risk_region_area(
         c_star = np.clip((threshold - h_t) / g_t, dom.c_min, dom.c_max)
         return dom.c_max - c_star if positive else c_star - dom.c_min
 
-    cuts = list(_cuts(field, dom, threshold, roots))
+    cuts = list(_cuts(field, threshold))
     area, error, evaluations = _gauss_kronrod(
-        column_length, cuts[:-1], cuts[1:], tol, QUAD_BUDGET)
+        column_length, cuts[:-1], cuts[1:], QUAD_TOL, QUAD_BUDGET)
     return RegionArea(min(max(area, 0.0), dom.area), "reduction",
                       error_estimate=error, evaluations=evaluations)
 
@@ -389,15 +366,16 @@ class LevelCurveSet:
         }
 
 
-def _level_polylines(field, dom, level, roots, ts, dc) -> tuple:
-    """The polylines of {R = level} in dom; see level_curves."""
+def _level_polylines(field, level, ts, dc) -> tuple:
+    """The polylines of {R = level} in the field's domain; see level_curves."""
+    dom, roots = field.domain, field.slope_roots
     g, h, gp, hp = field.g, field.h, field.g_prime, field.h_prime
     if g.is_zero():   # R = h(t): R = level on the lines t = t0 where h(t0) = level
         saddles, cuts = real_roots(level - h, dom.t_min, dom.t_max, ROOT_TOL), {}
     else:   # roots of g where h is as near the level as R moves over ROOT_TOL
         saddles = tuple(t0 for t0 in roots if abs(h(t0) - level) <= ROOT_TOL * (
             1.0 + abs(hp(t0)) + abs(gp(t0)) * max(-dom.c_min, dom.c_max)))
-        cuts = _cuts(field, dom, level, roots)
+        cuts = _cuts(field, level)
 
     def end(t: float) -> float:
         # The edge c* crosses at the cut, or at a root of g its limit
@@ -429,10 +407,16 @@ def _level_polylines(field, dom, level, roots, ts, dc) -> tuple:
             t, c = np.insert(t, steep, t_mid), np.insert(c, steep, graph(t_mid))
         lines.append((t, c))
     lines.extend(((t0, t0), (dom.c_min, dom.c_max)) for t0 in saddles)
-    return tuple(
-        tuple(zip(np.round(t, 9).tolist(), np.round(c, 9).tolist()))
-        for t, c in lines
-    )
+    return tuple(tuple(zip(_round9(t), _round9(c))) for t, c in lines)
+
+
+def _round9(x) -> list[float]:
+    """x rounded to 9 decimals by np.round, which scales by 1e9: where
+    that overflows, |x| is above about 1.8e299, has no decimals to round
+    and is kept as it is."""
+    with np.errstate(over="ignore"):
+        rounded = np.round(x, 9)
+    return np.where(np.isinf(rounded), x, rounded).tolist()
 
 
 def level_curves(
@@ -442,6 +426,8 @@ def level_curves(
     grid: int = 256,
 ) -> list[LevelCurveSet]:
     """Level sets {R = L} in D as polylines, from the boundary graph.
+
+    D is the field's domain, or `domain` when one is given.
 
     R is affine in c, so the level set is the graph c*(t) = (L - h(t))/g(t)
     wherever that lies in D.  Each piece between consecutive cuts whose
@@ -454,12 +440,13 @@ def level_curves(
         raise ValueError("grid must be at least 16 cells per axis")
     if not all(math.isfinite(level) for level in levels):
         raise ValueError("levels must be finite")
-    dom = _subdomain(field, domain)
-    roots = real_roots(field.g, dom.t_min, dom.t_max, ROOT_TOL)
+    if domain is not None:
+        field = field.with_domain(domain)
+    dom = field.domain
     ts = np.linspace(dom.t_min, dom.t_max, grid + 1)
     dc = (dom.c_max - dom.c_min) / grid
     return [
-        LevelCurveSet(level, _level_polylines(field, dom, level, roots, ts, dc))
+        LevelCurveSet(level, _level_polylines(field, level, ts, dc))
         for level in map(float, levels)
     ]
 
@@ -467,29 +454,28 @@ def level_curves(
 def build_analysis_report(
     field: RiskField,
     curves: list[LevelCurveSet],
-    domain: Rectangle | None = None,
     threshold: float = 1.0,
     seed: int = 0,
     mc_samples: int = 10**6,
 ) -> dict:
     """Full analysis bundle in plain-JSON form, with curves as its level sets."""
-    dom = _subdomain(field, domain)
-    certificate = certify_no_critical_points(field.with_domain(dom))
-    region = risk_region_area(field, dom, threshold, seed=seed)
+    dom = field.domain
+    certificate = certify_no_critical_points(field)
+    region = risk_region_area(field, threshold, seed=seed)
     # A fallback with the cross-check's samples is the cross-check itself.
     if region.method == "monte_carlo" and region.samples == mc_samples:
         crosscheck = region
     else:
         crosscheck = monte_carlo_region_area(
-            field, dom, threshold, samples=mc_samples, seed=seed
+            field, threshold, samples=mc_samples, seed=seed
         )
     return {
         "field": field.as_json_dict(),
         "domain": dom.as_json_dict(),
         "threshold": threshold,
         "certificate": certificate.as_json_dict(),
-        "mean_risk": mean_risk(field, dom),
-        "mean_risk_simpson": mean_risk_simpson(field, dom),
+        "mean_risk": mean_risk(field),
+        "mean_risk_simpson": mean_risk_simpson(field),
         "region_area": region.area,
         "region_area_method": region.method,
         "region_area_std_error": region.std_error,

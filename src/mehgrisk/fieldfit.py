@@ -17,12 +17,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .polynomial import Polynomial
+from .polynomial import ROOT_TOL, Polynomial, real_roots
 
 DEGREE = 4
 NODE_COUNT = DEGREE + 1
@@ -238,7 +239,8 @@ class RiskField:
 
     The one field kernel: g = dR/dc, h = R(t, 0) and their t-derivatives
     g' and h' are built once, with the field, and every layer reads the
-    field's derivatives from them.
+    field's derivatives from them.  The domain is the one rectangle every
+    analysis, geometry and plot of the field covers.
     """
 
     a: tuple[float, float, float, float, float]
@@ -270,6 +272,12 @@ class RiskField:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g_prime", g.derivative())
         object.__setattr__(self, "h_prime", h.derivative())
+
+    @cached_property
+    def slope_roots(self) -> tuple[float, ...]:
+        """The roots of g = dR/dc on the stage range, searched on first use."""
+        d = self.domain
+        return real_roots(self.g, d.t_min, d.t_max, ROOT_TOL)
 
     def evaluate(self, t, c):
         """R at points (t, c); t and c are floats or broadcastable arrays.

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldfit import Rectangle, RiskField
-from .polynomial import Polynomial, real_roots
-from .stagemap import DEFAULT_STAGE_MAP, StageMap
-
-ROOT_TOL = 1e-10
+from .fieldfit import RiskField
+from .polynomial import ROOT_TOL, Polynomial, real_roots
+from .stagemap import DEFAULT_STAGE_MAP
 
 # Search interval for zero-curvature stages: wider than the field domain
 # on the right because the oldest critical age sits just past stage 5.
@@ -77,33 +75,32 @@ class CurvatureReport:
 
 
 def _loci(
-    field: RiskField,
-    search: tuple[float, float],
-    stage_map: StageMap,
-    dom: Rectangle,
+    field: RiskField, search: tuple[float, float]
 ) -> tuple[ZeroLocus, ...]:
     q = mixed_partial_cubic(field)
     roots = real_roots(q, search[0], search[1], ROOT_TOL)
+    dom = field.domain
     loci = []
     for t in roots:
         loci.append(
             ZeroLocus(
                 stage=t,
-                age_years=stage_map.age(t),
+                age_years=DEFAULT_STAGE_MAP.age(t),
                 in_domain=dom.t_min <= t <= dom.t_max,
-                extrapolated=stage_map.is_extrapolated(t),
+                extrapolated=DEFAULT_STAGE_MAP.is_extrapolated(t),
             )
         )
     return tuple(loci)
 
 
-def _max_curvature_affine(field: RiskField, dom: Rectangle) -> float:
+def _max_curvature_affine(field: RiskField) -> float:
     """Supremum of K over the rectangle for an affine-in-c field.
 
     For fixed t, K = -q^2 / (1 + R_t^2 + g^2)^2 is largest where R_t^2
     is, and R_t = h' + c q is linear in c, so at an end of the
     c-interval.  A dense stage grid then resolves the 1-D problem.
     """
+    dom = field.domain
     ts = np.linspace(dom.t_min, dom.t_max, 4097)
     q, hp, g = field.g_prime(ts), field.h_prime(ts), field.g(ts)
     r_t = np.maximum(np.abs(hp + dom.c_min * q), np.abs(hp + dom.c_max * q))
@@ -111,19 +108,16 @@ def _max_curvature_affine(field: RiskField, dom: Rectangle) -> float:
 
 
 def certify_hadamard(
-    field: RiskField,
-    domain: Rectangle | None = None,
-    search: tuple[float, float] = DEFAULT_SEARCH,
-    stage_map: StageMap = DEFAULT_STAGE_MAP,
+    field: RiskField, search: tuple[float, float] = DEFAULT_SEARCH
 ) -> CurvatureReport:
     """Certificate that the surface has nonpositive curvature everywhere.
 
     The sign is structural: the curvature numerator is -(q(t))^2.  The
-    report still carries the domain supremum of K, which is 0 exactly
-    when a root of q falls inside the stage range.
+    report still carries the supremum of K over the field's domain, which
+    is 0 exactly when a root of q falls inside the stage range.
     """
-    dom = field.domain if domain is None else domain
-    loci = _loci(field, search, stage_map, dom)
+    dom = field.domain
+    loci = _loci(field, search)
     q = field.g_prime.trimmed()
     if q.degree < 0:
         return CurvatureReport(
@@ -135,7 +129,7 @@ def certify_hadamard(
     if any(dom.t_min <= locus.stage <= dom.t_max for locus in loci):
         max_k = 0.0
     else:
-        max_k = _max_curvature_affine(field, dom)
+        max_k = _max_curvature_affine(field)
     return CurvatureReport(
         max_curvature_on_domain=max_k,
         zero_loci=loci,
@@ -144,24 +138,17 @@ def certify_hadamard(
 
 
 def critical_ages(
-    field: RiskField,
-    search: tuple[float, float] = DEFAULT_SEARCH,
-    stage_map: StageMap = DEFAULT_STAGE_MAP,
+    field: RiskField, search: tuple[float, float] = DEFAULT_SEARCH
 ) -> CurvatureReport:
     """Zero-curvature stages in the search interval, with mapped ages."""
-    return certify_hadamard(field, search=search, stage_map=stage_map)
+    return certify_hadamard(field, search=search)
 
 
 def build_geometry_report(
-    field: RiskField,
-    domain: Rectangle | None = None,
-    search: tuple[float, float] = DEFAULT_SEARCH,
-    stage_map: StageMap = DEFAULT_STAGE_MAP,
+    field: RiskField, search: tuple[float, float] = DEFAULT_SEARCH
 ) -> dict:
     """Curvature certificate and critical ages in plain-JSON form."""
-    report = certify_hadamard(
-        field, domain=domain, search=search, stage_map=stage_map
-    )
+    report = certify_hadamard(field, search=search)
     q = mixed_partial_cubic(field)
     loci = []
     for locus in report.zero_loci:

@@ -17,6 +17,8 @@ _EPS = 1e-12
 # Log of the relative size below which real_roots drops a polynomial's
 # top term on its interval: the Sturm chain's own noise threshold.
 _NEGLIGIBLE = math.log(_EPS)
+# Width to which real_roots brackets each root.
+ROOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -243,7 +245,7 @@ def isolate_roots(
 
 
 def bisect_root(
-    p: Polynomial, lo: float, hi: float, tol: float = 1e-10
+    p: Polynomial, lo: float, hi: float, tol: float = ROOT_TOL
 ) -> float:
     """Refine a sign-change bracket by bisection to width tol."""
     flo, fhi = p(lo), p(hi)
@@ -281,7 +283,7 @@ def _sign_change_roots(p: Polynomial, a: float, b: float, tol: float) -> list:
 
 
 def real_roots(
-    p: Polynomial, a: float, b: float, tol: float = 1e-10
+    p: Polynomial, a: float, b: float, tol: float = ROOT_TOL
 ) -> tuple[float, ...]:
     """Distinct real roots of p in the closed interval [a, b], sorted.
 

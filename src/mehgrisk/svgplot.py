@@ -16,6 +16,10 @@ from .analysis import LevelCurveSet
 from .fieldfit import Rectangle, RiskField
 from .stagemap import DEFAULT_STAGE_MAP, StageMap
 
+# Plots cover the field's domain; the flow portrait has ARROW_GRID^2
+# gradient arrows and the curvature profile PROFILE_SAMPLES + 1 points.
+ARROW_GRID = 15
+PROFILE_SAMPLES = 400
 WIDTH = 640
 HEIGHT = 480
 MARGIN_L = 64
@@ -106,9 +110,9 @@ class _Canvas:
 
     def axes(
         self,
-        x_label: str,
-        y_label: str,
-        stage_map: StageMap | None = None,
+        x_label: str = "stage t (age below)",
+        y_label: str = "concentration c (mg/kg)",
+        stage_map: StageMap | None = DEFAULT_STAGE_MAP,
     ) -> None:
         w = self.world
         frame_color = "#333333"
@@ -169,15 +173,9 @@ def _fmt(v: float) -> str:
 
 
 def contour_plot_svg(
-    field: RiskField,
-    curve_sets: list[LevelCurveSet],
-    path: str | Path,
-    domain: Rectangle | None = None,
-    stage_map: StageMap = DEFAULT_STAGE_MAP,
-    title: str = "Risk level curves",
+    field: RiskField, curve_sets: list[LevelCurveSet], path: str | Path
 ) -> None:
-    dom = domain or field.domain
-    canvas = _Canvas(dom, title)
+    canvas = _Canvas(field.domain, "Risk level curves")
     for idx, cset in enumerate(curve_sets):
         color = PALETTE[idx % len(PALETTE)]
         for line in cset.polylines:
@@ -188,7 +186,7 @@ def contour_plot_svg(
                 canvas.x(t0) + 6, canvas.y(c0) - 4, f"R={_fmt(cset.level)}",
                 size=10, anchor="start", color=color,
             )
-    canvas.axes("stage t (age below)", "concentration c (mg/kg)", stage_map)
+    canvas.axes()
     _write(canvas, path)
 
 
@@ -197,8 +195,6 @@ def region_plot_svg(
     threshold: float,
     boundary: LevelCurveSet,
     path: str | Path,
-    domain: Rectangle | None = None,
-    stage_map: StageMap = DEFAULT_STAGE_MAP,
 ) -> None:
     """Shade {R >= threshold} from its boundary curve and overlay it.
 
@@ -208,7 +204,7 @@ def region_plot_svg(
     dR/dc > 0 and c_min where it is negative.  Between the intervals
     R - threshold keeps one sign, read at the middle of each gap.
     """
-    dom = domain or field.domain
+    dom = field.domain
     canvas = _Canvas(dom, f"Critical-risk region R ≥ {_fmt(threshold)}")
     ends = []
     for line in boundary.polylines:
@@ -224,26 +220,19 @@ def region_plot_svg(
             canvas.rect_world(lo, dom.c_min, hi, dom.c_max, "#d62728", 0.25)
     for line in boundary.polylines:
         canvas.polyline(line, "#d62728", 2.0)
-    canvas.axes("stage t (age below)", "concentration c (mg/kg)", stage_map)
+    canvas.axes()
     _write(canvas, path)
 
 
-def flow_portrait_svg(
-    field: RiskField,
-    trajectories,
-    path: str | Path,
-    domain: Rectangle | None = None,
-    stage_map: StageMap = DEFAULT_STAGE_MAP,
-    arrow_grid: int = 15,
-) -> None:
+def flow_portrait_svg(field: RiskField, trajectories, path: str | Path) -> None:
     """Normalized gradient arrows plus integrated trajectories."""
-    dom = domain or field.domain
+    dom = field.domain
     canvas = _Canvas(dom, "Gradient flow of the risk field")
-    arrow_px = 0.45 * (WIDTH - MARGIN_L - MARGIN_R) / arrow_grid
-    for i in range(arrow_grid):
-        for j in range(arrow_grid):
-            t = dom.t_min + (i + 0.5) * (dom.t_max - dom.t_min) / arrow_grid
-            c = dom.c_min + (j + 0.5) * (dom.c_max - dom.c_min) / arrow_grid
+    arrow_px = 0.45 * (WIDTH - MARGIN_L - MARGIN_R) / ARROW_GRID
+    for i in range(ARROW_GRID):
+        for j in range(ARROW_GRID):
+            t = dom.t_min + (i + 0.5) * (dom.t_max - dom.t_min) / ARROW_GRID
+            c = dom.c_min + (j + 0.5) * (dom.c_max - dom.c_min) / ARROW_GRID
             dt_val = field.partial_t(t, c)
             dc_val = field.partial_c(t)
             norm = math.hypot(dt_val, dc_val)
@@ -273,7 +262,7 @@ def flow_portrait_svg(
                 f'<circle cx="{canvas.x(t0):.2f}" cy="{canvas.y(c0):.2f}" '
                 f'r="3" fill="{PALETTE[idx % len(PALETTE)]}"/>'
             )
-    canvas.axes("stage t (age below)", "concentration c (mg/kg)", stage_map)
+    canvas.axes()
     _write(canvas, path)
 
 
@@ -282,13 +271,12 @@ def curvature_profile_svg(
     path: str | Path,
     search: tuple[float, float] = (1.0, 6.0),
     zero_stages: tuple[float, ...] = (),
-    samples: int = 400,
 ) -> None:
     """Profile of the curvature numerator k(t) = -(q(t))^2 over the search range."""
     q = field.g_prime
     ts = [
-        search[0] + i * (search[1] - search[0]) / samples
-        for i in range(samples + 1)
+        search[0] + i * (search[1] - search[0]) / PROFILE_SAMPLES
+        for i in range(PROFILE_SAMPLES + 1)
     ]
     ks = [-(q(t) ** 2) for t in ts]
     lo = min(ks)
@@ -299,7 +287,7 @@ def curvature_profile_svg(
     for t in zero_stages:
         canvas.line(t, world.c_min, t, world.c_max, "#d62728", 1.0, "5 4")
         canvas.text(canvas.x(t), MARGIN_T + 14, f"t={t:.2f}", size=10, color="#d62728")
-    canvas.axes("stage t", "k(t)")
+    canvas.axes("stage t", "k(t)", None)
     _write(canvas, path)
 
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mehgrisk import analysis
+from mehgrisk import analysis, polynomial
 from mehgrisk.analysis import (
     LevelCurveSet,
     build_analysis_report,
@@ -28,6 +29,7 @@ from mehgrisk.fieldfit import (
     build_field,
     published_field,
 )
+from mehgrisk.cli import main
 from mehgrisk.polynomial import real_roots
 
 DOMAIN = Rectangle(1.0, 5.0, 0.2, 3.5)
@@ -185,12 +187,9 @@ def test_mean_risk_simpson_agreement():
 
 
 def test_mean_risk_subdomain():
-    f = published_field()
-    sub = Rectangle(2.0, 3.0, 1.0, 2.0)
-    simpson = mean_risk_simpson(f, sub)
-    assert math.isclose(mean_risk(f, sub), simpson, rel_tol=1e-10, abs_tol=1e-10)
-    with pytest.raises(ValueError):
-        mean_risk(f, Rectangle(0.0, 5.0, 0.2, 3.5))
+    sub = published_field().with_domain(Rectangle(2.0, 3.0, 1.0, 2.0))
+    simpson = mean_risk_simpson(sub)
+    assert math.isclose(mean_risk(sub), simpson, rel_tol=1e-10, abs_tol=1e-10)
 
 
 def test_region_area_published():
@@ -396,6 +395,41 @@ def test_analysis_report_reuses_the_fallback(monkeypatch):
     report = build_analysis_report(f, [], seed=4, mc_samples=10**4)
     assert len(calls) == 3
     assert report["region_area_monte_carlo"]["samples"] == 10**4
+
+
+def _slope_root_searches(monkeypatch, g) -> list:
+    """Count real_roots calls on the polynomial g, at every name in the
+    package that binds real_roots: one entry per call."""
+    calls = []
+    search = polynomial.real_roots
+
+    def counted(p, *args, **kwargs):
+        if p.trimmed() == g.trimmed():
+            calls.append(args)
+        return search(p, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "mehgrisk" and (
+            getattr(module, "real_roots", None) is search
+        ):
+            monkeypatch.setattr(module, "real_roots", counted)
+    return calls
+
+
+def test_slope_roots_are_searched_once_per_field(monkeypatch, tmp_path):
+    # The certificate, each region and each level-curve call used to
+    # search the roots of g = dR/dc again: 3 in analyze, 5 in a sweep.
+    calls = _slope_root_searches(monkeypatch, published_field().g)
+    assert main(["analyze", "--paper-dataset", "--grid", "16",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    f = published_field()
+    certify_no_critical_points(f)
+    for threshold in (1.0, 4.0, 8.0):
+        risk_region_area(f, threshold=threshold)
+    level_curves(f, levels=(1.0,), grid=16)
+    assert len(calls) == 1
 
 
 NONFINITE_PROBE = """

@@ -579,6 +579,25 @@ def test_wide_concentration_domain_mean_is_finite(command, tmp_path, fresh_pytho
         assert not out.exists()
 
 
+def test_wide_concentration_domain_vertices_are_finite(tmp_path):
+    # Vertices are rounded to 9 decimals by np.round, which scales by 1e9:
+    # the level-1 line's vertex at c = 1e300 became inf, and analyze exited
+    # 2 refusing analysis.json.  RuntimeWarnings fail tests here.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "a": [0.0] * 5, "b": list(PUBLISHED_B),
+        "domain": {"t": [1.0, 5.0], "c": [0.0, 1e300]},
+    }))
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(path), "--grid", "16",
+                 "--out", str(out)]) == 0
+    levels = read_json(out / "analysis.json")["levels"]
+    vertices = [x for level in levels for line in level["polylines"]
+                for vertex in line for x in vertex]
+    assert 1e300 in vertices
+    assert all(map(math.isfinite, vertices))
+
+
 PROFILE_HEADER = (
     "group,age_min,age_max,body_weight_kg,intake_g_per_month,"
     "portions_per_month,concentration_mg_per_kg,rfd,substitution_fraction\n"

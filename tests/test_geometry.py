@@ -119,7 +119,7 @@ def test_zero_loci_flags_and_age_consistency():
 
 def test_certificate_away_from_loci_is_strictly_negative():
     report = certify_hadamard(
-        published_field(), domain=Rectangle(4.0, 5.0, 0.2, 3.5)
+        published_field().with_domain(Rectangle(4.0, 5.0, 0.2, 3.5))
     )
     assert report.is_hadamard
     assert report.max_curvature_on_domain < 0.0

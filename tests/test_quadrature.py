@@ -181,7 +181,7 @@ def test_region_area_stops_at_its_budget(budget, monkeypatch):
     monkeypatch.setattr(analysis, "QUAD_BUDGET", budget)
     f = published_field()
     region = risk_region_area(f)
-    pieces = len(analysis._cuts(f, f.domain, 1.0, ())) - 1
+    pieces = len(analysis._cuts(f, 1.0)) - 1
     assert region.evaluations == 15 * pieces + budget
     assert region.error_estimate > 1e-10
     want = reference_area(f, f.domain, 1.0)
@@ -251,7 +251,7 @@ def exact_simpson_mean(field: RiskField, dom: Rectangle, cells: int) -> float:
 def test_collapsed_simpson_mean_equals_grid_sum(case, half_cells):
     field, dom = case
     cells = 2 * half_cells
-    got = mean_risk_simpson(field, dom, cells)
+    got = mean_risk_simpson(field.with_domain(dom), cells)
     # Ulps of the largest term |g| |c| + |h|, where cancellation leaves
     # the sums' rounding.
     g, h = field.slope_and_intercept(np.linspace(dom.t_min, dom.t_max, cells + 1))
