@@ -47,7 +47,6 @@ from .geometry import (
     CurvatureReport,
     ZeroLocus,
     certify_hadamard,
-    critical_ages,
     gaussian_curvature,
     mixed_partial_cubic,
     second_partials,
@@ -80,7 +79,6 @@ __all__ = [
     "check_no_recurrence",
     "consumption_limit_kg_per_day",
     "consumption_limit_meals_per_month",
-    "critical_ages",
     "exposure_factor",
     "field_from_coefficient_rows",
     "flow",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldfit import Rectangle, RiskField
-from .polynomial import ROOT_TOL, Polynomial, real_roots
+from .polynomial import ROOT_TOL, real_roots
 
 # Level-curve bisection in t resolves 2^-REFINE_ROUNDS of a t cell.
 REFINE_ROUNDS = 20
@@ -115,9 +115,8 @@ def certify_no_critical_points(field: RiskField) -> CriticalPointCertificate:
 
     # Minimum of g over the closed range: endpoints plus interior
     # stationary points of g.
-    candidates = [dom.t_min, dom.t_max]
-    candidates.extend(real_roots(gp, dom.t_min, dom.t_max, ROOT_TOL))
-    candidates.sort()
+    candidates = sorted([dom.t_min, dom.t_max, *(
+        t for t in field.g_prime_roots if dom.t_min <= t <= dom.t_max)])
     min_val = None
     min_at = dom.t_min
     for t in candidates:
@@ -272,22 +271,6 @@ def monte_carlo_region_area(
     return RegionArea(area, "monte_carlo", std_error, samples, seed)
 
 
-def _cuts(field: RiskField, level: float) -> dict[float, float | None]:
-    """Where c*(t) = (level - h(t))/g(t) may enter or leave D, increasing:
-    each cut maps to the c edge c* crosses there, or to None at the ends of
-    the stage range and at the field's slope_roots, the roots of g there."""
-    dom = field.domain
-    g = field.g.trimmed()
-    cuts = dict.fromkeys((dom.t_min, dom.t_max))
-    for c_edge in (dom.c_min, dom.c_max):
-        crossing = Polynomial.constant(level) - field.h - c_edge * g
-        cuts.update(dict.fromkeys(
-            real_roots(crossing, dom.t_min, dom.t_max, ROOT_TOL), c_edge
-        ))
-    cuts.update(dict.fromkeys(field.slope_roots))   # a root of g wins a tie
-    return dict(sorted(cuts.items()))
-
-
 def _gauss_kronrod(f, lo, hi, tol: float, budget: int):
     """Globally adaptive G7K15 quadrature of f over the intervals [lo, hi].
 
@@ -325,7 +308,7 @@ def risk_region_area(
     With dR/dc of one sign on the stage range the region is bounded by the
     graph of c*(t) = (threshold - h(t))/g(t), and the area reduces to a 1-D
     integral of the clamped column length.  The integrand is analytic
-    between the cuts of `_cuts`, so a globally adaptive Gauss-Kronrod rule
+    between the field's cuts, so a globally adaptive Gauss-Kronrod rule
     takes all the pieces at once, to the absolute error target QUAD_TOL or
     until QUAD_BUDGET evaluations are spent.  If g changes sign inside the
     range the reduction is invalid and a seeded Monte Carlo estimate is
@@ -344,7 +327,7 @@ def risk_region_area(
         c_star = np.clip((threshold - h_t) / g_t, dom.c_min, dom.c_max)
         return dom.c_max - c_star if positive else c_star - dom.c_min
 
-    cuts = list(_cuts(field, threshold))
+    cuts = list(field.cuts(threshold))
     area, error, evaluations = _gauss_kronrod(
         column_length, cuts[:-1], cuts[1:], QUAD_TOL, QUAD_BUDGET)
     return RegionArea(min(max(area, 0.0), dom.area), "reduction",
@@ -375,7 +358,7 @@ def _level_polylines(field, level, ts, dc) -> tuple:
     else:   # roots of g where h is as near the level as R moves over ROOT_TOL
         saddles = tuple(t0 for t0 in roots if abs(h(t0) - level) <= ROOT_TOL * (
             1.0 + abs(hp(t0)) + abs(gp(t0)) * max(-dom.c_min, dom.c_max)))
-        cuts = _cuts(field, level)
+        cuts = field.cuts(level)
 
     def end(t: float) -> float:
         # The edge c* crosses at the cut, or at a root of g its limit

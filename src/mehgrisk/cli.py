@@ -324,15 +324,8 @@ def cmd_analyze(config: RunConfig, field_obj: RiskField) -> Output:
 
 
 def cmd_geometry(config: RunConfig, field_obj: RiskField) -> Output:
-    dom = config.domain
-    search = (dom.t_min, dom.t_max) if dom else geometry.DEFAULT_SEARCH
-    report = geometry.build_geometry_report(field_obj, search=search)
-    zero_stages = tuple(z["stage"] for z in report["zero_loci"])
-    return {"geometry.json": report}, {
-        "curvature.svg": partial(
-            svgplot.curvature_profile_svg, field_obj, search=search,
-            zero_stages=zero_stages,
-        ),
+    return {"geometry.json": geometry.build_geometry_report(field_obj)}, {
+        "curvature.svg": partial(svgplot.curvature_profile_svg, field_obj),
     }
 
 

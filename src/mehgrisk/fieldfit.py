@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -74,6 +75,10 @@ class Rectangle:
 
 
 DEFAULT_DOMAIN = Rectangle(1.0, 5.0, 0.2, 3.5)
+# Stages searched for zero curvature: wider than the default domain on the
+# right because the oldest critical age sits just past stage 5.  A field's
+# search range is this one widened to cover its own stage range.
+DEFAULT_SEARCH = (1.0, 6.0)
 
 # Interpolation nodes: the five stage boundaries.  Stage 1 (age one year)
 # carries risk 0 because fish consumption begins after the first year of
@@ -240,7 +245,9 @@ class RiskField:
     The one field kernel: g = dR/dc, h = R(t, 0) and their t-derivatives
     g' and h' are built once, with the field, and every layer reads the
     field's derivatives from them.  The domain is the one rectangle every
-    analysis, geometry and plot of the field covers.
+    analysis, geometry and plot of the field covers.  The root table
+    (slope_roots, g_prime_roots and cuts) holds every root search of the
+    field, each made once, on first use; the layers only read it.
     """
 
     a: tuple[float, float, float, float, float]
@@ -250,6 +257,9 @@ class RiskField:
     h: Polynomial = field(init=False, repr=False, compare=False)
     g_prime: Polynomial = field(init=False, repr=False, compare=False)
     h_prime: Polynomial = field(init=False, repr=False, compare=False)
+    _cut_memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.a) != NODE_COUNT or len(self.b) != NODE_COUNT:
@@ -275,9 +285,38 @@ class RiskField:
 
     @cached_property
     def slope_roots(self) -> tuple[float, ...]:
-        """The roots of g = dR/dc on the stage range, searched on first use."""
+        """The roots of g = dR/dc on the stage range."""
         d = self.domain
         return real_roots(self.g, d.t_min, d.t_max, ROOT_TOL)
+
+    @property
+    def search_range(self) -> tuple[float, float]:
+        """DEFAULT_SEARCH widened to cover the stage range."""
+        d = self.domain
+        return min(d.t_min, DEFAULT_SEARCH[0]), max(d.t_max, DEFAULT_SEARCH[1])
+
+    @cached_property
+    def g_prime_roots(self) -> tuple[float, ...]:
+        """The roots of g' on the search range: the stationary points of
+        dR/dc and the stages where the surface's curvature vanishes."""
+        return real_roots(self.g_prime, *self.search_range, ROOT_TOL)
+
+    def cuts(self, level: float) -> MappingProxyType:
+        """Where c*(t) = (level - h(t))/g(t) may enter or leave the domain,
+        increasing: each cut maps to the c edge c* crosses there, or to None
+        at the ends of the stage range and at the slope_roots.  Built once
+        per level and shared read-only."""
+        if level not in self._cut_memo:
+            d = self.domain
+            cuts = dict.fromkeys((d.t_min, d.t_max))
+            for c_edge in (d.c_min, d.c_max):
+                crossing = Polynomial.constant(level) - self.h - c_edge * self.g
+                cuts.update(dict.fromkeys(
+                    real_roots(crossing, d.t_min, d.t_max, ROOT_TOL), c_edge
+                ))
+            cuts.update(dict.fromkeys(self.slope_roots))   # a root of g wins a tie
+            self._cut_memo[level] = MappingProxyType(dict(sorted(cuts.items())))
+        return self._cut_memo[level]
 
     def evaluate(self, t, c):
         """R at points (t, c); t and c are floats or broadcastable arrays.
@@ -441,22 +480,19 @@ def _json_text(value, indent: str) -> str:
     )
 
 
-def build_field(
-    table: RiskTable, domain: Rectangle = DEFAULT_DOMAIN
-) -> RiskField:
+def build_field(table: RiskTable) -> RiskField:
     """Interpolate each concentration row, then regress per power of t."""
     if len(table.concentrations) < 2:
         raise ValueError("need at least two concentrations to regress")
     rows = tuple(
         interpolate(table.nodes, row).coefficients for row in table.values
     )
-    return field_from_coefficient_rows(table.concentrations, rows, domain)
+    return field_from_coefficient_rows(table.concentrations, rows)
 
 
 def field_from_coefficient_rows(
     concentrations: tuple[float, ...],
     rows: tuple[tuple[float, ...], ...],
-    domain: Rectangle = DEFAULT_DOMAIN,
 ) -> RiskField:
     """Regress already-interpolated coefficient rows (ascending powers)."""
     if len(rows) != len(concentrations):
@@ -471,7 +507,7 @@ def field_from_coefficient_rows(
         slope, intercept = regress_linear(concentrations, ys)
         a.append(slope)
         b.append(intercept)
-    return RiskField(tuple(a), tuple(b), domain)
+    return RiskField(tuple(a), tuple(b))
 
 
 # Published field constants (ascending powers of t).  dR/dc at t = 1 sums

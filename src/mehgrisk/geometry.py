@@ -18,12 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldfit import RiskField
-from .polynomial import ROOT_TOL, Polynomial, real_roots
+from .polynomial import Polynomial
 from .stagemap import DEFAULT_STAGE_MAP
-
-# Search interval for zero-curvature stages: wider than the field domain
-# on the right because the oldest critical age sits just past stage 5.
-DEFAULT_SEARCH = (1.0, 6.0)
 
 
 def second_partials(
@@ -74,31 +70,27 @@ class CurvatureReport:
         return tuple(locus.stage for locus in self.zero_loci)
 
 
-def _loci(
-    field: RiskField, search: tuple[float, float]
-) -> tuple[ZeroLocus, ...]:
-    q = mixed_partial_cubic(field)
-    roots = real_roots(q, search[0], search[1], ROOT_TOL)
+def _loci(field: RiskField) -> tuple[ZeroLocus, ...]:
+    """The roots of q on the field's search range, with mapped ages."""
     dom = field.domain
-    loci = []
-    for t in roots:
-        loci.append(
-            ZeroLocus(
-                stage=t,
-                age_years=DEFAULT_STAGE_MAP.age(t),
-                in_domain=dom.t_min <= t <= dom.t_max,
-                extrapolated=DEFAULT_STAGE_MAP.is_extrapolated(t),
-            )
+    return tuple(
+        ZeroLocus(
+            stage=t,
+            age_years=DEFAULT_STAGE_MAP.age(t),
+            in_domain=dom.t_min <= t <= dom.t_max,
+            extrapolated=DEFAULT_STAGE_MAP.is_extrapolated(t),
         )
-    return tuple(loci)
+        for t in field.g_prime_roots
+    )
 
 
 def _max_curvature_affine(field: RiskField) -> float:
-    """Supremum of K over the rectangle for an affine-in-c field.
+    """Largest K over the rectangle on a 4097-point stage grid, for an
+    affine-in-c field: a lower estimate of the supremum, not a bound.
 
     For fixed t, K = -q^2 / (1 + R_t^2 + g^2)^2 is largest where R_t^2
     is, and R_t = h' + c q is linear in c, so at an end of the
-    c-interval.  A dense stage grid then resolves the 1-D problem.
+    c-interval; the grid samples the remaining 1-D problem.
     """
     dom = field.domain
     ts = np.linspace(dom.t_min, dom.t_max, 4097)
@@ -107,17 +99,17 @@ def _max_curvature_affine(field: RiskField) -> float:
     return float(np.max(-(q * q) / (1.0 + r_t * r_t + g * g) ** 2))
 
 
-def certify_hadamard(
-    field: RiskField, search: tuple[float, float] = DEFAULT_SEARCH
-) -> CurvatureReport:
-    """Certificate that the surface has nonpositive curvature everywhere.
+def certify_hadamard(field: RiskField) -> CurvatureReport:
+    """Certificate that the surface has nonpositive curvature everywhere,
+    with the zero-curvature stages on the field's search range.
 
     The sign is structural: the curvature numerator is -(q(t))^2.  The
-    report still carries the supremum of K over the field's domain, which
-    is 0 exactly when a root of q falls inside the stage range.
+    report still carries the largest K over the field's domain: 0 exactly
+    when a root of q falls inside the stage range, otherwise the largest
+    value on a dense stage grid.
     """
     dom = field.domain
-    loci = _loci(field, search)
+    loci = _loci(field)
     q = field.g_prime.trimmed()
     if q.degree < 0:
         return CurvatureReport(
@@ -137,18 +129,9 @@ def certify_hadamard(
     )
 
 
-def critical_ages(
-    field: RiskField, search: tuple[float, float] = DEFAULT_SEARCH
-) -> CurvatureReport:
-    """Zero-curvature stages in the search interval, with mapped ages."""
-    return certify_hadamard(field, search=search)
-
-
-def build_geometry_report(
-    field: RiskField, search: tuple[float, float] = DEFAULT_SEARCH
-) -> dict:
+def build_geometry_report(field: RiskField) -> dict:
     """Curvature certificate and critical ages in plain-JSON form."""
-    report = certify_hadamard(field, search=search)
+    report = certify_hadamard(field)
     q = mixed_partial_cubic(field)
     loci = []
     for locus in report.zero_loci:
@@ -172,6 +155,6 @@ def build_geometry_report(
         "curvature_identically_zero": report.curvature_identically_zero,
         "numerator_cubic": list(q.coefficients),
         "numerator_cubic_descending": q.format_descending("t"),
-        "search_interval": list(search),
+        "search_interval": list(field.search_range),
         "zero_loci": loci,
     }

@@ -2,8 +2,10 @@
 
 Coefficients are stored ascending by power, so ``Polynomial((c0, c1, c2))``
 is c0 + c1*x + c2*x**2.  Everything here runs on plain floats.  Degrees in
-this package stay small (at most five), which keeps the Sturm-sequence
-machinery below both exact and fast.
+this package stay small (at most five), which keeps the float Sturm chains
+below fast, though not exact: remainders below a relative threshold count
+as zero (`_cleanup`), and where a chain ends in a false common factor the
+roots come from sign changes between the roots of the derivative instead.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ _EPS = 1e-12
 _NEGLIGIBLE = math.log(_EPS)
 # Width to which real_roots brackets each root.
 ROOT_TOL = 1e-10
+# Bisection depth at which isolate_roots stops splitting a bracket.
+_MAX_DEPTH = 80
 
 
 @dataclass(frozen=True)
@@ -104,10 +108,11 @@ class Polynomial:
             tuple(k * c for k, c in enumerate(self.coefficients) if k > 0)
         )
 
-    def antiderivative(self, constant: float = 0.0) -> "Polynomial":
-        out = [float(constant)]
-        out.extend(c / (k + 1) for k, c in enumerate(self.coefficients))
-        return Polynomial(tuple(out))
+    def antiderivative(self) -> "Polynomial":
+        """The antiderivative that vanishes at 0."""
+        return Polynomial(
+            (0.0, *(c / (k + 1) for k, c in enumerate(self.coefficients)))
+        )
 
     def integrate(self, a: float, b: float) -> float:
         """Definite integral over [a, b] from the antiderivative."""
@@ -123,7 +128,7 @@ class Polynomial:
     def scale(self) -> float:
         return max(abs(c) for c in self.coefficients)
 
-    def format_descending(self, var: str = "t", digits: int = 6) -> str:
+    def format_descending(self, var: str = "t") -> str:
         """Human-readable form, highest power first, e.g. '-0.06 t^4 + ...'."""
         d = self.degree
         if d < 0:
@@ -133,7 +138,7 @@ class Polynomial:
             c = self.coefficients[k]
             if c == 0.0 and d > 0:
                 continue
-            mag = f"{abs(c):.{digits}g}"
+            mag = f"{abs(c):.6g}"
             if k == 0:
                 term = mag
             elif k == 1:
@@ -222,7 +227,7 @@ def count_roots(chain: list[Polynomial], a: float, b: float) -> int:
 
 
 def isolate_roots(
-    chain: list[Polynomial], a: float, b: float, max_depth: int = 80
+    chain: list[Polynomial], a: float, b: float
 ) -> list[tuple[float, float]]:
     """Brackets (lo, hi], each containing exactly one distinct root of the
     polynomial whose Sturm chain is given."""
@@ -234,7 +239,7 @@ def isolate_roots(
         lo, hi, n, depth = stack.pop()
         if n == 0:
             continue
-        if n == 1 or depth >= max_depth:
+        if n == 1 or depth >= _MAX_DEPTH:
             out.append((lo, hi))
             continue
         mid = 0.5 * (lo + hi)

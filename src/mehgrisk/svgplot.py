@@ -266,25 +266,22 @@ def flow_portrait_svg(field: RiskField, trajectories, path: str | Path) -> None:
     _write(canvas, path)
 
 
-def curvature_profile_svg(
-    field: RiskField,
-    path: str | Path,
-    search: tuple[float, float] = (1.0, 6.0),
-    zero_stages: tuple[float, ...] = (),
-) -> None:
-    """Profile of the curvature numerator k(t) = -(q(t))^2 over the search range."""
+def curvature_profile_svg(field: RiskField, path: str | Path) -> None:
+    """Profile of the curvature numerator k(t) = -(q(t))^2 over the field's
+    search range, with its zero stages marked."""
     q = field.g_prime
+    t_lo, t_hi = field.search_range
     ts = [
-        search[0] + i * (search[1] - search[0]) / PROFILE_SAMPLES
+        t_lo + i * (t_hi - t_lo) / PROFILE_SAMPLES
         for i in range(PROFILE_SAMPLES + 1)
     ]
     ks = [-(q(t) ** 2) for t in ts]
     lo = min(ks)
-    world = Rectangle(search[0], search[1], lo * 1.05 if lo < 0 else -1.0, max(0.5, -lo * 0.05))
+    world = Rectangle(t_lo, t_hi, lo * 1.05 if lo < 0 else -1.0, max(0.5, -lo * 0.05))
     canvas = _Canvas(world, "Curvature numerator -(q(t))² and its zero stages")
     canvas.line(world.t_min, 0.0, world.t_max, 0.0, "#888888", 1.0, "4 3")
     canvas.polyline(list(zip(ts, ks)), "#1f77b4", 1.8)
-    for t in zero_stages:
+    for t in field.g_prime_roots:
         canvas.line(t, world.c_min, t, world.c_max, "#d62728", 1.0, "5 4")
         canvas.text(canvas.x(t), MARGIN_T + 14, f"t={t:.2f}", size=10, color="#d62728")
     canvas.axes("stage t", "k(t)", None)

@@ -45,7 +45,7 @@ from mehgrisk.fieldfit import (
     regress_linear,
 )
 from mehgrisk.geometry import (
-    critical_ages,
+    certify_hadamard,
     gaussian_curvature,
     mixed_partial_cubic,
     second_partials,
@@ -143,7 +143,7 @@ def test_c03_no_critical_points(capsys):
 
 
 def test_c04_critical_ages(capsys):
-    report = critical_ages(published_field())
+    report = certify_hadamard(published_field())
     stages = report.zero_stages
     ages = report.critical_ages
     stage_targets = (1.85, 3.28, 5.59)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import sys
@@ -397,15 +398,16 @@ def test_analysis_report_reuses_the_fallback(monkeypatch):
     assert report["region_area_monte_carlo"]["samples"] == 10**4
 
 
-def _slope_root_searches(monkeypatch, g) -> list:
-    """Count real_roots calls on the polynomial g, at every name in the
-    package that binds real_roots: one entry per call."""
+def _root_searches(monkeypatch, g=None) -> list:
+    """Record real_roots calls, at every name in the package that binds
+    real_roots: one (coefficients, a, b, ...) entry per call, on the
+    polynomial g alone when g is given."""
     calls = []
     search = polynomial.real_roots
 
     def counted(p, *args, **kwargs):
-        if p.trimmed() == g.trimmed():
-            calls.append(args)
+        if g is None or p.trimmed() == g.trimmed():
+            calls.append((p.trimmed().coefficients, *args))
         return search(p, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -419,7 +421,7 @@ def _slope_root_searches(monkeypatch, g) -> list:
 def test_slope_roots_are_searched_once_per_field(monkeypatch, tmp_path):
     # The certificate, each region and each level-curve call used to
     # search the roots of g = dR/dc again: 3 in analyze, 5 in a sweep.
-    calls = _slope_root_searches(monkeypatch, published_field().g)
+    calls = _root_searches(monkeypatch, published_field().g)
     assert main(["analyze", "--paper-dataset", "--grid", "16",
                  "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
@@ -430,6 +432,65 @@ def test_slope_roots_are_searched_once_per_field(monkeypatch, tmp_path):
         risk_region_area(f, threshold=threshold)
     level_curves(f, levels=(1.0,), grid=16)
     assert len(calls) == 1
+
+
+def test_report_searches_each_polynomial_once(monkeypatch, tmp_path):
+    # A report used to make 19 searches: g' on [1, 5] for the certificate
+    # and on [1, 6] for the curvature, and the threshold's two edge
+    # crossings once for the region and again for the level-1 curve.
+    calls = _root_searches(monkeypatch)
+    assert main(["report", "--paper-dataset", "--grid", "16",
+                 "--out", str(tmp_path / "out")]) == 0
+    f = published_field()
+    per_polynomial = collections.Counter(coefficients for coefficients, *_ in calls)
+    assert per_polynomial.pop(f.g.trimmed().coefficients) == 1
+    assert per_polynomial.pop(f.g_prime.trimmed().coefficients) == 1
+    assert sum(per_polynomial.values()) == 14   # 7 levels x 2 c edges
+    assert len(calls) == len(set(calls)) == 16
+
+
+def _sub_domains():
+    """Stage and concentration ranges inside [0.5, 8] x [-1, 5]."""
+    return st.builds(
+        lambda t0, dt, c0, dc: Rectangle(t0, t0 + dt, c0, c0 + dc),
+        st.floats(0.5, 5.0), st.floats(0.01, 3.0),
+        st.floats(-1.0, 2.0), st.floats(0.01, 3.0),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    a=st.tuples(*[st.floats(-2.0, 2.0)] * 5),
+    b=st.tuples(*[st.floats(-2.0, 2.0)] * 5),
+    dom=_sub_domains(),
+    levels=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
+)
+def test_root_table_matches_fresh_searches(a, b, dom, levels):
+    f = RiskField(a, b).with_domain(dom)
+    # The certificate's minimum of dR/dc, from the field's one search of
+    # g' on its search range, against candidates searched on [t_min, t_max].
+    cert = certify_no_critical_points(f)
+    if "identically" not in cert.method:   # g = 0: no minimum is searched
+        g = f.g
+        fresh = sorted([dom.t_min, dom.t_max,
+                        *real_roots(f.g_prime, dom.t_min, dom.t_max)])
+        values = [g(t) for t in fresh]
+        want = min(values)
+        want_at = fresh[values.index(want)]
+        # 1e-12 of the size of g's terms: the rounding of g itself.
+        size = sum(abs(ak) * dom.t_max**k for k, ak in enumerate(a))
+        assert abs(cert.min_dRdc - want) <= 1e-12 * size
+        assert g(cert.min_dRdc_at) == cert.min_dRdc
+        # The same point up to the roots' bracket width, or a tie in g.
+        assert (abs(cert.min_dRdc_at - want_at) <= polynomial.ROOT_TOL
+                or abs(g(want_at) - cert.min_dRdc) <= 1e-12 * size)
+    # Cuts memoized per level equal an uncached build on a fresh field,
+    # whichever levels were cut before, and are built once.
+    memo = [f.cuts(level) for level in levels]
+    for level, cuts in zip(levels, memo):
+        assert f.cuts(level) is cuts
+        assert cuts == RiskField(a, b).with_domain(dom).cuts(level)
+        assert list(cuts) == sorted(cuts)
 
 
 NONFINITE_PROBE = """

@@ -158,15 +158,35 @@ def test_field_json_as_input(tmp_path):
 
 
 def test_geometry_domain_restriction(tmp_path):
+    # The search range is [1, 6] widened to the field's stage range, so a
+    # narrower domain keeps the three zero stages, none of them inside it.
     out = tmp_path / "out"
     assert run(
         "geometry", "--paper-dataset", "--domain", "4,5,0.2,3.5",
         "--out", str(out),
     ) == 0
     report = read_json(out / "geometry.json")
-    assert report["search_interval"] == [4.0, 5.0]
-    assert report["zero_loci"] == []
+    assert report["search_interval"] == [1.0, 6.0]
+    assert len(report["zero_loci"]) == 3
+    assert not any(locus["in_domain"] for locus in report["zero_loci"])
+    assert report["max_curvature_on_domain"] < 0.0
     assert (out / "curvature.svg").exists()
+
+
+def test_geometry_default_domain_given_or_not_writes_the_same_bytes(tmp_path):
+    # The zero stages used to be searched on the --domain stage range when
+    # one was given and on [1, 6] otherwise, so the default domain given
+    # explicitly lost the third critical age.
+    outs = [tmp_path / "implicit", tmp_path / "explicit"]
+    assert run("geometry", "--paper-dataset", "--out", str(outs[0])) == 0
+    assert run(
+        "geometry", "--paper-dataset", "--domain", "1,5,0.2,3.5",
+        "--out", str(outs[1]),
+    ) == 0
+    files = [{p.name: p.read_bytes() for p in out.iterdir()} for out in outs]
+    assert sorted(files[0]) == ["curvature.svg", "geometry.json"]
+    assert files[0] == files[1]
+    assert len(read_json(outs[1] / "geometry.json")["zero_loci"]) == 3
 
 
 def test_flow_outputs(tmp_path):

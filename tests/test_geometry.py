@@ -11,7 +11,6 @@ from mehgrisk.fieldfit import Rectangle, RiskField, published_field
 from mehgrisk.geometry import (
     build_geometry_report,
     certify_hadamard,
-    critical_ages,
     gaussian_curvature,
     mixed_partial_cubic,
     second_partials,
@@ -92,7 +91,7 @@ def test_root_count_matches_dense_sign_scan():
     ts = np.linspace(1.0, 6.0, 100001)
     vals = np.polyval(list(reversed(q.coefficients)), ts)
     crossings = int(np.count_nonzero(np.diff(np.sign(vals)) != 0))
-    report = critical_ages(published_field())
+    report = certify_hadamard(published_field())
     assert crossings == len(report.zero_loci) == 3
 
 
@@ -108,7 +107,7 @@ def test_certificate_published_field():
 
 
 def test_zero_loci_flags_and_age_consistency():
-    report = critical_ages(published_field())
+    report = certify_hadamard(published_field())
     first, second, third = report.zero_loci
     assert first.in_domain and not first.extrapolated
     assert second.in_domain and not second.extrapolated

@@ -181,7 +181,7 @@ def test_region_area_stops_at_its_budget(budget, monkeypatch):
     monkeypatch.setattr(analysis, "QUAD_BUDGET", budget)
     f = published_field()
     region = risk_region_area(f)
-    pieces = len(analysis._cuts(f, 1.0)) - 1
+    pieces = len(f.cuts(1.0)) - 1
     assert region.evaluations == 15 * pieces + budget
     assert region.error_estimate > 1e-10
     want = reference_area(f, f.domain, 1.0)
