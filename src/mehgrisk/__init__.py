@@ -48,8 +48,6 @@ from .geometry import (
     ZeroLocus,
     certify_hadamard,
     gaussian_curvature,
-    mixed_partial_cubic,
-    second_partials,
 )
 from .polynomial import Polynomial
 from .stagemap import DEFAULT_STAGE_MAP, StageMap
@@ -87,14 +85,12 @@ __all__ = [
     "level_curves",
     "mean_risk",
     "mean_risk_simpson",
-    "mixed_partial_cubic",
     "monte_carlo_region_area",
     "profile_risk",
     "published_field",
     "regress_linear",
     "risk_coefficient",
     "risk_region_area",
-    "second_partials",
     "survey_risk_table",
     "total_dose",
 ]

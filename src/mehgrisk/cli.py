@@ -42,6 +42,10 @@ MAX_GRID = 2048   # input validation: level curves take O(grid) memory per level
 # slot), about 210 B while the trajectory is built, so 10^6 steps cap one
 # trajectory near 200 MB.
 MAX_FLOW_STEPS = 10**6
+# The Monte Carlo cross-check streams about 6e7 samples a second (one
+# 2-vCPU Xeon core), so 10^9 samples take about 16 s; 1e15 would run for
+# months, in constant memory.
+MAX_MC_SAMPLES = 10**9
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,8 @@ class RunConfig:
             raise ValueError(f"flow_max_steps must be at most {MAX_FLOW_STEPS}")
         if self.mc_samples < 1:
             raise ValueError("samples must be at least 1")
+        if self.mc_samples > MAX_MC_SAMPLES:
+            raise ValueError(f"samples must be at most {MAX_MC_SAMPLES}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not all(math.isfinite(x) for start in self.flow_starts for x in start):

@@ -69,18 +69,16 @@ def flow(
     if not dom.contains(t0, c0):
         raise ValueError(f"start point {start!r} lies outside the domain")
 
-    # Horner's rule unrolled over the five terms, starting from 0.0 * t
-    # as the loop acc = acc * t + coef from acc = 0.0 does, so signed
-    # zeros round alike.
+    # Horner's rule from the top coefficient, as Polynomial.__call__ runs
+    # it, unrolled for g, g' and h'.
     a0, a1, a2, a3, a4 = field.a
     ga1, ga2, ga3, ga4 = field.g_prime.coefficients
     hb1, hb2, hb3, hb4 = field.h_prime.coefficients
 
     def grad(t: float, c: float) -> tuple[float, float]:
-        z = 0.0 * t
-        gp_t = (((z + ga4) * t + ga3) * t + ga2) * t + ga1
-        hp_t = (((z + hb4) * t + hb3) * t + hb2) * t + hb1
-        g_t = ((((z + a4) * t + a3) * t + a2) * t + a1) * t + a0
+        gp_t = ((ga4 * t + ga3) * t + ga2) * t + ga1
+        hp_t = ((hb4 * t + hb3) * t + hb2) * t + hb1
+        g_t = (((a4 * t + a3) * t + a2) * t + a1) * t + a0
         return c * gp_t + hp_t, g_t
 
     # 0.5 * h * k and h / 6.0 * s round as (0.5 * h) * k and (h / 6.0) * s.

@@ -319,36 +319,26 @@ class RiskField:
         return self._cut_memo[level]
 
     def evaluate(self, t, c):
-        """R at points (t, c); t and c are floats or broadcastable arrays.
-
-        Horner in t over the terms a_k c + b_k, so every element of an
-        array call is rounded exactly as the same point's scalar call.
-        """
-        acc = 0.0
-        for ak, bk in zip(reversed(self.a), reversed(self.b)):
-            acc = acc * t + (ak * c + bk)
-        return acc
+        """R = g(t) c + h(t) at points (t, c); t and c are floats or
+        broadcastable arrays, and each element rounds as its scalar call."""
+        return self.g(t) * c + self.h(t)
 
     def slope_and_intercept(
         self, ts, out: tuple[np.ndarray, np.ndarray] | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """g(t) and h(t) over an array of stages, each by Horner's rule.
+        """g(t) and h(t) over an array of stages, each element rounded as
+        field.g(t) and field.h(t) round it.
 
         In place, two arrays in all: new ones, or the float arrays `out`
-        of the stages' shape.  The chain starts from 0*t + a_4, so every
-        element rounds as in acc = acc*t + a_k from acc = 0, signed zeros
-        and non-finite stages included.
+        of the stages' shape.
         """
         ts = np.asarray(ts, dtype=float)
         if out is None:
-            g = ts * 0.0
-            h = g.copy()
+            g, h = np.full_like(ts, self.a[-1]), np.full_like(ts, self.b[-1])
         else:
             g, h = out
-            np.multiply(ts, 0.0, out=g)
-            np.copyto(h, g)
-        g += self.a[-1]
-        h += self.b[-1]
+            g.fill(self.a[-1])
+            h.fill(self.b[-1])
         for ak, bk in zip(reversed(self.a[:-1]), reversed(self.b[:-1])):
             g *= ts
             g += ak
@@ -364,9 +354,6 @@ class RiskField:
 
     def partial_t(self, t: float, c: float) -> float:
         return c * self.g_prime(t) + self.h_prime(t)
-
-    def partial_c(self, t: float) -> float:
-        return self.g(t)
 
     def with_domain(self, domain: Rectangle) -> "RiskField":
         return RiskField(self.a, self.b, domain)

@@ -18,30 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldfit import RiskField
-from .polynomial import Polynomial
 from .stagemap import DEFAULT_STAGE_MAP
 
 
-def second_partials(
-    field: RiskField, t: float, c: float
-) -> tuple[float, float, float]:
-    """(R_tt, R_tc, R_cc); the last is exactly 0 for affine-in-c fields."""
-    r_tt = c * field.g_prime.derivative()(t) + field.h_prime.derivative()(t)
-    return r_tt, field.g_prime(t), 0.0
-
-
-def mixed_partial_cubic(field: RiskField) -> Polynomial:
-    """q(t) = d2R/dtdc, the cubic whose roots carry all zero curvature."""
-    return field.g_prime
-
-
-def gaussian_curvature(field: RiskField, t: float, c: float) -> float:
-    """Signed Gaussian curvature of the graph surface at (t, c)."""
-    r_tt, r_tc, r_cc = second_partials(field, t, c)
-    r_t = field.partial_t(t, c)
-    r_c = field.partial_c(t)
-    denom = (1.0 + r_t * r_t + r_c * r_c) ** 2
-    return (r_tt * r_cc - r_tc * r_tc) / denom
+def gaussian_curvature(field: RiskField, t, c):
+    """Signed Gaussian curvature -q(t)^2 / (1 + R_t^2 + g(t)^2)^2 of the
+    graph surface at (t, c); t and c are floats or broadcastable arrays."""
+    q, g = field.g_prime(t), field.g(t)
+    r_t = c * q + field.h_prime(t)
+    return -(q * q) / (1.0 + r_t * r_t + g * g) ** 2
 
 
 @dataclass(frozen=True)
@@ -94,9 +79,8 @@ def _max_curvature_affine(field: RiskField) -> float:
     """
     dom = field.domain
     ts = np.linspace(dom.t_min, dom.t_max, 4097)
-    q, hp, g = field.g_prime(ts), field.h_prime(ts), field.g(ts)
-    r_t = np.maximum(np.abs(hp + dom.c_min * q), np.abs(hp + dom.c_max * q))
-    return float(np.max(-(q * q) / (1.0 + r_t * r_t + g * g) ** 2))
+    edges = np.array([[dom.c_min], [dom.c_max]])
+    return float(np.max(gaussian_curvature(field, ts, edges)))
 
 
 def certify_hadamard(field: RiskField) -> CurvatureReport:
@@ -132,7 +116,7 @@ def certify_hadamard(field: RiskField) -> CurvatureReport:
 def build_geometry_report(field: RiskField) -> dict:
     """Curvature certificate and critical ages in plain-JSON form."""
     report = certify_hadamard(field)
-    q = mixed_partial_cubic(field)
+    q = field.g_prime
     loci = []
     for locus in report.zero_loci:
         label = f"{locus.age_years:.1f} y"

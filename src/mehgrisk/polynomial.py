@@ -62,8 +62,9 @@ class Polynomial:
         return self.degree < 0
 
     def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
+        """Horner's rule from the top coefficient: acc = acc * x + c_k."""
+        acc = self.coefficients[-1]
+        for c in reversed(self.coefficients[:-1]):
             acc = acc * x + c
         return acc
 

@@ -211,7 +211,7 @@ def region_plot_svg(
         (t0, _), (t1, _) = line[0], line[-1]
         ends += [t0, t1]
         if t0 < t1:
-            edge = dom.c_max if field.partial_c(0.5 * (t0 + t1)) > 0 else dom.c_min
+            edge = dom.c_max if field.g(0.5 * (t0 + t1)) > 0 else dom.c_min
             canvas.polygon([*line, (t1, edge), (t0, edge)], "#d62728", 0.25)
     bounds = [dom.t_min, *sorted(ends), dom.t_max]
     c_mid = 0.5 * (dom.c_min + dom.c_max)
@@ -234,7 +234,7 @@ def flow_portrait_svg(field: RiskField, trajectories, path: str | Path) -> None:
             t = dom.t_min + (i + 0.5) * (dom.t_max - dom.t_min) / ARROW_GRID
             c = dom.c_min + (j + 0.5) * (dom.c_max - dom.c_min) / ARROW_GRID
             dt_val = field.partial_t(t, c)
-            dc_val = field.partial_c(t)
+            dc_val = field.g(t)
             norm = math.hypot(dt_val, dc_val)
             if norm < 1e-15:
                 continue

@@ -52,7 +52,7 @@ def _positive_slope_field(rng) -> RiskField:
 
 def test_gradient_hand_value():
     f = published_field()
-    d_dc = f.partial_c(1.0)
+    d_dc = f.g(1.0)
     # Hand sum -0.24 + 3.45 - 16.89 + 33.17 - 19.48 = 0.01; the Horner
     # evaluation order costs one extra ulp-scale rounding term.
     assert abs(d_dc - 0.01) < 2e-12
@@ -63,7 +63,7 @@ def test_gradient_hand_value():
 
 def test_gradient_zero_field():
     f = RiskField((0.0,) * 5, (0.0,) * 5)
-    assert (f.partial_t(2.0, 1.0), f.partial_c(2.0)) == (0.0, 0.0)
+    assert (f.partial_t(2.0, 1.0), f.g(2.0)) == (0.0, 0.0)
 
 
 def test_gradient_finite_difference_absolute():
@@ -73,7 +73,7 @@ def test_gradient_finite_difference_absolute():
     for _ in range(100):
         t = float(rng.uniform(1.2, 4.8))
         c = float(rng.uniform(0.4, 3.3))
-        d_dt, d_dc = f.partial_t(t, c), f.partial_c(t)
+        d_dt, d_dc = f.partial_t(t, c), f.g(t)
         fd_t = (f.evaluate(t + h, c) - f.evaluate(t - h, c)) / (2 * h)
         fd_c = (f.evaluate(t, c + h) - f.evaluate(t, c - h)) / (2 * h)
         assert abs(d_dt - fd_t) < 1e-6
@@ -90,7 +90,7 @@ def test_gradient_finite_difference_relative():
     for _ in range(1000):
         t = float(rng.uniform(1.2, 4.8))
         c = float(rng.uniform(0.4, 3.3))
-        d_dt, d_dc = f.partial_t(t, c), f.partial_c(t)
+        d_dt, d_dc = f.partial_t(t, c), f.g(t)
         fd_t = (f.evaluate(t + h, c) - f.evaluate(t - h, c)) / (2 * h)
         fd_c = (f.evaluate(t, c + h) - f.evaluate(t, c - h)) / (2 * h)
         err = math.hypot(d_dt - fd_t, d_dc - fd_c)

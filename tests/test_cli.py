@@ -404,6 +404,25 @@ def test_samples_below_one_exit_2(samples, tmp_path, capsys):
         RunConfig(mc_samples=samples)
 
 
+@pytest.mark.parametrize("samples", [cli.MAX_MC_SAMPLES + 1, 1e15])
+def test_samples_above_bound_exit_2(samples, tmp_path, capsys):
+    # 1e15 samples would run for months; the bound is checked before any
+    # work, and no estimate of either size is drawn here.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"samples": samples}))
+    out = tmp_path / "out"
+    assert run(
+        "analyze", "--paper-dataset", "--config", str(cfg), "--out", str(out)
+    ) == 2
+    assert f"{cfg}: samples: samples must be at most {cli.MAX_MC_SAMPLES}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+    assert RunConfig(mc_samples=cli.MAX_MC_SAMPLES).mc_samples == (
+        cli.MAX_MC_SAMPLES
+    )
+
+
 def test_nonfinite_flow_start_exit_2(tmp_path, capsys):
     # The first start's flow_00.csv used to be written before the NaN
     # start failed.

@@ -167,7 +167,7 @@ def test_published_field_constants():
     assert f.b == (-0.04, 0.09, -0.06, 0.007, 0.006)
     assert f.domain == Rectangle(1.0, 5.0, 0.2, 3.5)
     assert abs(f.evaluate(1.0, 0.27) - 0.0057) < 1e-4
-    assert abs(f.partial_c(1.0) - 0.01) < 1e-12
+    assert abs(f.g(1.0) - 0.01) < 1e-12
 
 
 def test_field_affine_in_concentration():

