@@ -20,11 +20,12 @@ STAGES = (1.8540430241355907, 3.328842757131719, 5.598364218674536)
 AGES = (5.270215, 27.784452, 107.950927)
 
 
-def test_gaussian_curvature_matches_finite_differences():
-    # The full formula (R_tt R_cc - R_tc^2) / (1 + R_t^2 + R_c^2)^2 from
-    # central differences of evaluate alone, so the kernel's R_cc = 0 and
-    # R_tc = g' are checked too.  h near eps**0.25 balances truncation
-    # against subtraction roundoff for second differences.
+def test_second_partials_match_finite_differences():
+    # The second partials R_tt, R_tc, R_cc and the full curvature formula
+    # (R_tt R_cc - R_tc^2) / (1 + R_t^2 + R_c^2)^2 from central differences
+    # of evaluate alone, so the kernel's R_cc = 0 and R_tc = g' are checked.
+    # h near eps**0.25 balances truncation against subtraction roundoff
+    # for second differences.
     f = published_field()
     e = f.evaluate
     rng = np.random.default_rng(23)
@@ -46,6 +47,19 @@ def test_gaussian_curvature_matches_finite_differences():
         denom = (1.0 + r_t * r_t + r_c * r_c) ** 2
         k = gaussian_curvature(f, t, c)
         assert abs(k - (r_tt * r_cc - r_tc * r_tc) / denom) < 1e-5 * norm**2 / denom
+
+
+def test_concentration_curvature_exactly_zero():
+    # R is g(t) c + h(t), affine in c, so R_cc = 0 exactly: evaluate is that
+    # product and sum bit for bit, and the curvature is -R_tc^2 / denom with
+    # no R_tt R_cc term.
+    f = published_field()
+    for t, c in ((1.0, 0.2), (2.7, 1.9), (5.0, 3.5)):
+        assert f.evaluate(t, c) == f.g(t) * c + f.h(t)
+        q = f.g_prime(t)
+        r_t = c * q + f.h_prime(t)
+        denom = (1.0 + r_t * r_t + f.g(t) ** 2) ** 2
+        assert gaussian_curvature(f, t, c) == -(q * q) / denom
 
 
 def test_gaussian_curvature_arrays_round_as_scalars():
