@@ -99,7 +99,7 @@ def certify_no_critical_points(field: RiskField) -> CriticalPointCertificate:
                 method="dR/dc and dR/dt vanish identically; "
                 "every point of the domain is critical",
             )
-        stages = real_roots(hp, dom.t_min, dom.t_max, ROOT_TOL)
+        stages = real_roots(hp, dom.t_min, dom.t_max)
         return CriticalPointCertificate(
             has_critical_points=bool(stages),
             min_dRdc=0.0,
@@ -354,7 +354,7 @@ def _level_polylines(field, level, ts, dc) -> tuple:
     dom, roots = field.domain, field.slope_roots
     g, h, gp, hp = field.g, field.h, field.g_prime, field.h_prime
     if g.is_zero():   # R = h(t): R = level on the lines t = t0 where h(t0) = level
-        saddles, cuts = real_roots(level - h, dom.t_min, dom.t_max, ROOT_TOL), {}
+        saddles, cuts = real_roots(level - h, dom.t_min, dom.t_max), {}
     else:   # roots of g where h is as near the level as R moves over ROOT_TOL
         saddles = tuple(t0 for t0 in roots if abs(h(t0) - level) <= ROOT_TOL * (
             1.0 + abs(hp(t0)) + abs(gp(t0)) * max(-dom.c_min, dom.c_max)))

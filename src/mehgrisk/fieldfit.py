@@ -24,7 +24,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .polynomial import ROOT_TOL, Polynomial, real_roots
+from .polynomial import Polynomial, real_roots
 
 DEGREE = 4
 NODE_COUNT = DEGREE + 1
@@ -287,7 +287,7 @@ class RiskField:
     def slope_roots(self) -> tuple[float, ...]:
         """The roots of g = dR/dc on the stage range."""
         d = self.domain
-        return real_roots(self.g, d.t_min, d.t_max, ROOT_TOL)
+        return real_roots(self.g, d.t_min, d.t_max)
 
     @property
     def search_range(self) -> tuple[float, float]:
@@ -299,7 +299,7 @@ class RiskField:
     def g_prime_roots(self) -> tuple[float, ...]:
         """The roots of g' on the search range: the stationary points of
         dR/dc and the stages where the surface's curvature vanishes."""
-        return real_roots(self.g_prime, *self.search_range, ROOT_TOL)
+        return real_roots(self.g_prime, *self.search_range)
 
     def cuts(self, level: float) -> MappingProxyType:
         """Where c*(t) = (level - h(t))/g(t) may enter or leave the domain,
@@ -312,7 +312,7 @@ class RiskField:
             for c_edge in (d.c_min, d.c_max):
                 crossing = Polynomial.constant(level) - self.h - c_edge * self.g
                 cuts.update(dict.fromkeys(
-                    real_roots(crossing, d.t_min, d.t_max, ROOT_TOL), c_edge
+                    real_roots(crossing, d.t_min, d.t_max), c_edge
                 ))
             cuts.update(dict.fromkeys(self.slope_roots))   # a root of g wins a tie
             self._cut_memo[level] = MappingProxyType(dict(sorted(cuts.items())))

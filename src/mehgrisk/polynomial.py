@@ -1,11 +1,13 @@
-"""Univariate polynomial arithmetic and real root isolation.
+"""Univariate polynomial arithmetic and exact real root isolation.
 
 Coefficients are stored ascending by power, so ``Polynomial((c0, c1, c2))``
-is c0 + c1*x + c2*x**2.  Everything here runs on plain floats.  Degrees in
-this package stay small (at most five), which keeps the float Sturm chains
-below fast, though not exact: remainders below a relative threshold count
-as zero (`_cleanup`), and where a chain ends in a false common factor the
-roots come from sign changes between the roots of the derivative instead.
+is c0 + c1*x + c2*x**2, in plain floats.  Root counts are exact: each float
+coefficient is a binary fraction, so scaling p by the common power of two
+gives an integer polynomial with p's roots.  Its Sturm chain is a primitive
+pseudo-remainder sequence in Python ints (Collins 1967; Brown & Traub
+1971), and every sign that the counts and the bisection read is the exact
+sign of an integer polynomial at a float (`sign_at`).  Degrees in this
+package stay small (at most five), which keeps the integers short.
 """
 
 from __future__ import annotations
@@ -13,12 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Relative threshold below which a remainder in the Sturm chain is treated
-# as identically zero.  Scaled by the magnitude of the operands.
-_EPS = 1e-12
-# Log of the relative size below which real_roots drops a polynomial's
-# top term on its interval: the Sturm chain's own noise threshold.
-_NEGLIGIBLE = math.log(_EPS)
 # Width to which real_roots brackets each root.
 ROOT_TOL = 1e-10
 # Bisection depth at which isolate_roots stops splitting a bracket.
@@ -153,86 +149,100 @@ class Polynomial:
         return " ".join(parts)
 
 
-def divmod_poly(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder of f by g (float long division)."""
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    f = f.trimmed()
-    g = g.trimmed()
-    if f.degree < g.degree:
-        return Polynomial.zero(), f
-    rem = list(f.coefficients)
-    dg = g.degree
-    lead = g.coefficients[dg]
-    quot = [0.0] * (f.degree - dg + 1)
-    for k in range(f.degree - dg, -1, -1):
-        q = rem[k + dg] / lead
-        quot[k] = q
+def _primitive(q: list[int]) -> tuple[int, ...]:
+    """q without its zero top terms, divided by the gcd of its terms."""
+    while q and not q[-1]:
+        q.pop()
+    g = math.gcd(*q)
+    return tuple(c // g for c in q) if g > 1 else tuple(q)
+
+
+def _integer(p: Polynomial) -> tuple[int, ...]:
+    """p times the common power of two of its coefficients, made
+    primitive: an integer polynomial with p's roots."""
+    ratios = [c.as_integer_ratio() for c in p.coefficients]
+    scale = max(d for _, d in ratios)
+    return _primitive([n * (scale // d) for n, d in ratios])
+
+
+def _prem(f: tuple[int, ...], g: tuple[int, ...]) -> list[int]:
+    """The remainder of f by g times |lead g|^(deg f - deg g + 1): a
+    positive multiple of the remainder, in integers."""
+    r, dg = list(f), len(g) - 1
+    m, s = abs(g[-1]), (1 if g[-1] > 0 else -1)
+    for k in range(len(f) - len(g), -1, -1):
+        q = s * r.pop()
+        r = [m * c for c in r]
+        for j in range(dg):
+            r[k + j] -= q * g[j]
+    return r
+
+
+def _quotient(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """f / g for a primitive g that divides f: integers by Gauss's lemma."""
+    r, dg = list(f), len(g) - 1
+    q = [0] * (len(f) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + dg] // g[-1]
         for j in range(dg + 1):
-            rem[k + j] -= q * g.coefficients[j]
-    r = Polynomial(tuple(rem[:dg]) if dg > 0 else (0.0,))
-    return Polynomial(tuple(quot)), r
+            r[k + j] -= q[k] * g[j]
+    return _primitive(q)
 
 
-def _cleanup(p: Polynomial, scale: float) -> Polynomial:
-    """Zero out coefficients that are noise relative to the given scale."""
-    tol = _EPS * scale
-    return Polynomial(
-        tuple(0.0 if abs(c) < tol else c for c in p.coefficients)
-    ).trimmed()
-
-
-def sturm_sequence(p: Polynomial) -> list[Polynomial]:
-    """Sturm chain of p, divided through by any nontrivial gcd(p, p').
-
-    The returned chain belongs to the square-free part of p, so repeated
-    roots are counted once.
-    """
-    p = p.trimmed()
-    if p.degree <= 0:
-        return [p]
-    scale = p.scale()
-    chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        _, r = divmod_poly(chain[-2], chain[-1])
-        r = _cleanup(r, scale)
-        if r.is_zero():
+def _chain(p: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Primitive pseudo-remainder sequence p, p', -rem, ...: a Sturm chain
+    of p up to positive factors, ending in gcd(p, p')."""
+    chain = [p, _primitive([k * c for k, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        r = _primitive([-c for c in _prem(chain[-2], chain[-1])])
+        if not r:
             break
-        chain.append(-r)
-    last = chain[-1]
-    if last.degree > 0:
-        # Nontrivial gcd: p has repeated roots.  Restart on p / gcd.
-        reduced, rem = divmod_poly(p, last)
-        if not _cleanup(rem, scale).is_zero():
-            # A remainder with a tiny top term made the next one huge and
-            # the one after it round to zero: a false common factor.
-            raise ArithmeticError("float Sturm chain found a false common factor")
-        return sturm_sequence(reduced)
+        chain.append(r)
     return chain
 
 
-def _variations(chain: list[Polynomial], x: float) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v != 0.0:
-            signs.append(v > 0.0)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+def sturm_sequence(p: Polynomial) -> list[tuple[int, ...]]:
+    """Exact Sturm chain of the square-free part of p, as integer
+    coefficient tuples ascending by power, so repeated roots are counted
+    once.  chain[0] is that square-free part."""
+    q = _integer(p)
+    if len(q) <= 1:
+        return [q]
+    chain = _chain(q)
+    if len(chain[-1]) > 1:   # p has repeated roots: restart on p / gcd(p, p')
+        chain = _chain(_quotient(q, chain[-1]))
+    return chain
 
 
-def count_roots(chain: list[Polynomial], a: float, b: float) -> int:
+def sign_at(p: tuple[int, ...], x: float) -> int:
+    """Exact sign (-1, 0 or 1) of the integer polynomial p at the float x:
+    Horner's rule on x = n/d, homogeneous in d so it stays in integers."""
+    n, d = x.as_integer_ratio()
+    acc, dk = 0, 1
+    for c in reversed(p):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
+
+
+def count_roots(chain: list[tuple[int, ...]], a: float, b: float) -> int:
     """Distinct real roots in the half-open interval (a, b]."""
     if b < a:
         raise ValueError("interval endpoints out of order")
-    return _variations(chain, a) - _variations(chain, b)
+
+    def variations(x: float) -> int:
+        signs = [s for s in (sign_at(q, x) for q in chain) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(a) - variations(b)
 
 
 def isolate_roots(
-    chain: list[Polynomial], a: float, b: float
+    chain: list[tuple[int, ...]], a: float, b: float
 ) -> list[tuple[float, float]]:
     """Brackets (lo, hi], each containing exactly one distinct root of the
     polynomial whose Sturm chain is given."""
-    if chain[0].degree <= 0:
+    if len(chain[0]) <= 1:
         return []
     out: list[tuple[float, float]] = []
     stack = [(a, b, count_roots(chain, a, b), 0)]
@@ -250,75 +260,40 @@ def isolate_roots(
     return out
 
 
-def bisect_root(
-    p: Polynomial, lo: float, hi: float, tol: float = ROOT_TOL
-) -> float:
-    """Refine a sign-change bracket by bisection to width tol."""
-    flo, fhi = p(lo), p(hi)
-    if flo == 0.0:
+def bisect_root(p: tuple[int, ...], lo: float, hi: float) -> float:
+    """Refine a sign-change bracket of the integer polynomial p by
+    bisection to width ROOT_TOL, or until no float lies between its ends."""
+    slo, shi = sign_at(p, lo), sign_at(p, hi)
+    if slo == 0:
         return lo
-    if fhi == 0.0:
+    if shi == 0:
         return hi
-    if (flo > 0.0) == (fhi > 0.0):
+    if slo == shi:
         raise ValueError("bracket does not straddle a sign change")
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
-        fm = p(mid)
-        if fm == 0.0:
+        if mid in (lo, hi):
+            break
+        s = sign_at(p, mid)
+        if s == 0:
             return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
+        if s == slo:
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def _sign_change_roots(p: Polynomial, a: float, b: float, tol: float) -> list:
-    """Roots of p in [a, b] from signs alone: p is monotone between the
-    roots of p', found the same way, so each such piece holds a root when
-    p changes sign or vanishes at its ends.  A root where p only touches
-    zero is missed; real_roots uses this where its Sturm chain failed."""
-    if p.degree <= 0:
-        return []
-    stops = [a, *_sign_change_roots(p.derivative().trimmed(), a, b, tol), b]
-    return [
-        bisect_root(p, lo, hi, tol)
-        for lo, hi in zip(stops, stops[1:])
-        if p(lo) == 0.0 or p(hi) == 0.0 or (p(lo) < 0.0) != (p(hi) < 0.0)
-    ]
-
-
-def real_roots(
-    p: Polynomial, a: float, b: float, tol: float = ROOT_TOL
-) -> tuple[float, ...]:
+def real_roots(p: Polynomial, a: float, b: float) -> tuple[float, ...]:
     """Distinct real roots of p in the closed interval [a, b], sorted.
 
     Sturm counting is half-open at the left end, so the interval is padded
     slightly to catch a root sitting exactly on a; results are clamped
     back into [a, b].
     """
-    # A top term below the chain's noise threshold on [a, b] (such as
-    # 2e-16 t^4 or 1e-304 t^4 beside 0.25 t^3) makes the float Sturm chain
-    # find false common factors or overflow; its extra roots lie far
-    # outside, so it is dropped.
-    log_m = math.log(max(abs(a), abs(b)) or 1.0)
-    sizes = [
-        math.log(abs(c)) + k * log_m if c else -math.inf
-        for k, c in enumerate(p.trimmed().coefficients)
-    ]
-    while len(sizes) > 1 and sizes[-1] < max(sizes) + _NEGLIGIBLE:
-        sizes.pop()
-    p = Polynomial(p.coefficients[: len(sizes)]).trimmed()
-    if p.degree <= 0:
-        return ()
     pad = 1e-9 * (1.0 + abs(a)) + 1e-9 * (b - a)
-    try:
-        chain = sturm_sequence(p)
-    except ArithmeticError:
-        return tuple(sorted(set(_sign_change_roots(p, a, b, tol))))
-    sq = chain[0]
-    brackets = isolate_roots(chain, a - pad, b)
-    roots = []
-    for lo, hi in brackets:
-        roots.append(min(max(bisect_root(sq, lo, hi, tol), a), b))
-    return tuple(sorted(roots))
+    chain = sturm_sequence(p)
+    return tuple(sorted(
+        min(max(bisect_root(chain[0], lo, hi), a), b)
+        for lo, hi in isolate_roots(chain, a - pad, b)
+    ))

@@ -389,6 +389,27 @@ def test_nonfinite_field_json_exit_2(tmp_path, fresh_python):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_wide_stage_range_root_search_ends(command, tmp_path, fresh_python):
+    # dR/dc has a root near t = 9.5e7, where floats are 1.5e-8 apart: the
+    # root bisection never narrowed its bracket below 1e-10 and looped.
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({
+        "a": [-5126710857801191.0, -0.6723293209494665, 0.5708686913050158,
+              0.0, 0.0],
+        "b": [0, 0, 0, 0, 0],
+        "domain": {"t": [1.0, 2e8], "c": [0.2, 3.5]},
+    }))
+    out = tmp_path / "out"
+    proc = fresh_python(
+        "-m", "mehgrisk", command, "--input", str(path), "--out", str(out),
+        seconds=30.0,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cert = read_json(out / "analysis.json")["certificate"]
+    assert cert["slope_roots"] == [94765727.77632576]
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_samples_below_one_exit_2(samples, tmp_path, capsys):
     # 0 used to raise ZeroDivisionError and -5 "negative dimensions".

@@ -6,13 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mehgrisk import polynomial
 from mehgrisk.polynomial import (
+    ROOT_TOL,
     Polynomial,
     bisect_root,
     count_roots,
-    divmod_poly,
     isolate_roots,
     real_roots,
     sturm_sequence,
@@ -70,20 +72,6 @@ def test_integrate_against_quadrature():
         assert math.isclose(p.integrate(a, b), approx, rel_tol=1e-6, abs_tol=1e-6)
 
 
-def test_divmod_reconstructs():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        f = Polynomial(tuple(rng.uniform(-3, 3, 5)))
-        g = Polynomial(tuple(rng.uniform(-3, 3, 3)))
-        if abs(g.coefficients[-1]) < 0.1:
-            continue
-        q, r = divmod_poly(f, g)
-        back = q * g + r
-        for cf, cb in zip(f.coefficients, back.coefficients):
-            assert math.isclose(cf, cb, rel_tol=1e-9, abs_tol=1e-9)
-        assert r.degree < g.degree
-
-
 def test_sturm_root_count_matches_numpy():
     rng = np.random.default_rng(23)
     for _ in range(150):
@@ -111,7 +99,7 @@ def test_isolated_brackets_contain_one_root_each():
 
 def test_real_roots_accuracy():
     p = Polynomial((-8.0, 14.0, -7.0, 1.0))
-    roots = real_roots(p, 0.0, 10.0, tol=1e-12)
+    roots = real_roots(p, 0.0, 10.0)
     assert len(roots) == 3
     for found, true in zip(roots, (1.0, 2.0, 4.0)):
         assert abs(found - true) < 1e-10
@@ -139,7 +127,7 @@ def test_no_real_roots():
 
 
 def test_bisect_requires_sign_change():
-    p = Polynomial((1.0, 0.0, 1.0))
+    p = (1, 0, 1)   # x^2 + 1, integer coefficients ascending
     with pytest.raises(ValueError):
         bisect_root(p, -1.0, 1.0)
 
@@ -156,8 +144,8 @@ def test_random_quartics_roots_match_numpy():
         theirs = sorted(
             r.real for r in npr if abs(r.imag) < 1e-7 and -20 < r.real <= 20
         )
-        # Clustered roots may merge under float Sturm cleanup; require
-        # agreement whenever numpy's roots are well separated.
+        # numpy's companion-matrix roots lose accuracy on clusters; require
+        # agreement whenever its roots are well separated.
         if len(theirs) >= 2 and min(
             b - a for a, b in zip(theirs, theirs[1:])
         ) < 1e-3:
@@ -165,6 +153,49 @@ def test_random_quartics_roots_match_numpy():
         assert len(ours) == len(theirs)
         for x, y in zip(ours, theirs):
             assert abs(x - y) < 1e-7
+
+
+@st.composite
+def _planted(draw):
+    """(k, numerators): roots m / 2^k with k <= 6 and |m| <= 2^9, each after
+    the first a fresh draw, a repeat or a neighbour of an earlier one."""
+    k = draw(st.integers(0, 6))
+    numerator = st.integers(-2**9, 2**9)
+    ms = [draw(numerator)]
+    for _ in range(draw(st.integers(0, 4))):
+        m = draw(st.sampled_from(ms)) + draw(st.sampled_from((-1, 0, 1)))
+        ms.append(draw(st.one_of(numerator, st.just(max(-2**9, min(m, 2**9))))))
+    return k, ms
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted=_planted(),
+       ends=st.tuples(*[st.integers(-520 * 64, 520 * 64)] * 2))
+def test_planted_roots_are_found_once(planted, ends):
+    # p = prod(2^k t - m) has exact float coefficients (all below 2^50), so
+    # its roots are exactly m / 2^k: double roots touch zero without a
+    # sign change, and neighbours at k = 6 sit 2^-6 apart.  The interval
+    # ends are multiples of 2^-6, so a root may sit on either end.
+    k, ms = planted
+    p = Polynomial((1.0,))
+    for m in ms:
+        p = p * Polynomial((-float(m), float(2**k)))
+    a, b = sorted(e / 64 for e in ends)
+    want = sorted({m / 2**k for m in ms if a <= m / 2**k <= b})
+    found = real_roots(p, a, b)
+    assert len(found) == len(want)
+    assert all(abs(x - y) <= ROOT_TOL for x, y in zip(found, want))
+    assert count_roots(sturm_sequence(p), a, b) == sum(x > a for x in want)
+
+
+def test_import_loads_no_fractions_or_decimal(fresh_python):
+    # Exact arithmetic here is plain ints; `fractions` would also load
+    # `decimal`, which costs every run resident memory.
+    proc = fresh_python("-c", "import sys, mehgrisk; print(sorted("
+                        "{'fractions', 'decimal'} & set(sys.modules)))",
+                        seconds=30.0)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_format_descending():
@@ -212,15 +243,13 @@ def test_negligible_top_term_keeps_the_roots():
 def test_false_common_factor_falls_back_to_sign_changes(coefficients):
     # Polynomials from fields a property test drew: two crossings with
     # c = 3.5 and one slope g >= 0.5 on [1, 5].  The first remainder's top
-    # coefficient is 1e-10 or 1e-6 of the rest, so the float chain ends in
-    # a false common factor.  real_roots then found no root of the first
-    # two, though each changes sign over [1, 5], and a root of the third
-    # at 1.0103, where it is 0.52; the region area missed a clamp crossing
-    # or fell back to Monte Carlo.  numpy's companion-matrix roots are the
+    # coefficient is 1e-10 or 1e-6 of the rest, so a float Sturm chain
+    # ended in a false common factor.  It found no root of the first two,
+    # though each changes sign over [1, 5], and a root of the third at
+    # 1.0103, where it is 0.52; the region area missed a clamp crossing or
+    # fell back to Monte Carlo.  numpy's companion-matrix roots are the
     # reference.
     p = Polynomial(coefficients)
-    with pytest.raises(ArithmeticError, match="false common factor"):
-        sturm_sequence(p)
     want = sorted(r.real for r in np.roots(coefficients[::-1])
                   if abs(r.imag) < 1e-9 and 1.0 <= r.real <= 5.0)
     found = real_roots(p, 1.0, 5.0)
