@@ -24,13 +24,6 @@ EXIT_STEP_UNDERFLOW = "step_underflow"
 # Below this gradient magnitude the flow is considered stalled.
 _SPEED_FLOOR = 1e-12
 
-# Distance entries per comparison block of the recurrence witness, which
-# bounds its working memory whatever the trajectory looks like.
-_BLOCK_ENTRIES = 1 << 14
-# Cells per axis at most: a cell index then carries a rounding error far
-# below the margin by which cells are wider than the radius.
-_MAX_CELLS = 1 << 16
-
 
 @dataclass(frozen=True)
 class FlowTrajectory:
@@ -62,8 +55,9 @@ def flow(
         raise ValueError("step must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+    if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
+        raise ValueError(
+            f"max_steps must be an integer >= 1, got {max_steps!r}")
     dom = field.domain
     t0, c0 = float(start[0]), float(start[1])
     if not dom.contains(t0, c0):
@@ -127,105 +121,73 @@ def flow(
 def check_no_recurrence(
     trajectory: FlowTrajectory, radius: float
 ) -> bool:
-    """Discrete witness that the trajectory never closes a loop.
+    """Discrete witness that the trajectory never leaves a ball about a
+    sample and then comes back into it.
 
-    Returns False when some later sample comes back within `radius` of an
-    earlier one after having first escaped that neighborhood, which is
-    what a closed orbit sampled at finite resolution looks like.  For a
-    strict gradient flow this always returns True.
+    With d2 = (t_j - t_i)**2 + (c_j - c_i)**2 computed for samples
+    i < j and r2 = radius**2, it returns False when, for some i, a
+    sample with d2 > r2 comes before a later one with d2 < r2: the
+    samples left the ball of radius `radius` about sample i and came back
+    strictly inside it.  A tie d2 == r2 neither leaves nor comes back.
+    The answer is that of comparing every pair of samples; it says
+    nothing about the path between samples.
 
-    With d2 the squared distance between samples i < j, the witness fails
-    at i when some sample with d2 > radius**2 precedes the last one with
-    d2 < radius**2.  Only pairs that can be that close are compared: the
-    samples are hashed into square cells slightly wider than the radius
-    (fixed-radius near neighbours, Bentley, Stanat & Williams 1977), so
-    every such pair lies in the same or adjacent cells, and each cell is
-    compared with its 3x3 neighbourhood in blocks of at most
-    `_BLOCK_ENTRIES` distances.  A pair in no common neighbourhood is
-    farther apart than the radius, so the answer equals that of comparing
-    every pair, and the cost is near-linear in the number of samples
-    while the trajectory moves on.  A stalled trajectory whose samples
-    share one cell costs O(n^2) time, in bounded memory.
+    Each row i gallops along the path instead of reading every later
+    sample.  Let s_k be the prefix sums of the computed segment lengths
+    and r = sqrt(r2).  A row reads d2 at its sample m > i, with
+    D = sqrt(d2), and moves on to the first k > m with s_k >= s_m + reach,
+    where reach is r - D - slack while the row has not left the ball and
+    D - r - slack once it has.  By the triangle inequality every later
+    sample k lies within the path length s_k - s_m of distance D from
+    sample i.  So no skipped sample leaves the ball while the row is
+    inside it, and none comes back once the row is out.  The slack,
+    4(n + 8)u (s_(n-1) + r + D) + 2**-530 with u = 2**-53, covers the
+    rounding between the computed and the exact quantities: the prefix
+    sums err by at most about 2(n + 4)u s_(n-1), D and r by a few u of
+    themselves, and an underflowing d2 by at most the smallest subnormal,
+    which moves D by at most 2**-537.  A non-finite reach, from an
+    overflowing d2, r2 or path length, moves the row by one sample.
+
+    Every pass moves each row by at least one sample and a row retires
+    past the last sample, so there are at most n - 1 passes, over a few
+    arrays of length n.  A path that moves on or stalls takes a few
+    passes; one that circles within the radius moves its rows a few
+    samples per pass, and costs up to O(n^2) distances.
     """
     if not math.isfinite(radius):
         raise ValueError("radius must be finite")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    pts = np.array([(s[1], s[2]) for s in trajectory.samples], dtype=float)
+    # One column per coordinate: zip(*) transposes the rows in C.
+    pts = np.array(list(zip(*trajectory.samples))[1:3], dtype=float)
     if not np.all(np.isfinite(pts)):
         raise ValueError("trajectory samples must be finite")
-    n = len(pts)
+    n = pts.shape[-1]
     if n < 3:
         return True
+    ts, cs = pts
     r2 = radius * radius
-    ts, cs = pts[:, 0], pts[:, 1]
-    for own, near in _cell_neighbourhoods(pts, r2):
-        per_block = max(1, _BLOCK_ENTRIES // len(near))
-        for s in range(0, len(own), per_block):
-            if _returns_after_leaving(ts, cs, own[s:s + per_block], near, r2):
+    r = math.sqrt(r2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        seg = np.hypot(np.diff(ts), np.diff(cs))
+        s = np.concatenate(([0.0], np.cumsum(seg)))
+        tol = 4.0 * (n + 8) * 2.0**-53
+        base = tol * (s[-1] + r) + 2.0**-530
+        row = np.arange(n - 2)
+        m = row + 1
+        out = np.zeros(n - 2, dtype=bool)
+        while len(row):
+            d2 = (ts[m] - ts[row]) ** 2 + (cs[m] - cs[row]) ** 2
+            if np.any(out & (d2 < r2)):
                 return False
+            out |= d2 > r2
+            dist = np.sqrt(d2)
+            reach = np.where(out, dist - r, r - dist) - (base + tol * dist)
+            jump = np.searchsorted(s, s[m] + reach)
+            m = np.where(np.isfinite(reach), np.maximum(m + 1, jump), m + 1)
+            live = m < n
+            row, m, out = row[live], m[live], out[live]
     return True
-
-
-def _cell_neighbourhoods(pts: np.ndarray, r2: float):
-    """Yield (own, near) sample indices per occupied cell, both ascending.
-
-    `near` holds the samples of the 3x3 cells around the cell of `own`.
-    Every pair with computed squared distance <= r2 shares some such
-    neighbourhood; all other pairs are farther apart.
-    """
-    # A pair with computed d2 <= r2 is at most sqrt(r2) apart on each
-    # axis, up to one rounding or, for a subnormal r2, 2**-537 more; the
-    # margin also covers the rounding of the cell indices below.
-    reach = (math.sqrt(r2) + 2.0**-537) * (1.0 + 1e-9)
-    low = pts.min(axis=0)
-    width = max(reach, float(np.max(pts.max(axis=0) - low)) / _MAX_CELLS)
-    if math.isfinite(width):
-        cell = np.floor((pts - low) / width).astype(np.int64)
-    else:
-        cell = np.zeros(pts.shape, dtype=np.int64)
-    # Row-major cell keys with an empty column on each side of a row, so
-    # that key +- 1 never reaches into the next row.
-    ncol = int(cell[:, 1].max()) + 3
-    key = cell[:, 0] * ncol + cell[:, 1] + 1
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    starts = np.flatnonzero(np.diff(sorted_key, prepend=-1))
-    ends = np.append(starts[1:], len(key))
-    cells = sorted_key[starts]
-    # The 3x3 neighbourhood of a cell is three runs of the sorted order.
-    runs = [
-        (
-            np.searchsorted(sorted_key, cells + shift - 1, side="left"),
-            np.searchsorted(sorted_key, cells + shift + 1, side="right"),
-        )
-        for shift in (-ncol, 0, ncol)
-    ]
-    for k in range(len(cells)):
-        near = np.concatenate([order[lo[k]:hi[k]] for lo, hi in runs])
-        yield order[starts[k]:ends[k]], np.sort(near)
-
-
-def _returns_after_leaving(
-    ts: np.ndarray, cs: np.ndarray, rows: np.ndarray, near: np.ndarray,
-    r2: float,
-) -> bool:
-    """Whether the witness fails at some sample i in `rows`.
-
-    `near` must hold every sample within the radius of each i; the
-    samples it leaves out count as beyond the radius.
-    """
-    i = rows[:, None]
-    j = near[np.searchsorted(near, rows[0], side="right"):]
-    # Same operations as (pts[j] - pts[i]) ** 2 summed over the two axes,
-    # so ties at d2 == r2 resolve alike.
-    d2 = (ts[j] - ts[i]) ** 2 + (cs[j] - cs[i]) ** 2
-    later = j > i
-    # J(i): the last later sample strictly inside the radius, or -1.
-    last_in = np.where(later & (d2 < r2), j, -1).max(axis=1, initial=-1)
-    # Every sample strictly between i and J(i) must be within the radius.
-    held = (later & (j < last_in[:, None]) & (d2 <= r2)).sum(axis=1)
-    return bool(np.any(held < last_in - rows - 1))
 
 
 def write_trajectory_csv(

@@ -9,6 +9,7 @@ so that stages slightly beyond the survey range still get an age.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 DEFAULT_KNOTS: tuple[tuple[float, float], ...] = (
@@ -29,6 +30,9 @@ class StageMap:
     def __post_init__(self) -> None:
         if len(self.knots) < 2:
             raise ValueError("stage map needs at least two knots")
+        for knot in self.knots:
+            if not all(math.isfinite(v) for v in knot):
+                raise ValueError(f"knot {knot!r} is not finite")
         stages = [k[0] for k in self.knots]
         ages = [k[1] for k in self.knots]
         if any(b <= a for a, b in zip(stages, stages[1:])):
@@ -57,6 +61,8 @@ class StageMap:
         return s0, a0, s1, a1
 
     def age(self, stage: float) -> float:
+        if not math.isfinite(stage):
+            raise ValueError(f"stage {stage} is not finite")
         if stage < self.knots[0][0]:
             raise ValueError(
                 f"stage {stage} precedes the first knot {self.knots[0][0]}"
@@ -65,6 +71,8 @@ class StageMap:
         return a0 + (stage - s0) * (a1 - a0) / (s1 - s0)
 
     def stage(self, age: float) -> float:
+        if not math.isfinite(age):
+            raise ValueError(f"age {age} is not finite")
         if age < self.knots[0][1]:
             raise ValueError(
                 f"age {age} precedes the first knot {self.knots[0][1]}"

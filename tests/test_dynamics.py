@@ -178,6 +178,9 @@ def test_flow_step_validation():
         flow(f, (3.0, 1.0), step=0.0)
     with pytest.raises(ValueError):
         flow(f, (3.0, 1.0), max_steps=0)
+    for steps in (1e3, 10.5, "1000"):
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            flow(f, (3.0, 1.0), max_steps=steps)
     for step in (math.nan, math.inf):
         with pytest.raises(ValueError, match="step must be finite"):
             flow(f, (3.0, 1.0), step=step)

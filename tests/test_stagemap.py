@@ -82,3 +82,19 @@ def test_below_range_rejected():
         DEFAULT_STAGE_MAP.age(0.5)
     with pytest.raises(ValueError):
         DEFAULT_STAGE_MAP.stage(0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_knots_rejected(bad):
+    with pytest.raises(ValueError, match=rf"knot \(1.0, {bad}\) is not"):
+        StageMap(((1.0, bad), (2.0, 6.0)))
+    with pytest.raises(ValueError, match="is not finite"):
+        StageMap(((bad, 1.0), (2.0, 6.0)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_stage_and_age_rejected(bad):
+    with pytest.raises(ValueError, match=f"stage {bad} is not finite"):
+        DEFAULT_STAGE_MAP.age(bad)
+    with pytest.raises(ValueError, match=f"age {bad} is not finite"):
+        DEFAULT_STAGE_MAP.stage(bad)
