@@ -50,14 +50,12 @@ from .geometry import (
     gaussian_curvature,
 )
 from .polynomial import Polynomial
-from .stagemap import DEFAULT_STAGE_MAP, StageMap
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CriticalPointCertificate",
     "CurvatureReport",
-    "DEFAULT_STAGE_MAP",
     "ExposureProfile",
     "FlowTrajectory",
     "LevelCurveSet",
@@ -68,7 +66,6 @@ __all__ = [
     "RiskField",
     "RiskTable",
     "RiskVerdict",
-    "StageMap",
     "ZeroLocus",
     "average_daily_dose",
     "build_field",

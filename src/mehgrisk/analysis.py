@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldfit import Rectangle, RiskField
-from .polynomial import ROOT_TOL, real_roots
+from .polynomial import ROOT_TOL, common_roots, real_roots
 
 # Level-curve bisection in t resolves 2^-REFINE_ROUNDS of a t cell.
 REFINE_ROUNDS = 20
@@ -80,15 +80,11 @@ def certify_no_critical_points(field: RiskField) -> CriticalPointCertificate:
     equation dR/dt = h'(t) + c g'(t) = 0 for an in-range concentration.
     """
     dom = field.domain
-    g = field.g.trimmed()
-    hp = field.h_prime.trimmed()
-    gp = field.g_prime.trimmed()
-    scale = max(g.scale(), hp.scale(), 1.0)
-    tiny = 1e-12 * scale
+    g, hp, gp = field.g, field.h_prime, field.g_prime
 
-    if g.degree < 0 or (g.degree == 0 and abs(g.coefficients[0]) < tiny):
+    if g.is_zero():
         # dR/dc vanishes identically; criticality is down to h'.
-        if hp.degree < 0 or (hp.degree == 0 and abs(hp.coefficients[0]) < tiny):
+        if hp.is_zero():
             return CriticalPointCertificate(
                 has_critical_points=True,
                 min_dRdc=0.0,
@@ -124,17 +120,19 @@ def certify_no_critical_points(field: RiskField) -> CriticalPointCertificate:
         if min_val is None or v < min_val:
             min_val, min_at = v, t
 
+    # grad R vanishes all along t = t0 where g, g' and h' share the root
+    # t0: decided exactly, by their integer gcd, then matched to the
+    # nearest root of g.  Elsewhere g' != 0 and c* = -h'/g' is one point.
+    lines = {min(roots, key=lambda t: abs(t - s))
+             for s in common_roots([g, gp, hp], dom.t_min, dom.t_max)}
+    stages = [t_star for t_star in roots if t_star in lines]
     points: list[tuple[float, float]] = []
-    stages: list[float] = []
     for t_star in roots:
         gp_val = gp(t_star)
-        hp_val = hp(t_star)
-        if abs(gp_val) > tiny:
-            c_star = -hp_val / gp_val
+        if t_star not in lines and gp_val != 0.0:
+            c_star = -hp(t_star) / gp_val
             if dom.c_min - 1e-12 <= c_star <= dom.c_max + 1e-12:
                 points.append((t_star, min(max(c_star, dom.c_min), dom.c_max)))
-        elif abs(hp_val) <= tiny:
-            stages.append(t_star)
 
     if roots:
         method = (
@@ -359,25 +357,33 @@ def _level_polylines(field, level, ts, dc) -> tuple:
         saddles = tuple(t0 for t0 in roots if abs(h(t0) - level) <= ROOT_TOL * (
             1.0 + abs(hp(t0)) + abs(gp(t0)) * max(-dom.c_min, dom.c_max)))
         cuts = field.cuts(level)
+    poles = set(roots).difference(saddles)   # c* is unbounded beside these
 
-    def end(t: float) -> float:
-        # The edge c* crosses at the cut, or at a root of g its limit
-        # -h'/g'; R is near the level all along t = t0 if the piece ends there.
+    def limit(t: float) -> float:
+        # c*'s limit -h'/g' at a zero of g; R is near the level all along
+        # t = t0 if a piece ends there.
+        return -hp(t) / gp(t) if gp(t) != 0.0 else dom.c_min
+
+    def end(t: float) -> float:   # the edge c* crosses at the cut, or c*
         if cuts[t] is not None:
             return cuts[t]
         if t in roots or g(t) == 0.0:
-            return -hp(t) / gp(t) if gp(t) != 0.0 else dom.c_min
+            return limit(t)
         return (level - h(t)) / g(t)
 
-    def graph(t: np.ndarray) -> np.ndarray:   # c* where g has no root
+    def graph(t: np.ndarray) -> np.ndarray:   # c*, or its limit where g is 0.0
         g_t, h_t = field.slope_and_intercept(t)
-        return np.clip((level - h_t) / g_t, dom.c_min, dom.c_max)
+        zero = g_t == 0.0
+        c = (level - h_t) / np.where(zero, 1.0, g_t)
+        c[zero] = [limit(x) for x in t[zero].tolist()]
+        return np.clip(c, dom.c_min, dom.c_max)
 
     lines = []
     stages = list(cuts)
     for lo, hi in zip(stages, stages[1:]):
         mid = 0.5 * (lo + hi)
-        if not (g(mid) and dom.c_min <= (level - h(mid)) / g(mid) <= dom.c_max):
+        if lo in poles or hi in poles or not (   # even if c*(mid) rounds into D
+                g(mid) and dom.c_min <= (level - h(mid)) / g(mid) <= dom.c_max):
             continue
         inner = ts[(ts > lo + ROOT_TOL) & (ts < hi - ROOT_TOL)]   # g != 0 there
         t = np.concatenate(([lo], inner, [hi]))
@@ -414,10 +420,11 @@ def level_curves(
 
     R is affine in c, so the level set is the graph c*(t) = (L - h(t))/g(t)
     wherever that lies in D.  Each piece between consecutive cuts whose
-    midpoint does is one polyline, t increasing, with vertices at its ends
-    and at the grid's t nodes, bisected in t where c moves more than one
-    of the grid's c cells.  At a saddle level, where h(t0) = L at a root
-    t0 of g, the line t = t0 is one more polyline.
+    midpoint does, and that ends at no root of g but a saddle's, is one
+    polyline, t increasing, with vertices at its ends and at the grid's t
+    nodes, bisected in t where c moves more than one of the grid's c
+    cells.  At a saddle level, where h(t0) = L at a root t0 of g, the
+    line t = t0 is one more polyline.
     """
     if grid < 16:
         raise ValueError("grid must be at least 16 cells per axis")

@@ -254,22 +254,34 @@ def _load_field(config: RunConfig) -> tuple[RiskField, tuple[float, ...]]:
 Output = tuple[dict[str, dict], dict[str, Callable[[Path], None]]]
 
 
-def _write(
-    config: RunConfig, documents: dict, writers: dict
-) -> dict[str, str]:
-    """Encode every document, then make the output directory, write the
-    documents and run the writers; return the documents' texts.  A NaN or
-    inf value fails, naming its file, before anything is written."""
-    out = config.output_dir
-    texts = {
-        name: json_text(doc, out / name) for name, doc in documents.items()
+def _texts(config: RunConfig, documents: dict) -> dict[str, str]:
+    """Each document's JSON text.  A NaN or inf value fails, naming its
+    file, before anything is written."""
+    return {
+        name: json_text(doc, config.output_dir / name)
+        for name, doc in documents.items()
     }
+
+
+def _write(config: RunConfig, texts: dict, writers: dict) -> None:
+    """Make the output directory, write the texts, then run the writers.
+    One that fails is an error naming its file, and removes what this run
+    made: the files that were not there before, and the directories."""
+    out = config.output_dir
+    made = [path for path in (out, *out.parents) if not path.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out / name).write_text(text)
-    for name, write in writers.items():
-        write(out / name)
-    return texts
+    files = {name: partial(Path.write_text, data=text)
+             for name, text in texts.items()} | writers
+    new = [out / name for name in files if not (out / name).exists()]
+    try:
+        for name, write in files.items():
+            write(out / name)
+    except (ArithmeticError, ValueError, OSError) as exc:
+        for path in new:
+            path.unlink(missing_ok=True)
+        for path in made:
+            path.rmdir()
+        raise ValueError(f"{out / name}: {exc}") from None
 
 
 def _fit_report(
@@ -286,14 +298,14 @@ def _fit_report(
             {
                 "concentration": conc,
                 "coefficients": list(r.coefficients),
-                "descending": r.format_descending("t"),
+                "descending": r.format_descending(),
             }
         )
     return {
         "source": source,
         "field": field_obj.as_json_dict(),
-        "slope_descending": field_obj.g.format_descending("t"),
-        "intercept_descending": field_obj.h.format_descending("t"),
+        "slope_descending": field_obj.g.format_descending(),
+        "intercept_descending": field_obj.h.format_descending(),
         "per_concentration": per_conc,
     }
 
@@ -446,7 +458,7 @@ def cmd_report(config: RunConfig) -> None:
     for docs, files in outputs:
         documents |= docs
         writers |= files
-    texts = _write(config, documents, writers)
+    texts = _texts(config, documents)
     # A document's text, indented one level, is its text inside the bundle.
     members = (
         f'  "{key}": ' + texts[name][:-1].replace("\n", "\n  ")
@@ -454,7 +466,8 @@ def cmd_report(config: RunConfig) -> None:
         if name in texts
     )
     text = "{\n" + ",\n".join(members) + "\n}\n"
-    (config.output_dir / "report.json").write_text(text)
+    writers["report.json"] = partial(Path.write_text, data=text)
+    _write(config, texts, writers)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -501,13 +514,15 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "report":
                 cmd_report(config)
-            elif args.command == "exposure":
-                _write(config, *cmd_exposure(config))
-            elif args.command == "fit":
-                _write(config, *cmd_fit(config, *_load_field(config)))
             else:
-                command = _FIELD_COMMANDS[args.command]
-                _write(config, *command(config, _load_field(config)[0]))
+                if args.command == "exposure":
+                    documents, writers = cmd_exposure(config)
+                elif args.command == "fit":
+                    documents, writers = cmd_fit(config, *_load_field(config))
+                else:
+                    command = _FIELD_COMMANDS[args.command]
+                    documents, writers = command(config, _load_field(config)[0])
+                _write(config, _texts(config, documents), writers)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

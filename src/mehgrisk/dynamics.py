@@ -10,6 +10,7 @@ those claims checkable on computed samples.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +52,8 @@ def flow(
     segment), when the step budget runs out, or when the gradient
     magnitude falls below an equilibrium floor.
     """
+    if not isinstance(step, numbers.Real):
+        raise ValueError(f"step must be a real number, got {step!r}")
     if not math.isfinite(step):
         raise ValueError("step must be finite")
     if step <= 0:

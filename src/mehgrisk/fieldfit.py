@@ -515,7 +515,7 @@ def published_field() -> RiskField:
     return RiskField(PUBLISHED_A, PUBLISHED_B, DEFAULT_DOMAIN)
 
 
-def survey_risk_table(nodes: tuple[float, ...] = DEFAULT_NODES) -> RiskTable:
+def survey_risk_table() -> RiskTable:
     """Surveyed hazard quotients by stage node and concentration.
 
     Column 1 is zero (no fish consumption during the first year); the
@@ -524,7 +524,7 @@ def survey_risk_table(nodes: tuple[float, ...] = DEFAULT_NODES) -> RiskTable:
     """
     return RiskTable(
         concentrations=SURVEY_CONCENTRATIONS,
-        nodes=nodes,
+        nodes=DEFAULT_NODES,
         values=(
             (0.0, 0.804, 0.342, 0.204, 0.388),
             (0.0, 7.237, 3.077, 1.834, 3.490),

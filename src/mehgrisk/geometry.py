@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stagemap
 from .fieldfit import RiskField
-from .stagemap import DEFAULT_STAGE_MAP
 
 
 def gaussian_curvature(field: RiskField, t, c):
@@ -61,9 +61,9 @@ def _loci(field: RiskField) -> tuple[ZeroLocus, ...]:
     return tuple(
         ZeroLocus(
             stage=t,
-            age_years=DEFAULT_STAGE_MAP.age(t),
+            age_years=stagemap.age(t),
             in_domain=dom.t_min <= t <= dom.t_max,
-            extrapolated=DEFAULT_STAGE_MAP.is_extrapolated(t),
+            extrapolated=stagemap.is_extrapolated(t),
         )
         for t in field.g_prime_roots
     )
@@ -94,8 +94,7 @@ def certify_hadamard(field: RiskField) -> CurvatureReport:
     """
     dom = field.domain
     loci = _loci(field)
-    q = field.g_prime.trimmed()
-    if q.degree < 0:
+    if field.g_prime.is_zero():
         return CurvatureReport(
             max_curvature_on_domain=0.0,
             zero_loci=(),
@@ -138,7 +137,7 @@ def build_geometry_report(field: RiskField) -> dict:
         "max_curvature_on_domain": report.max_curvature_on_domain,
         "curvature_identically_zero": report.curvature_identically_zero,
         "numerator_cubic": list(q.coefficients),
-        "numerator_cubic_descending": q.format_descending("t"),
+        "numerator_cubic_descending": q.format_descending(),
         "search_interval": list(field.search_range),
         "zero_loci": loci,
     }

@@ -116,17 +116,8 @@ class Polynomial:
         anti = self.antiderivative()
         return anti(b) - anti(a)
 
-    def trimmed(self) -> "Polynomial":
-        d = self.degree
-        if d < 0:
-            return Polynomial.zero()
-        return Polynomial(self.coefficients[: d + 1])
-
-    def scale(self) -> float:
-        return max(abs(c) for c in self.coefficients)
-
-    def format_descending(self, var: str = "t") -> str:
-        """Human-readable form, highest power first, e.g. '-0.06 t^4 + ...'."""
+    def format_descending(self) -> str:
+        """Human-readable form in t, highest power first: '-0.06 t^4 + ...'."""
         d = self.degree
         if d < 0:
             return "0"
@@ -139,9 +130,9 @@ class Polynomial:
             if k == 0:
                 term = mag
             elif k == 1:
-                term = f"{mag} {var}"
+                term = f"{mag} t"
             else:
-                term = f"{mag} {var}^{k}"
+                term = f"{mag} t^{k}"
             if not parts:
                 parts.append(term if c >= 0 else f"-{term}")
             else:
@@ -205,7 +196,10 @@ def sturm_sequence(p: Polynomial) -> list[tuple[int, ...]]:
     """Exact Sturm chain of the square-free part of p, as integer
     coefficient tuples ascending by power, so repeated roots are counted
     once.  chain[0] is that square-free part."""
-    q = _integer(p)
+    return _sturm(_integer(p))
+
+
+def _sturm(q: tuple[int, ...]) -> list[tuple[int, ...]]:
     if len(q) <= 1:
         return [q]
     chain = _chain(q)
@@ -291,8 +285,25 @@ def real_roots(p: Polynomial, a: float, b: float) -> tuple[float, ...]:
     slightly to catch a root sitting exactly on a; results are clamped
     back into [a, b].
     """
+    return _roots(sturm_sequence(p), a, b)
+
+
+def common_roots(polys: list[Polynomial], a: float, b: float) -> tuple[float, ...]:
+    """Distinct real roots in [a, b] that all of polys share: the roots of
+    the exact gcd of their integer forms.  A zero polynomial shares every
+    root; the polynomials after a constant gcd are not read."""
+    q: tuple[int, ...] = ()
+    for p in polys:
+        f = _integer(p)
+        while f:   # Euclid on primitive pseudo-remainders
+            q, f = f, _primitive(_prem(q, f))
+        if len(q) == 1:
+            break
+    return _roots(_sturm(q), a, b)
+
+
+def _roots(chain: list[tuple[int, ...]], a: float, b: float) -> tuple[float, ...]:
     pad = 1e-9 * (1.0 + abs(a)) + 1e-9 * (b - a)
-    chain = sturm_sequence(p)
     return tuple(sorted(
         min(max(bisect_root(chain[0], lo, hi), a), b)
         for lo, hi in isolate_roots(chain, a - pad, b)

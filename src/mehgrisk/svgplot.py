@@ -12,14 +12,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import stagemap
 from .analysis import LevelCurveSet
 from .fieldfit import Rectangle, RiskField
-from .stagemap import DEFAULT_STAGE_MAP, StageMap
 
 # Plots cover the field's domain; the flow portrait has ARROW_GRID^2
-# gradient arrows and the curvature profile PROFILE_SAMPLES + 1 points.
+# gradient arrows, the curvature profile PROFILE_SAMPLES + 1 points and
+# each axis about TICKS ticks.
 ARROW_GRID = 15
 PROFILE_SAMPLES = 400
+TICKS = 6
 WIDTH = 640
 HEIGHT = 480
 MARGIN_L = 64
@@ -112,7 +114,7 @@ class _Canvas:
         self,
         x_label: str = "stage t (age below)",
         y_label: str = "concentration c (mg/kg)",
-        stage_map: StageMap | None = DEFAULT_STAGE_MAP,
+        ages: bool = True,
     ) -> None:
         w = self.world
         frame_color = "#333333"
@@ -130,9 +132,9 @@ class _Canvas:
                 f'y2="{base + 5}" stroke="{frame_color}" stroke-width="1"/>'
             )
             self.text(px, base + 18, _fmt(t))
-            if stage_map is not None:
+            if ages:
                 self.text(
-                    px, base + 33, f"{stage_map.age(t):g}y", size=10,
+                    px, base + 33, f"{stagemap.age(t):g}y", size=10,
                     color="#666666",
                 )
         for c in _ticks(w.c_min, w.c_max):
@@ -157,11 +159,11 @@ class _Canvas:
         return "\n".join(self.parts) + "\n</svg>\n"
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     """Multiples k*step of a 1-2-5 step in [lo, hi]: at most about
-    target + 1 of them, since step >= (hi - lo)/target."""
+    TICKS + 1 of them, since step >= (hi - lo)/TICKS."""
     span = hi - lo
-    raw = span / target
+    raw = span / TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag)
     first, last = math.ceil(lo / step), math.floor((hi + 1e-9 * span) / step)
@@ -284,7 +286,7 @@ def curvature_profile_svg(field: RiskField, path: str | Path) -> None:
     for t in field.g_prime_roots:
         canvas.line(t, world.c_min, t, world.c_max, "#d62728", 1.0, "5 4")
         canvas.text(canvas.x(t), MARGIN_T + 14, f"t={t:.2f}", size=10, color="#d62728")
-    canvas.axes("stage t", "k(t)", None)
+    canvas.axes("stage t", "k(t)", ages=False)
     _write(canvas, path)
 
 

@@ -31,7 +31,7 @@ from mehgrisk.fieldfit import (
     published_field,
 )
 from mehgrisk.cli import main
-from mehgrisk.polynomial import real_roots
+from mehgrisk.polynomial import Polynomial, real_roots
 
 DOMAIN = Rectangle(1.0, 5.0, 0.2, 3.5)
 
@@ -148,6 +148,19 @@ def test_certificate_constant_field():
     assert cert.min_dRdc == 0.0
 
 
+def test_certificate_tiny_constant_slope_is_not_zero():
+    # dR/dc = 1e-13 never vanishes, so neither does grad R = (h', 1e-13).
+    # A threshold of 1e-12 times the coefficients' size used to call the
+    # slope identically zero and report the roots of h' as critical
+    # stages, while risk_region_area took the same slope as nonzero.
+    f = RiskField((1e-13, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, -0.5, 0.1, 0.0))
+    cert = certify_no_critical_points(f)
+    assert not cert.has_critical_points
+    assert cert.critical_stages == () and cert.slope_roots == ()
+    assert cert.min_dRdc == 1e-13
+    assert risk_region_area(f).method == "reduction"
+
+
 def test_certificate_crafted_interior_critical_point():
     # dR/dc = t - 3 vanishes at t = 3; dR/dt = c - t solves to c = 3,
     # inside the concentration range: a genuine interior critical point.
@@ -161,6 +174,31 @@ def test_certificate_crafted_interior_critical_point():
     t_star, c_star = cert.critical_points[0]
     assert abs(t_star - 3.0) < 1e-8
     assert abs(c_star - 3.0) < 1e-6
+
+
+@pytest.mark.parametrize("b", [
+    (-2700.0, 2700.0, -900.0, 100.0, 0.0),   # R = (t-3)^2 c + 100 (t-3)^3
+    (0.0, 0.0, 0.0, 0.0, 0.0),               # R = (t-3)^2 c
+])
+def test_certificate_critical_line_at_a_double_root(b):
+    # g = (t - 3)^2 and h' share the root 3, and g' = 2(t - 3) vanishes
+    # there too: grad R is zero all along t = 3.  At the float root found,
+    # g' is about 1e-11 and not 0.0, so c* = -h'/g' says nothing; the
+    # line is decided from the exact gcd of g, g' and h'.
+    f = RiskField((9.0, -6.0, 1.0, 0.0, 0.0), b)
+    cert = certify_no_critical_points(f)
+    assert cert.has_critical_points
+    (stage,) = cert.critical_stages
+    assert abs(stage - 3.0) <= polynomial.ROOT_TOL
+    assert cert.critical_points == ()
+
+
+def test_certificate_double_root_of_the_slope_alone_is_no_line():
+    # g = (t - 3)^2 as above, but h' = 1 is not zero at 3: dR/dt = 1 there.
+    f = RiskField((9.0, -6.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0))
+    cert = certify_no_critical_points(f)
+    assert not cert.has_critical_points
+    assert cert.critical_stages == cert.critical_points == ()
 
 
 def test_mean_risk_published():
@@ -279,6 +317,23 @@ def test_level_curves_residuals():
             for t, c in line:
                 assert DOMAIN.contains(t, c)
                 assert abs(f.evaluate(t, c) - cset.level) <= 1e-7
+
+
+def test_level_curves_where_the_slope_rounds_to_zero():
+    # g = (t - 2.5)^3 rounds to exactly 0.0 at stages near its root other
+    # than the root found, and the level-0 graph c* = t - 1 runs through
+    # them.  A bisection midpoint used to land on one, and graph() divided
+    # 0 by 0 (or x by 0); it now takes c*'s limit -h'/g' there, as end()
+    # does at a root of g.
+    g = Polynomial((-2.5, 1.0)) * Polynomial((-2.5, 1.0)) * Polynomial((-2.5, 1.0))
+    f = RiskField((*g.coefficients, 0.0), (-(Polynomial((-1.0, 1.0)) * g)).coefficients)
+    for grid in (16, 19, 20, 25):
+        with np.errstate(divide="raise", invalid="raise"):
+            (cset,) = level_curves(f, levels=(0.0,), grid=grid)
+        assert cset.polylines
+        for line in cset.polylines:
+            t, c = np.array(line).T
+            assert np.all(np.abs(f.evaluate(t, c)) <= 1e-8)
 
 
 def test_level_curves_empty_cases():
@@ -406,8 +461,9 @@ def _root_searches(monkeypatch, g=None) -> list:
     search = polynomial.real_roots
 
     def counted(p, *args, **kwargs):
-        if g is None or p.trimmed() == g.trimmed():
-            calls.append((p.trimmed().coefficients, *args))
+        coefficients = p.coefficients[: p.degree + 1]
+        if g is None or coefficients == g.coefficients[: g.degree + 1]:
+            calls.append((coefficients, *args))
         return search(p, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -443,8 +499,8 @@ def test_report_searches_each_polynomial_once(monkeypatch, tmp_path):
                  "--out", str(tmp_path / "out")]) == 0
     f = published_field()
     per_polynomial = collections.Counter(coefficients for coefficients, *_ in calls)
-    assert per_polynomial.pop(f.g.trimmed().coefficients) == 1
-    assert per_polynomial.pop(f.g_prime.trimmed().coefficients) == 1
+    assert per_polynomial.pop(f.g.coefficients[: f.g.degree + 1]) == 1
+    assert per_polynomial.pop(f.g_prime.coefficients[: f.g_prime.degree + 1]) == 1
     assert sum(per_polynomial.values()) == 14   # 7 levels x 2 c edges
     assert len(calls) == len(set(calls)) == 16
 

@@ -189,6 +189,76 @@ def test_geometry_default_domain_given_or_not_writes_the_same_bytes(tmp_path):
     assert len(read_json(outs[1] / "geometry.json")["zero_loci"]) == 3
 
 
+def test_report_domain_below_stage_one(tmp_path):
+    # The stage axis's age labels used to refuse stage 0: the report
+    # exited 2 and left the six JSON files written before the first plot.
+    out = tmp_path / "out"
+    assert run(
+        "report", "--paper-dataset", "--domain", "0,5,0.2,3.5", "--grid", "32",
+        "--out", str(out),
+    ) == 0
+    assert len(list(out.iterdir())) == 21
+    assert read_json(out / "geometry.json")["search_interval"] == [0.0, 6.0]
+    assert ">-4y</text>" in (out / "contours.svg").read_text()
+
+
+def test_geometry_zero_stage_below_stage_one_is_extrapolated(tmp_path):
+    # g = (t - 0.5)^2 + 1, so g' = 2t - 1 vanishes at stage 0.5, whose age
+    # lies on the first segment of the stage map extended: 1 + 5 (0.5 - 1).
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({
+        "a": [1.25, -1.0, 1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0, 0.0, 0.0],
+        "domain": {"t": [0.0, 5.0], "c": [0.2, 3.5]},
+    }))
+    out = tmp_path / "out"
+    assert run("geometry", "--input", str(path), "--out", str(out)) == 0
+    (locus,) = read_json(out / "geometry.json")["zero_loci"]
+    assert abs(locus["stage"] - 0.5) < 1e-9
+    assert abs(locus["age_years"] + 1.5) < 1e-8
+    assert locus["in_domain"] and locus["extrapolated"]
+    assert locus["label"] == "-1.5 y (extrapolated)"
+    assert (out / "curvature.svg").exists()
+
+
+def test_failing_writer_exit_2_leaves_nothing(tmp_path, fresh_python):
+    # geometry.json holds q = g' finely, but the curvature plot squares
+    # q(t) near 1e155 as a Python float: an OverflowError used to end the
+    # run with a traceback, exit 1 and geometry.json left behind.
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({
+        "a": [0, 0, 0, -4e152, 1e152], "b": [0, 0, 0, 0, 0],
+        "domain": {"t": [1.0, 5.0], "c": [0.2, 3.5]},
+    }))
+    out = tmp_path / "made" / "out"
+    proc = fresh_python(
+        "-m", "mehgrisk", "geometry", "--input", str(path), "--out", str(out),
+        seconds=30.0,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: {out / 'curvature.svg'}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.json"]
+
+
+def test_failing_writer_keeps_an_existing_directory(tmp_path, monkeypatch, capsys):
+    # Only what the run made is removed: a directory that was there
+    # before stays, with its other files and an earlier run's region.svg,
+    # which the failing writer never opened.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    (out / "region.svg").write_text("earlier")
+
+    def failing(*args, **kwargs):
+        raise ValueError("no room")
+
+    monkeypatch.setattr(cli.svgplot, "region_plot_svg", failing)
+    assert run("analyze", "--paper-dataset", "--grid", "16", "--out", str(out)) == 2
+    assert f"{out / 'region.svg'}: no room" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "region.svg"]
+    assert (out / "region.svg").read_text() == "earlier"
+
+
 def test_flow_outputs(tmp_path):
     out = tmp_path / "out"
     assert run(

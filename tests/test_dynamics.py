@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -183,6 +184,9 @@ def test_flow_step_validation():
             flow(f, (3.0, 1.0), max_steps=steps)
     for step in (math.nan, math.inf):
         with pytest.raises(ValueError, match="step must be finite"):
+            flow(f, (3.0, 1.0), step=step)
+    for step in ("0.01", None, 1e-3j):
+        with pytest.raises(ValueError, match=re.escape(f"step must be a real number, got {step!r}")):
             flow(f, (3.0, 1.0), step=step)
 
 

@@ -7,13 +7,13 @@ import math
 
 import numpy as np
 
+from mehgrisk import stagemap
 from mehgrisk.fieldfit import Rectangle, RiskField, published_field
 from mehgrisk.geometry import (
     build_geometry_report,
     certify_hadamard,
     gaussian_curvature,
 )
-from mehgrisk.stagemap import DEFAULT_STAGE_MAP
 
 # Frozen from high-precision root isolation of q(t) = d2R/dtdc.
 STAGES = (1.8540430241355907, 3.328842757131719, 5.598364218674536)
@@ -134,7 +134,7 @@ def test_zero_loci_flags_and_age_consistency():
     assert second.in_domain and not second.extrapolated
     assert third.extrapolated and not third.in_domain
     for locus in report.zero_loci:
-        assert locus.age_years == DEFAULT_STAGE_MAP.age(locus.stage)
+        assert locus.age_years == stagemap.age(locus.stage)
 
 
 def test_certificate_away_from_loci_is_strictly_negative():

@@ -12,7 +12,7 @@ pass within a cell of every reference vertex.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from mehgrisk.analysis import LevelCurveSet, level_curves
@@ -254,8 +254,22 @@ def test_random_fields_match_reference(case):
     _assert_near_reference(*case)
 
 
+# A drawn field with a saddle at t1 = 2.375, where g(2.375) is exactly
+# 0.0 and h(2.375) is the level: graph() must not divide 0 by 0 there.
+SADDLE_AT_2375 = (
+    RiskField(
+        (1.5973486097268557, -1.1580960683533004, 0.20443294007529889, 0.0, 0.0),
+        (0.0, -12.986920050424285, 4.1765068828804655, -0.25,
+         -0.04542197829910682),
+    ),
+    (-12.080122280853288,),
+    16,
+)
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cases(saddle_fields))
+@example(SADDLE_AT_2375)
 def test_saddle_fields_match_reference(case):
     _assert_near_reference(*case)
 
@@ -320,6 +334,11 @@ sign_changing_fields = st.builds(
     quantiles=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
     grid=st.integers(16, 128),
 )
+# R = g(t)(c - 0.4375) + const: the minimum's level touches c = 3.5 only at
+# t = 2.3, midway between the roots 1.5 and 3.1 of g, where c* rounds to
+# exactly 3.5; the piece between the roots must not be drawn.
+@example(case=_two_saddle_field(1.5, 3.1, 0.4375, 0.4375, 1.0, 0.0, 0.0, 0.0),
+         quantiles=[0.0], grid=16)
 def test_exact_curves_lie_on_the_level(case, quantiles, grid):
     field, saddle_levels = case
     dom = field.domain

@@ -14,6 +14,7 @@ from mehgrisk.polynomial import (
     ROOT_TOL,
     Polynomial,
     bisect_root,
+    common_roots,
     count_roots,
     isolate_roots,
     real_roots,
@@ -121,6 +122,18 @@ def test_repeated_root_counted_once():
     assert abs(roots[1] - 2.0) < 1e-6
 
 
+def test_common_roots_are_the_exact_gcd_roots():
+    # (x - 1)(x - 2)(x - 4) and (x - 2)^2 (x + 1) share only x = 2; a zero
+    # polynomial shares every root, and x^2 + 1 none.
+    p = Polynomial((-8.0, 14.0, -7.0, 1.0))
+    q = Polynomial((4.0, 0.0, -3.0, 1.0))
+    (root,) = common_roots([p, q], -5.0, 5.0)
+    assert abs(root - 2.0) < 1e-10
+    assert common_roots([p, Polynomial.zero()], 0.0, 10.0) == real_roots(p, 0.0, 10.0)
+    assert common_roots([p, Polynomial((1.0, 0.0, 1.0))], -5.0, 5.0) == ()
+    assert common_roots([p, q], 3.0, 5.0) == ()
+
+
 def test_no_real_roots():
     p = Polynomial((1.0, 0.0, 1.0))   # x^2 + 1
     assert real_roots(p, -100.0, 100.0) == ()
@@ -200,7 +213,7 @@ def test_import_loads_no_fractions_or_decimal(fresh_python):
 
 def test_format_descending():
     p = Polynomial((-5.25, 8.93, -4.54, 0.92, -0.06))
-    text = p.format_descending("t")
+    text = p.format_descending()
     assert text == "-0.06 t^4 + 0.92 t^3 - 4.54 t^2 + 8.93 t - 5.25"
     assert Polynomial((0.0,)).format_descending() == "0"
     assert Polynomial((2.5,)).format_descending() == "2.5"

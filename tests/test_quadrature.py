@@ -248,15 +248,20 @@ def exact_simpson_mean(field: RiskField, dom: Rectangle, cells: int) -> float:
 @given(case=fields_and_subdomains(), half_cells=st.integers(1, 300))
 @example(case=(RiskField((0.0,) * 5, (1.903052564399526, 0.0, 0.0, 0.0, 0.0)),
                DOMAIN), half_cells=18)
+@example(case=(RiskField((2.225073858507203e-309, 0.0, 0.0, 0.0, 0.0), (0.0,) * 5),
+               DOMAIN), half_cells=1)
+@example(case=(RiskField((2.225073858507203e-309, 0.0, 0.0, 0.0, 0.0), (0.0,) * 5),
+               DOMAIN), half_cells=10)
 def test_collapsed_simpson_mean_equals_grid_sum(case, half_cells):
     field, dom = case
     cells = 2 * half_cells
     got = mean_risk_simpson(field.with_domain(dom), cells)
     # Ulps of the largest term |g| |c| + |h|, where cancellation leaves
-    # the sums' rounding.
+    # the sums' rounding.  Below the normal range floats are spaced by the
+    # smallest subnormal, not by EPS times their size, which underflows.
     g, h = field.slope_and_intercept(np.linspace(dom.t_min, dom.t_max, cells + 1))
-    ulp = EPS * float(np.max(np.abs(g)) * max(abs(dom.c_min), abs(dom.c_max))
-                      + np.max(np.abs(h)))
+    ulp = max(EPS * float(np.max(np.abs(g)) * max(abs(dom.c_min), abs(dom.c_max))
+                          + np.max(np.abs(h))), math.ulp(0.0))
     # The collapsed sums are within a few ulps of the exact rule (2.6 at
     # most over 800 random fields and subdomains, half of them constant).
     assert abs(got - exact_simpson_mean(field, dom, cells)) <= 4 * ulp
