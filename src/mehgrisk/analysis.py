@@ -240,7 +240,8 @@ def monte_carlo_region_area(
     the t, and the count streams in chunks of `MC_CHUNK` through five
     buffers allocated once: memory stays fixed whatever `samples` is.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
+    if (isinstance(samples, bool)
+            or not isinstance(samples, (int, np.integer)) or samples < 1):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     dom = field.domain
     t_rng = np.random.default_rng(seed)

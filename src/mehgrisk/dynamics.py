@@ -9,6 +9,7 @@ those claims checkable on computed samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -51,14 +52,20 @@ def flow(
     (the final sample is clipped onto the boundary by bisecting the step
     segment), when the step budget runs out, or when the gradient
     magnitude falls below an equilibrium floor.
+
+    Each of the four RK4 stages is written out in the step, as Horner's
+    rule for g, g' and h' in the field's one evaluation order, and the tau
+    column is summed after the loop; tests/test_flow_oracle.py holds every
+    sample to a looped integrator, bit for bit.
     """
-    if not isinstance(step, numbers.Real):
+    if isinstance(step, bool) or not isinstance(step, numbers.Real):
         raise ValueError(f"step must be a real number, got {step!r}")
     if not math.isfinite(step):
         raise ValueError("step must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
-    if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
+    if (isinstance(max_steps, bool)
+            or not isinstance(max_steps, (int, np.integer)) or max_steps < 1):
         raise ValueError(
             f"max_steps must be an integer >= 1, got {max_steps!r}")
     dom = field.domain
@@ -66,32 +73,38 @@ def flow(
     if not dom.contains(t0, c0):
         raise ValueError(f"start point {start!r} lies outside the domain")
 
-    # Horner's rule from the top coefficient, as Polynomial.__call__ runs
-    # it, unrolled for g, g' and h'.
+    # Stage k at (u, v) is k_t = v * g'(u) + h'(u) and k_c = g(u), each
+    # chain Horner's rule from the top coefficient, as Polynomial.__call__
+    # runs it.
     a0, a1, a2, a3, a4 = field.a
     ga1, ga2, ga3, ga4 = field.g_prime.coefficients
     hb1, hb2, hb3, hb4 = field.h_prime.coefficients
-
-    def grad(t: float, c: float) -> tuple[float, float]:
-        gp_t = ((ga4 * t + ga3) * t + ga2) * t + ga1
-        hp_t = ((hb4 * t + hb3) * t + hb2) * t + hb1
-        g_t = (((a4 * t + a3) * t + a2) * t + a1) * t + a0
-        return c * gp_t + hp_t, g_t
-
     # 0.5 * h * k and h / 6.0 * s round as (0.5 * h) * k and (h / 6.0) * s.
     half, sixth = 0.5 * step, step / 6.0
+    floor2 = _SPEED_FLOOR * _SPEED_FLOOR
     t_lo, t_hi, c_lo, c_hi = dom.t_min, dom.t_max, dom.c_min, dom.c_max
-    taus, ts, cs = [0.0], [t0], [c0]
-    t, c, tau = t0, c0, 0.0
+    ts, cs = [t0], [c0]
+    t, c = t0, c0
     exit_reason = EXIT_MAX_STEPS
     for _ in range(max_steps):
-        k1t, k1c = grad(t, c)
-        if k1t * k1t + k1c * k1c < _SPEED_FLOOR * _SPEED_FLOOR:
+        k1t = (c * (((ga4 * t + ga3) * t + ga2) * t + ga1)
+               + (((hb4 * t + hb3) * t + hb2) * t + hb1))
+        k1c = (((a4 * t + a3) * t + a2) * t + a1) * t + a0
+        if k1t * k1t + k1c * k1c < floor2:
             exit_reason = EXIT_STEP_UNDERFLOW
             break
-        k2t, k2c = grad(t + half * k1t, c + half * k1c)
-        k3t, k3c = grad(t + half * k2t, c + half * k2c)
-        k4t, k4c = grad(t + step * k3t, c + step * k3c)
+        u, v = t + half * k1t, c + half * k1c
+        k2t = (v * (((ga4 * u + ga3) * u + ga2) * u + ga1)
+               + (((hb4 * u + hb3) * u + hb2) * u + hb1))
+        k2c = (((a4 * u + a3) * u + a2) * u + a1) * u + a0
+        u, v = t + half * k2t, c + half * k2c
+        k3t = (v * (((ga4 * u + ga3) * u + ga2) * u + ga1)
+               + (((hb4 * u + hb3) * u + hb2) * u + hb1))
+        k3c = (((a4 * u + a3) * u + a2) * u + a1) * u + a0
+        u, v = t + step * k3t, c + step * k3c
+        k4t = (v * (((ga4 * u + ga3) * u + ga2) * u + ga1)
+               + (((hb4 * u + hb3) * u + hb2) * u + hb1))
+        k4c = (((a4 * u + a3) * u + a2) * u + a1) * u + a0
         t_next = t + sixth * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
         c_next = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
         if not (t_lo <= t_next <= t_hi and c_lo <= c_next <= c_hi):
@@ -105,15 +118,20 @@ def flow(
                     lo = mid
                 else:
                     hi = mid
-            taus.append(tau + lo * step)
             ts.append(min(max(t + lo * (t_next - t), t_lo), t_hi))
             cs.append(min(max(c + lo * (c_next - c), c_lo), c_hi))
             exit_reason = EXIT_LEFT_DOMAIN
             break
-        t, c, tau = t_next, c_next, tau + step
-        taus.append(tau)
+        t, c = t_next, c_next
         ts.append(t)
         cs.append(c)
+    # tau is the running sum tau + step over the whole steps, and a
+    # clipped last sample sits at tau + lo * step.
+    clipped = exit_reason == EXIT_LEFT_DOMAIN
+    taus = list(itertools.accumulate(
+        itertools.repeat(step, len(ts) - 1 - clipped), initial=0.0))
+    if clipped:
+        taus.append(taus[-1] + lo * step)
     # One array call: each element rounds as the scalar R(t, c) does.  No
     # element overflows, as the field's bound on |R| over its domain is
     # finite; a nan sample, left by an overflowing gradient, stays quiet.

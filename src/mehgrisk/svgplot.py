@@ -277,7 +277,12 @@ def curvature_profile_svg(field: RiskField, path: str | Path) -> None:
         t_lo + i * (t_hi - t_lo) / PROFILE_SAMPLES
         for i in range(PROFILE_SAMPLES + 1)
     ]
-    ks = [-(q(t) ** 2) for t in ts]
+    qs = [q(t) for t in ts]
+    # q(t)**2 overflows a float once |q| passes about 1.3e154, so q is
+    # scaled by 2**-k first, with k = 0 unless max |q| passes 2**500; a
+    # power of two scales exactly, and the y label carries 2**(2k).
+    k = max(0, math.frexp(max(map(abs, qs)))[1] - 500)
+    ks = [-(math.ldexp(v, -k) ** 2) for v in qs]
     lo = min(ks)
     world = Rectangle(t_lo, t_hi, lo * 1.05 if lo < 0 else -1.0, max(0.5, -lo * 0.05))
     canvas = _Canvas(world, "Curvature numerator -(q(t))² and its zero stages")
@@ -286,7 +291,7 @@ def curvature_profile_svg(field: RiskField, path: str | Path) -> None:
     for t in field.g_prime_roots:
         canvas.line(t, world.c_min, t, world.c_max, "#d62728", 1.0, "5 4")
         canvas.text(canvas.x(t), MARGIN_T + 14, f"t={t:.2f}", size=10, color="#d62728")
-    canvas.axes("stage t", "k(t)", ages=False)
+    canvas.axes("stage t", f"k(t) / 2^{2 * k}" if k else "k(t)", ages=False)
     _write(canvas, path)
 
 

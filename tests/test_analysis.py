@@ -291,7 +291,7 @@ def test_monte_carlo_determinism():
     assert first == second
 
 
-@pytest.mark.parametrize("samples", [0, -5, 2.5, "1000", None])
+@pytest.mark.parametrize("samples", [0, -5, 2.5, "1000", None, True])
 def test_monte_carlo_rejects_bad_sample_count(samples):
     # A streamed count of -5 samples would return area -0.0 silently.
     with pytest.raises(ValueError, match="samples must be an integer >= 1"):

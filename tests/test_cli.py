@@ -220,24 +220,49 @@ def test_geometry_zero_stage_below_stage_one_is_extrapolated(tmp_path):
     assert (out / "curvature.svg").exists()
 
 
+# A fresh interpreter whose curvature plot fails with an OverflowError,
+# as a float overflow in a writer does, and then runs the CLI.
+_FAILING_CURVATURE = """
+import sys
+from mehgrisk import cli, svgplot
+def fail(*args):
+    raise OverflowError(34, "Numerical result out of range")
+svgplot.curvature_profile_svg = fail
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def test_failing_writer_exit_2_leaves_nothing(tmp_path, fresh_python):
-    # geometry.json holds q = g' finely, but the curvature plot squares
-    # q(t) near 1e155 as a Python float: an OverflowError used to end the
-    # run with a traceback, exit 1 and geometry.json left behind.
+    # geometry.json is written before the curvature plot fails: the run
+    # ends with exit 2 and an error naming the file, not a traceback and
+    # exit 1, and takes geometry.json and the directories it made away.
+    out = tmp_path / "made" / "out"
+    proc = fresh_python(
+        "-c", _FAILING_CURVATURE, "geometry", "--paper-dataset",
+        "--out", str(out), seconds=30.0,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: {out / 'curvature.svg'}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_curvature_plot_of_a_huge_slope_is_scaled(tmp_path):
+    # q = g' reaches about 1.3e155 on the search range, so q(t)**2 would
+    # overflow a float; the plot scales q by a power of two instead.
     path = tmp_path / "q.json"
     path.write_text(json.dumps({
         "a": [0, 0, 0, -4e152, 1e152], "b": [0, 0, 0, 0, 0],
         "domain": {"t": [1.0, 5.0], "c": [0.2, 3.5]},
     }))
-    out = tmp_path / "made" / "out"
-    proc = fresh_python(
-        "-m", "mehgrisk", "geometry", "--input", str(path), "--out", str(out),
-        seconds=30.0,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert f"error: {out / 'curvature.svg'}: " in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.json"]
+    out = tmp_path / "out"
+    assert run("geometry", "--input", str(path), "--out", str(out)) == 0
+    svg = (out / "curvature.svg").read_text()
+    assert ">k(t) / 2^28<" in svg
+    numbers = re.findall(r' (?:points|[xy]\d?)="([^"]*)"', svg)
+    assert numbers
+    assert all(math.isfinite(float(v)) for text in numbers
+               for v in re.split(r"[ ,]+", text.strip()))
 
 
 def test_failing_writer_keeps_an_existing_directory(tmp_path, monkeypatch, capsys):

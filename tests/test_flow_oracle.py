@@ -1,6 +1,7 @@
-"""Unrolled RK4 flow against a looped integrator.
+"""Written-out RK4 flow against a looped integrator.
 
-The reference below loops where dynamics.flow unrolls: grad runs Horner's
+The reference below loops where dynamics.flow writes each stage out in
+its step and sums the tau column after its loop: grad runs Horner's
 rule over the coefficients from the top one, acc = acc * t + coef, as
 Polynomial.__call__ does, and value is R = g(t) c + h(t) from those
 chains.  dynamics.flow must give the same samples, bit for bit, and the
@@ -92,13 +93,13 @@ def _bits(traj: FlowTrajectory) -> bytes:
     return b"".join(struct.pack("<4d", *s) for s in traj.samples)
 
 
-def _assert_same(field, start, step, max_steps) -> str:
+def _assert_same(field, start, step, max_steps) -> FlowTrajectory:
     got = flow(field, start, step=step, max_steps=max_steps)
     want = _reference_flow(field, start, step=step, max_steps=max_steps)
     assert got.exit_reason == want.exit_reason
     # Same bits, signed zeros included, not merely equal floats.
     assert _bits(got) == _bits(want)
-    return got.exit_reason
+    return got
 
 
 coefficient = (
@@ -164,5 +165,23 @@ SETTLING = RiskField((0.0,) * 5, (-9.0, 6.0, -1.0, 0.0, 0.0))
     ],
 )
 def test_flow_exits_match_looped_rk4(field, start, step, max_steps, exit_reason):
-    assert _assert_same(field, start, step, max_steps) == exit_reason
+    assert _assert_same(field, start, step, max_steps).exit_reason == exit_reason
 
+
+# The benchmark's sizes: the published field at its three steps with a
+# budget of 4000.  Thousands of steps lock the tau column, summed after
+# the loop, to the looped running sum tau + step.
+@pytest.mark.parametrize(
+    "start, step, exit_reason, length",
+    [
+        ((1.2, 0.3), 1e-3, EXIT_LEFT_DOMAIN, 1090),
+        ((1.2, 0.3), 3e-4, EXIT_LEFT_DOMAIN, 3631),
+        ((1.2, 0.3), 1e-4, EXIT_MAX_STEPS, 4001),
+        ((4.0, 0.5), 1e-4, EXIT_LEFT_DOMAIN, 2184),
+        ((2.5, 1.5), 3e-4, EXIT_LEFT_DOMAIN, 2230),
+    ],
+)
+def test_long_flows_match_looped_rk4(start, step, exit_reason, length):
+    got = _assert_same(published_field(), start, step, 4000)
+    assert got.exit_reason == exit_reason
+    assert len(got.samples) == length
