@@ -176,8 +176,9 @@ def mean_risk_simpson(field: RiskField, cells: int = 400) -> float:
     (w.g)(w.c) + (w.h)(sum w): no grid, only g and h at cells + 1 stages.
     Weights scaled by 1/sum w = 1/(3 cells) make each sum a finite mean.
     """
-    if cells % 2 != 0:
-        raise ValueError("Simpson rule needs an even cell count")
+    if (isinstance(cells, bool) or not isinstance(cells, (int, np.integer))
+            or cells < 2 or cells % 2):
+        raise ValueError(f"cells must be an even integer >= 2, got {cells!r}")
     dom = field.domain
     w = np.ones(cells + 1)
     w[1:-1:2] = 4.0
@@ -243,6 +244,8 @@ def monte_carlo_region_area(
     if (isinstance(samples, bool)
             or not isinstance(samples, (int, np.integer)) or samples < 1):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be finite")
     dom = field.domain
     t_rng = np.random.default_rng(seed)
     c_rng = np.random.default_rng(seed)
@@ -322,8 +325,7 @@ def risk_region_area(
     positive = g(0.5 * (dom.t_min + dom.t_max)) > 0.0
 
     def column_length(t: np.ndarray) -> np.ndarray:
-        g_t, h_t = field.slope_and_intercept(t)
-        c_star = np.clip((threshold - h_t) / g_t, dom.c_min, dom.c_max)
+        c_star = _c_star(field, threshold, t)
         return dom.c_max - c_star if positive else c_star - dom.c_min
 
     cuts = list(field.cuts(threshold))
@@ -348,6 +350,22 @@ class LevelCurveSet:
         }
 
 
+def _c_star(field: RiskField, level: float, t: np.ndarray) -> np.ndarray:
+    """c*(t) = (level - h(t))/g(t) at an array of stages, clipped to the c
+    range; at a root of g (field.slope_roots) or where g(t) is 0.0, c*'s
+    limit -h'/g' there, or c_min where g' is 0.0 too."""
+    dom, roots = field.domain, field.slope_roots
+    g_t, h_t = field.slope_and_intercept(t)
+    at_zero = g_t == 0.0
+    if roots:
+        at_zero |= np.isin(t, roots)
+    c = (level - h_t) / np.where(at_zero, 1.0, g_t)
+    gp, hp = field.g_prime, field.h_prime
+    c[at_zero] = [-hp(x) / gp(x) if gp(x) != 0.0 else dom.c_min
+                  for x in t[at_zero].tolist()]
+    return np.clip(c, dom.c_min, dom.c_max)
+
+
 def _level_polylines(field, level, ts, dc) -> tuple:
     """The polylines of {R = level} in the field's domain; see level_curves."""
     dom, roots = field.domain, field.slope_roots
@@ -360,25 +378,6 @@ def _level_polylines(field, level, ts, dc) -> tuple:
         cuts = field.cuts(level)
     poles = set(roots).difference(saddles)   # c* is unbounded beside these
 
-    def limit(t: float) -> float:
-        # c*'s limit -h'/g' at a zero of g; R is near the level all along
-        # t = t0 if a piece ends there.
-        return -hp(t) / gp(t) if gp(t) != 0.0 else dom.c_min
-
-    def end(t: float) -> float:   # the edge c* crosses at the cut, or c*
-        if cuts[t] is not None:
-            return cuts[t]
-        if t in roots or g(t) == 0.0:
-            return limit(t)
-        return (level - h(t)) / g(t)
-
-    def graph(t: np.ndarray) -> np.ndarray:   # c*, or its limit where g is 0.0
-        g_t, h_t = field.slope_and_intercept(t)
-        zero = g_t == 0.0
-        c = (level - h_t) / np.where(zero, 1.0, g_t)
-        c[zero] = [limit(x) for x in t[zero].tolist()]
-        return np.clip(c, dom.c_min, dom.c_max)
-
     lines = []
     stages = list(cuts)
     for lo, hi in zip(stages, stages[1:]):
@@ -388,13 +387,17 @@ def _level_polylines(field, level, ts, dc) -> tuple:
             continue
         inner = ts[(ts > lo + ROOT_TOL) & (ts < hi - ROOT_TOL)]   # g != 0 there
         t = np.concatenate(([lo], inner, [hi]))
-        c = np.clip(np.r_[end(lo), graph(inner), end(hi)], dom.c_min, dom.c_max)
+        c = _c_star(field, level, t)
+        for i, end in ((0, lo), (-1, hi)):   # an end at a cut is on its edge
+            if cuts[end] is not None:
+                c[i] = cuts[end]
         for _ in range(REFINE_ROUNDS):
             steep = np.flatnonzero(np.abs(np.diff(c)) > dc) + 1
             if not len(steep):
                 break
             t_mid = 0.5 * (t[steep - 1] + t[steep])
-            t, c = np.insert(t, steep, t_mid), np.insert(c, steep, graph(t_mid))
+            c_mid = _c_star(field, level, t_mid)
+            t, c = np.insert(t, steep, t_mid), np.insert(c, steep, c_mid)
         lines.append((t, c))
     lines.extend(((t0, t0), (dom.c_min, dom.c_max)) for t0 in saddles)
     return tuple(tuple(zip(_round9(t), _round9(c))) for t, c in lines)

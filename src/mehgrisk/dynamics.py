@@ -34,11 +34,6 @@ class FlowTrajectory:
     samples: tuple[tuple[float, float, float, float], ...]
     exit_reason: str
 
-    @property
-    def endpoint(self) -> tuple[float, float]:
-        last = self.samples[-1]
-        return last[1], last[2]
-
 
 def flow(
     field: RiskField,
@@ -175,6 +170,8 @@ def check_no_recurrence(
     passes; one that circles within the radius moves its rows a few
     samples per pass, and costs up to O(n^2) distances.
     """
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Real):
+        raise ValueError(f"radius must be a real number, got {radius!r}")
     if not math.isfinite(radius):
         raise ValueError("radius must be finite")
     if radius <= 0:

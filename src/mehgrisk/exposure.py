@@ -43,14 +43,14 @@ FE_DAYS_PER_YEAR = 365.0
 
 def _require_nonnegative(**kwargs: float) -> None:
     for name, value in kwargs.items():
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+        if not 0 <= value < math.inf:   # False for NaN too
+            raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
 def _require_positive(**kwargs: float) -> None:
     for name, value in kwargs.items():
-        if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be a finite number > 0, got {value}")
 
 
 def total_dose(

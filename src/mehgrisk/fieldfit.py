@@ -233,10 +233,6 @@ class RiskTable:
             tuple(tuple(row) for row in data["values"]),
         )
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "RiskTable":
-        return from_json_data(cls.from_json_dict, read_json(path), path, "table")
-
 
 @dataclass(frozen=True)
 class RiskField:
@@ -372,10 +368,6 @@ class RiskField:
             tuple(data["b"]),
             Rectangle.from_json_dict(data["domain"]),
         )
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "RiskField":
-        return from_json_data(cls.from_json_dict, read_json(path), path, "field")
 
 
 def read_json(path: str | Path):

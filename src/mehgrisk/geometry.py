@@ -46,14 +46,6 @@ class CurvatureReport:
     is_hadamard: bool
     curvature_identically_zero: bool = False
 
-    @property
-    def critical_ages(self) -> tuple[float, ...]:
-        return tuple(locus.age_years for locus in self.zero_loci)
-
-    @property
-    def zero_stages(self) -> tuple[float, ...]:
-        return tuple(locus.stage for locus in self.zero_loci)
-
 
 def _loci(field: RiskField) -> tuple[ZeroLocus, ...]:
     """The roots of q on the field's search range, with mapped ages."""

@@ -142,8 +142,8 @@ def test_c03_no_critical_points(capsys):
 
 def test_c04_critical_ages(capsys):
     report = certify_hadamard(published_field())
-    stages = report.zero_stages
-    ages = report.critical_ages
+    stages = [locus.stage for locus in report.zero_loci]
+    ages = [locus.age_years for locus in report.zero_loci]
     stage_targets = (1.85, 3.28, 5.59)
     age_targets = ((5.0, 2.0), (26.4, 2.0), (105.0, 4.0))
     stage_ok = len(stages) == 3 and all(
@@ -232,7 +232,7 @@ def test_c07_gradient_flow(capsys):
     ends = []
     for step, steps in ((0.05, 8), (0.025, 16), (0.0125, 32)):
         traj = flow(f, (3.0, 1.0), step=step, max_steps=steps)
-        ends.append(traj.endpoint)
+        ends.append(traj.samples[-1][1:3])
     ratio = math.dist(ends[0], ends[1]) / math.dist(ends[1], ends[2])
     _criterion(capsys, 7, [
         (monotone == n, f"risk strictly increases on {monotone}/{n} flows"),

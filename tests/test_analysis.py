@@ -298,6 +298,25 @@ def test_monte_carlo_rejects_bad_sample_count(samples):
         monte_carlo_region_area(published_field(), samples=samples)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_monte_carlo_rejects_nonfinite_threshold(threshold):
+    # NaN compares false with every R, so it read as an empty region.
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        monte_carlo_region_area(published_field(), threshold, samples=1000)
+
+
+@pytest.mark.parametrize("cells", [0, -2, 3, 2.0, True, "4", None])
+def test_simpson_rejects_bad_cell_count(cells):
+    with pytest.raises(ValueError, match="cells must be an even integer >= 2"):
+        mean_risk_simpson(published_field(), cells=cells)
+
+
+def test_simpson_takes_the_smallest_and_numpy_cell_counts():
+    f = published_field()
+    assert math.isfinite(mean_risk_simpson(f, cells=2))
+    assert mean_risk_simpson(f, cells=np.int64(400)) == mean_risk_simpson(f)
+
+
 def test_monte_carlo_single_sample():
     f = published_field()
     one = monte_carlo_region_area(f, samples=1, seed=3)

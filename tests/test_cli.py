@@ -26,7 +26,7 @@ def read_json(path):
 def test_fit_paper_dataset(tmp_path):
     out = tmp_path / "out"
     assert run("fit", "--paper-dataset", "--out", str(out)) == 0
-    field = RiskField.from_json(out / "field.json")
+    field = RiskField.from_json_dict(read_json(out / "field.json"))
     assert field.a == PUBLISHED_A
     assert field.b == PUBLISHED_B
     report = read_json(out / "fit_report.json")
@@ -138,7 +138,7 @@ def test_fit_synthetic_table_round_trip(tmp_path):
     table.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"
     assert run("fit", "--input", str(table), "--out", str(out)) == 0
-    fitted = RiskField.from_json(out / "field.json")
+    fitted = RiskField.from_json_dict(read_json(out / "field.json"))
     for got, want in zip(fitted.a + fitted.b, a + b):
         assert abs(got - want) < 1e-8
     report = read_json(out / "fit_report.json")

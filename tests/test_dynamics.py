@@ -35,7 +35,7 @@ def test_risk_increases_along_flow():
 def test_flow_endpoint_on_boundary():
     f = published_field()
     traj = flow(f, (3.0, 1.0))
-    t_end, c_end = traj.endpoint
+    t_end, c_end = traj.samples[-1][1:3]
     d = f.domain
     edge_gap = min(
         abs(t_end - d.t_min), abs(t_end - d.t_max),
@@ -72,7 +72,7 @@ def test_flow_fourth_order_convergence():
         assert traj.exit_reason == EXIT_MAX_STEPS
         tau = traj.samples[-1][0]
         assert math.isclose(tau, 0.4, rel_tol=1e-12)
-        ends.append(traj.endpoint)
+        ends.append(traj.samples[-1][1:3])
     err_coarse = math.dist(ends[0], ends[1])
     err_fine = math.dist(ends[1], ends[2])
     assert err_fine > 0
@@ -239,6 +239,13 @@ def test_recurrence_trivial_cases():
 def test_recurrence_rejects_nonfinite_radius(radius):
     traj = flow(published_field(), (3.0, 1.0), step=0.01, max_steps=5)
     with pytest.raises(ValueError, match="radius must be finite"):
+        check_no_recurrence(traj, radius=radius)
+
+
+@pytest.mark.parametrize("radius", [True, "0.05", None])
+def test_recurrence_rejects_a_radius_that_is_no_number(radius):
+    traj = flow(published_field(), (3.0, 1.0), step=0.01, max_steps=5)
+    with pytest.raises(ValueError, match="radius must be a real number"):
         check_no_recurrence(traj, radius=radius)
 
 

@@ -24,6 +24,25 @@ def test_total_dose_rejects_negative():
         ex.total_dose(-0.1, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_algebra_rejects_nonfinite(bad):
+    # nan <= 0 is False, so a sign test alone lets NaN through.
+    with pytest.raises(ValueError, match="ingestion must be a finite number"):
+        ex.total_dose(1.0, bad, 1.0, 1.0)
+    with pytest.raises(ValueError, match="body_weight must be a finite number"):
+        ex.average_daily_dose(1.0, bad, 70.0)
+    with pytest.raises(ValueError, match="rfd must be a finite number"):
+        ex.consumption_limit_kg_per_day(bad, 70, 1)
+    with pytest.raises(ValueError, match="portion_mass must be a finite number"):
+        ex.consumption_limit_meals_per_month(0.02, bad)
+    with pytest.raises(ValueError, match="averaging_years must be a finite number"):
+        ex.exposure_factor(3, 1, bad)
+    with pytest.raises(ValueError, match="exposure_value must be a finite number"):
+        ex.risk_coefficient(bad, 1e-4)
+    with pytest.raises(ValueError, match="concentration must be a finite number"):
+        _profile(concentration=bad)
+
+
 def test_average_daily_dose():
     assert abs(ex.average_daily_dose(28.47, 1.0, 78) - 0.001) < 1e-6
     with pytest.raises(ValueError):
@@ -228,6 +247,10 @@ def test_survey_substitution_scaling():
 def test_profile_validation():
     with pytest.raises(ValueError):
         _profile(body_weight=0.0)
+    with pytest.raises(ValueError, match="body_weight must be a finite number"):
+        _profile(body_weight=math.nan)
+    with pytest.raises(ValueError, match="reference_dose must be a finite number"):
+        _profile(reference_dose=math.inf)
     with pytest.raises(ValueError):
         _profile(substitution_fraction=1.5)
     with pytest.raises(ValueError):

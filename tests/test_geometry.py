@@ -121,10 +121,9 @@ def test_certificate_published_field():
     assert report.is_hadamard
     assert not report.curvature_identically_zero
     assert report.max_curvature_on_domain == 0.0
-    for got, want in zip(report.zero_stages, STAGES):
-        assert abs(got - want) < 1e-6
-    for got, want in zip(report.critical_ages, AGES):
-        assert abs(got - want) < 1e-4
+    for locus, stage, age in zip(report.zero_loci, STAGES, AGES):
+        assert abs(locus.stage - stage) < 1e-6
+        assert abs(locus.age_years - age) < 1e-4
 
 
 def test_zero_loci_flags_and_age_consistency():
