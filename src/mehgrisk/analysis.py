@@ -183,9 +183,10 @@ def mean_risk_simpson(field: RiskField, cells: int = 400) -> float:
     w = np.ones(cells + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    g, h = field.slope_and_intercept(np.linspace(dom.t_min, dom.t_max, cells + 1))
+    t = np.linspace(dom.t_min, dom.t_max, cells + 1)
     c = np.linspace(dom.c_min, dom.c_max, cells + 1)
-    g_mean, h_mean, c_mean = np.sum((g, h, c) * (w / (3.0 * cells)), axis=1)
+    g_mean, h_mean, c_mean = np.sum(
+        (field.g(t), field.h(t), c) * (w / (3.0 * cells)), axis=1)
     return float(g_mean * c_mean + h_mean)
 
 
@@ -260,9 +261,9 @@ def monte_carlo_region_area(
             ts, cs, g, h, hit = ts[:m], cs[:m], g[:m], h[:m], hit[:m]
         _uniform_into(t_rng, dom.t_min, dom.t_max, ts)
         _uniform_into(c_rng, dom.c_min, dom.c_max, cs)
-        field.slope_and_intercept(ts, out=(g, h))
+        field.g(ts, out=g)
         g *= cs
-        g += h
+        g += field.h(ts, out=h)
         np.greater_equal(g, threshold, out=hit)
         hits += int(np.count_nonzero(hit))
     hit_fraction = hits / samples
@@ -337,10 +338,14 @@ def risk_region_area(
 
 @dataclass(frozen=True)
 class LevelCurveSet:
-    """Iso-level polylines; each polyline is a vertex chain in (t, c)."""
+    """Iso-level polylines, each a vertex chain in (t, c), and for
+    {R >= level} the c edge on each polyline's side of it (None for a line
+    t = t0) and the full (t_lo, t_hi) pieces, whose whole column is in it."""
 
     level: float
     polylines: tuple[tuple[tuple[float, float], ...], ...]
+    sides: tuple[float | None, ...] = ()
+    full: tuple[tuple[float, float], ...] = ()
 
     def as_json_dict(self) -> dict:
         return {
@@ -355,7 +360,7 @@ def _c_star(field: RiskField, level: float, t: np.ndarray) -> np.ndarray:
     range; at a root of g (field.slope_roots) or where g(t) is 0.0, c*'s
     limit -h'/g' there, or c_min where g' is 0.0 too."""
     dom, roots = field.domain, field.slope_roots
-    g_t, h_t = field.slope_and_intercept(t)
+    g_t, h_t = field.g(t), field.h(t)
     at_zero = g_t == 0.0
     if roots:
         at_zero |= np.isin(t, roots)
@@ -367,23 +372,28 @@ def _c_star(field: RiskField, level: float, t: np.ndarray) -> np.ndarray:
 
 
 def _level_polylines(field, level, ts, dc) -> tuple:
-    """The polylines of {R = level} in the field's domain; see level_curves."""
+    """The polylines of {R = level} in the field's domain, their sides and
+    the full pieces; see level_curves and LevelCurveSet."""
     dom, roots = field.domain, field.slope_roots
     g, h, gp, hp = field.g, field.h, field.g_prime, field.h_prime
     if g.is_zero():   # R = h(t): R = level on the lines t = t0 where h(t0) = level
-        saddles, cuts = real_roots(level - h, dom.t_min, dom.t_max), {}
+        saddles = real_roots(level - h, dom.t_min, dom.t_max)
+        cuts = dict.fromkeys((dom.t_min, *saddles, dom.t_max))
     else:   # roots of g where h is as near the level as R moves over ROOT_TOL
         saddles = tuple(t0 for t0 in roots if abs(h(t0) - level) <= ROOT_TOL * (
             1.0 + abs(hp(t0)) + abs(gp(t0)) * max(-dom.c_min, dom.c_max)))
         cuts = field.cuts(level)
     poles = set(roots).difference(saddles)   # c* is unbounded beside these
 
-    lines = []
+    lines, sides, full = [], [], []
     stages = list(cuts)
     for lo, hi in zip(stages, stages[1:]):
         mid = 0.5 * (lo + hi)
         if lo in poles or hi in poles or not (   # even if c*(mid) rounds into D
                 g(mid) and dom.c_min <= (level - h(mid)) / g(mid) <= dom.c_max):
+            # c* stays off D, so the column is on one side of the level.
+            if field.evaluate(mid, 0.5 * (dom.c_min + dom.c_max)) >= level:
+                full.append((lo, hi))
             continue
         inner = ts[(ts > lo + ROOT_TOL) & (ts < hi - ROOT_TOL)]   # g != 0 there
         t = np.concatenate(([lo], inner, [hi]))
@@ -399,8 +409,11 @@ def _level_polylines(field, level, ts, dc) -> tuple:
             c_mid = _c_star(field, level, t_mid)
             t, c = np.insert(t, steep, t_mid), np.insert(c, steep, c_mid)
         lines.append((t, c))
+        sides.append(dom.c_max if g(mid) > 0.0 else dom.c_min)
     lines.extend(((t0, t0), (dom.c_min, dom.c_max)) for t0 in saddles)
-    return tuple(tuple(zip(_round9(t), _round9(c))) for t, c in lines)
+    sides += [None] * len(saddles)
+    polylines = tuple(tuple(zip(_round9(t), _round9(c))) for t, c in lines)
+    return polylines, tuple(sides), tuple(full)
 
 
 def _round9(x) -> list[float]:
@@ -428,7 +441,9 @@ def level_curves(
     polyline, t increasing, with vertices at its ends and at the grid's t
     nodes, bisected in t where c moves more than one of the grid's c
     cells.  At a saddle level, where h(t0) = L at a root t0 of g, the
-    line t = t0 is one more polyline.
+    line t = t0 is one more polyline.  A graph's side is c_max where
+    g = dR/dc > 0 over it, else c_min.  On any other piece c* is off D:
+    its column is full if R >= L at its middle.
     """
     if grid < 16:
         raise ValueError("grid must be at least 16 cells per axis")
@@ -440,7 +455,7 @@ def level_curves(
     ts = np.linspace(dom.t_min, dom.t_max, grid + 1)
     dc = (dom.c_max - dom.c_min) / grid
     return [
-        LevelCurveSet(level, _level_polylines(field, level, ts, dc))
+        LevelCurveSet(level, *_level_polylines(field, level, ts, dc))
         for level in map(float, levels)
     ]
 

@@ -243,7 +243,7 @@ def _load_field(config: RunConfig) -> tuple[RiskField, tuple[float, ...]]:
             table = from_json_data(RiskTable.from_json_dict, data, path, "table")
         else:
             table = RiskTable.from_csv(path)
-        field_obj = build_field(table)
+        field_obj = from_json_data(build_field, table, path, "table")
     if config.domain is not None:
         field_obj = field_obj.with_domain(config.domain)
     return field_obj, table.concentrations if table else ()

@@ -299,14 +299,19 @@ def load_profiles_csv(path: str | Path) -> list[ProfileRecord]:
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            header = reader.fieldnames
+            if header is None:
                 raise ValueError(f"{path}: empty profile file")
-            unknown = set(reader.fieldnames) - set(PROFILE_COLUMNS)
+            unknown = sorted(set(header) - set(PROFILE_COLUMNS))
             if unknown:
-                raise ValueError(
-                    f"{path}: unknown column {sorted(unknown)[0]!r}"
-                )
+                raise ValueError(f"{path}: unknown column {unknown[0]!r}")
+            twice = [name for name in header if header.count(name) > 1]
+            if twice:
+                raise ValueError(f"{path}, row 1: column {twice[0]!r} is repeated")
             for i, row in enumerate(reader, start=2):
+                if None in row:   # DictReader keys the cells past the header by None
+                    raise ValueError(f"{path}, row {i}: expected {len(header)} "
+                                     f"cells, got {len(header) + len(row[None])}")
                 records.append(_record_from_mapping(row, f"{path}, row {i}"))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not a text file: {exc}") from None

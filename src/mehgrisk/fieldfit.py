@@ -223,7 +223,9 @@ class RiskTable:
                     for j, cell in enumerate(row[1:], start=2)
                 )
             )
-        return cls(tuple(concentrations), nodes, tuple(values))
+        return from_json_data(cls.from_json_dict, {   # errors name the file
+            "concentrations": concentrations, "nodes": nodes, "values": values,
+        }, path, "table")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RiskTable":
@@ -239,11 +241,11 @@ class RiskField:
     """R(t, c) = sum_k (a_k c + b_k) t^k = g(t) c + h(t) on a rectangle.
 
     The one field kernel: g = dR/dc, h = R(t, 0) and their t-derivatives
-    g' and h' are built once, with the field, and every layer reads the
-    field's derivatives from them.  The domain is the one rectangle every
-    analysis, geometry and plot of the field covers.  The root table
-    (slope_roots, g_prime_roots and cuts) holds every root search of the
-    field, each made once, on first use; the layers only read it.
+    g' and h' are built once, with the field; every layer evaluates them,
+    on floats or arrays, by their one Horner chain.  The domain is the one
+    rectangle every analysis, geometry and plot of the field covers.  The
+    root table (slope_roots, g_prime_roots and cuts) holds every root
+    search of the field, each made once, on first use; the layers read it.
     """
 
     a: tuple[float, float, float, float, float]
@@ -319,34 +321,10 @@ class RiskField:
         broadcastable arrays, and each element rounds as its scalar call."""
         return self.g(t) * c + self.h(t)
 
-    def slope_and_intercept(
-        self, ts, out: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """g(t) and h(t) over an array of stages, each element rounded as
-        field.g(t) and field.h(t) round it.
-
-        In place, two arrays in all: new ones, or the float arrays `out`
-        of the stages' shape.
-        """
-        ts = np.asarray(ts, dtype=float)
-        if out is None:
-            g, h = np.full_like(ts, self.a[-1]), np.full_like(ts, self.b[-1])
-        else:
-            g, h = out
-            g.fill(self.a[-1])
-            h.fill(self.b[-1])
-        for ak, bk in zip(reversed(self.a[:-1]), reversed(self.b[:-1])):
-            g *= ts
-            g += ak
-            h *= ts
-            h += bk
-        return g, h
-
     def evaluate_grid(self, ts, cs):
         """Vectorized evaluation: returns R with shape (len(cs), len(ts))."""
-        g, h = self.slope_and_intercept(ts)
-        cs = np.asarray(cs, dtype=float)
-        return cs[:, None] * g[None, :] + h[None, :]
+        ts, cs = np.asarray(ts, dtype=float), np.asarray(cs, dtype=float)
+        return cs[:, None] * self.g(ts)[None, :] + self.h(ts)[None, :]
 
     def partial_t(self, t: float, c: float) -> float:
         return c * self.g_prime(t) + self.h_prime(t)

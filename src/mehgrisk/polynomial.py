@@ -57,11 +57,17 @@ class Polynomial:
     def is_zero(self) -> bool:
         return self.degree < 0
 
-    def __call__(self, x: float) -> float:
-        """Horner's rule from the top coefficient: acc = acc * x + c_k."""
+    def __call__(self, x, out=None):
+        """Horner's rule from the top coefficient: acc = acc * x + c_k, for
+        a float x or, in place in a new array or in `out` (a float array of
+        x's shape, returned), for each element of an array x."""
         acc = self.coefficients[-1]
+        if out is not None:
+            out.fill(acc)
+            acc = out
         for c in reversed(self.coefficients[:-1]):
-            acc = acc * x + c
+            acc *= x   # a float times an array is a new array
+            acc += c
         return acc
 
     def __neg__(self) -> "Polynomial":

@@ -36,7 +36,8 @@ PALETTE = (
 
 
 class _Canvas:
-    """World-to-pixel mapping over a fixed plot frame."""
+    """World-to-pixel mapping over a fixed plot frame; x and y map floats
+    or arrays."""
 
     def __init__(self, world: Rectangle, title: str):
         self.world = world
@@ -48,28 +49,20 @@ class _Canvas:
             f'text-anchor="middle" font-family="sans-serif">{title}</text>',
         ]
 
-    def x(self, t: float) -> float:
+    def x(self, t):
         w = self.world
         frac = (t - w.t_min) / (w.t_max - w.t_min)
         return MARGIN_L + frac * (WIDTH - MARGIN_L - MARGIN_R)
 
-    def y(self, c: float) -> float:
+    def y(self, c):
         w = self.world
         frac = (c - w.c_min) / (w.c_max - w.c_min)
         return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
 
     def coords(self, points) -> str:
         """The pixel coordinates of world points as an SVG points list."""
-        # x() and y() over all points at once, in the same operation order.
-        w = self.world
         pts = np.asarray(points, dtype=float)
-        xs = MARGIN_L + (pts[:, 0] - w.t_min) / (w.t_max - w.t_min) * (
-            WIDTH - MARGIN_L - MARGIN_R
-        )
-        ys = HEIGHT - MARGIN_B - (pts[:, 1] - w.c_min) / (w.c_max - w.c_min) * (
-            HEIGHT - MARGIN_T - MARGIN_B
-        )
-        pairs = zip(xs.tolist(), ys.tolist())
+        pairs = zip(self.x(pts[:, 0]).tolist(), self.y(pts[:, 1]).tolist())
         return " ".join(["%.2f,%.2f" % p for p in pairs])
 
     def polyline(self, points, color: str, width: float = 1.5) -> None:
@@ -200,26 +193,18 @@ def region_plot_svg(
 ) -> None:
     """Shade {R >= threshold} from its boundary curve and overlay it.
 
-    The boundary is level_curves' set at the threshold: graphs c*(t),
-    t increasing, over disjoint t intervals, and vertical lines.  Each
-    graph is closed along the c edge on the region's side, c_max where
-    dR/dc > 0 and c_min where it is negative.  Between the intervals
-    R - threshold keeps one sign, read at the middle of each gap.
+    The boundary is level_curves' set at the threshold: each graph c*(t)
+    is closed along its side, the c edge on the region's side, and each
+    full piece is shaded over the whole c range.
     """
     dom = field.domain
     canvas = _Canvas(dom, f"Critical-risk region R ≥ {_fmt(threshold)}")
-    ends = []
-    for line in boundary.polylines:
-        (t0, _), (t1, _) = line[0], line[-1]
-        ends += [t0, t1]
-        if t0 < t1:
-            edge = dom.c_max if field.g(0.5 * (t0 + t1)) > 0 else dom.c_min
+    for line, edge in zip(boundary.polylines, boundary.sides):
+        if edge is not None:
+            (t0, _), (t1, _) = line[0], line[-1]
             canvas.polygon([*line, (t1, edge), (t0, edge)], "#d62728", 0.25)
-    bounds = [dom.t_min, *sorted(ends), dom.t_max]
-    c_mid = 0.5 * (dom.c_min + dom.c_max)
-    for lo, hi in zip(bounds[::2], bounds[1::2]):
-        if lo < hi and field.evaluate(0.5 * (lo + hi), c_mid) >= threshold:
-            canvas.rect_world(lo, dom.c_min, hi, dom.c_max, "#d62728", 0.25)
+    for lo, hi in boundary.full:
+        canvas.rect_world(lo, dom.c_min, hi, dom.c_max, "#d62728", 0.25)
     for line in boundary.polylines:
         canvas.polyline(line, "#d62728", 2.0)
     canvas.axes()

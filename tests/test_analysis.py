@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mehgrisk import analysis, polynomial
+from mehgrisk import analysis, polynomial, svgplot as sp
 from mehgrisk.analysis import (
     LevelCurveSet,
     build_analysis_report,
@@ -592,3 +593,79 @@ def test_nonfinite_threshold_and_levels_rejected(value, fresh_python):
     # branch, so the call never returned; run it where a hang times out.
     proc = fresh_python("-c", NONFINITE_PROBE, value, seconds=30.0)
     assert proc.returncode == 0, proc.stderr
+
+
+# R = (t - 3)(c - 1.5) + 1: g = t - 3 changes sign at t = 3, where R = 1
+# whatever c is, so t = 3 is a pole of c* at every level but 1.
+POLE_FIELD = RiskField((-3.0, 1.0, 0.0, 0.0, 0.0), (5.5, -1.5, 0.0, 0.0, 0.0))
+
+
+def _shaded(path, dom):
+    """The region plot's polygons, as lists of (x, y) pixel points, its
+    shaded rectangles as (x, y, width, height), and the pixel-to-world map."""
+
+    def world(x, y):
+        return (dom.t_min + (x - sp.MARGIN_L) / (sp.WIDTH - sp.MARGIN_L - sp.MARGIN_R)
+                * (dom.t_max - dom.t_min),
+                dom.c_min + (sp.HEIGHT - sp.MARGIN_B - y)
+                / (sp.HEIGHT - sp.MARGIN_T - sp.MARGIN_B) * (dom.c_max - dom.c_min))
+
+    text = path.read_text()
+    polygons = [[tuple(map(float, p.split(","))) for p in pts.split()]
+                for pts in re.findall(r'<polygon points="([^"]*)"', text)]
+    rects = [tuple(map(float, m)) for m in re.findall(
+        r'<rect x="([\d.]+)" y="([\d.]+)" width="([\d.]+)" height="([\d.]+)" '
+        r'fill="#d62728"', text)]
+    return polygons, rects, world
+
+
+def test_region_sides_follow_the_sign_of_dR_dc(tmp_path):
+    dom, level = POLE_FIELD.domain, 1.3
+    (cset,) = level_curves(POLE_FIELD, levels=(level,), grid=64)
+    # Left of the pole dR/dc < 0 and R >= 1.3 below c*; right of it above.
+    assert cset.sides == (0.2, 3.5)
+    assert cset.full == ()
+    for line, side in zip(cset.polylines, cset.sides):
+        for t, c in line[1:-1]:
+            assert POLE_FIELD.evaluate(t, c + 1e-3 * (side - c)) >= level
+            assert POLE_FIELD.evaluate(t, c - 1e-3 * (side - c)) < level
+    path = tmp_path / "region.svg"
+    sp.region_plot_svg(POLE_FIELD, level, cset, path)
+    polygons, rects, world = _shaded(path, dom)
+    assert rects == []
+    left, right = polygons
+    x3 = sp._Canvas(dom, "").x(3.0)
+    assert max(x for x, _ in left) < x3 < min(x for x, _ in right)
+    assert [y for _, y in left[-2:]] == [414.0, 414.0]    # y of c_min
+    assert [y for _, y in right[-2:]] == [36.0, 36.0]     # y of c_max
+    for polygon in polygons:   # just inside, toward the closing edge
+        y_edge = polygon[-1][1]
+        for x, y in polygon[1:-3]:
+            t, c = world(x, y + math.copysign(2.0, y_edge - y))
+            assert POLE_FIELD.evaluate(t, c) >= level
+
+
+def test_region_column_shaded_across_a_pole(tmp_path):
+    dom, level = POLE_FIELD.domain, 0.5
+    (cset,) = level_curves(POLE_FIELD, levels=(level,), grid=64)
+    # c* leaves D through c_max at t = 2.75 and comes back through c_min
+    # at t = 3 + 0.5/1.3; in between, across the pole, R >= 0.5 for all c.
+    (lo, mid), (mid_again, hi) = cset.full
+    assert math.isclose(lo, 2.75, abs_tol=1e-9)
+    assert mid == mid_again and math.isclose(mid, 3.0, abs_tol=1e-9)
+    assert math.isclose(hi, 3.0 + 0.5 / 1.3, abs_tol=1e-9)
+    for t in np.linspace(lo, hi, 41)[1:-1]:
+        assert np.all(POLE_FIELD.evaluate(t, np.linspace(0.2, 3.5, 34)) >= level)
+    path = tmp_path / "region.svg"
+    sp.region_plot_svg(POLE_FIELD, level, cset, path)
+    polygons, rects, world = _shaded(path, dom)
+    assert len(polygons) == 2 and len(rects) == 2
+    (x0, y0, w0, h0), (x1, y1, w1, h1) = rects
+    assert (y0, h0) == (y1, h1) == (36.0, 378.0)   # the whole c range
+    assert abs(x0 + w0 - x1) <= 0.01               # adjacent at the pole
+    assert math.isclose(world(x0, 0)[0], 2.75, abs_tol=0.01)
+    assert math.isclose(world(x1 + w1, 0)[0], hi, abs_tol=0.01)
+    for x, y, w, h in rects:   # just inside each corner
+        for px, py in ((x + 1, y + 1), (x + w - 1, y + 1),
+                       (x + 1, y + h - 1), (x + w - 1, y + h - 1)):
+            assert POLE_FIELD.evaluate(*world(px, py)) >= level

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import mehgrisk
+import numpy as np
+
+import mehgrisk.cli   # the tracer wraps cli's commands too
 from mehgrisk.fieldfit import published_field
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -21,6 +23,7 @@ def test_tracer_installs_and_records_analysis_spans(monkeypatch):
     import tracer
 
     field = published_field()
+    ts, cs = np.linspace(1.0, 5.0, 7), np.linspace(0.2, 3.5, 5)
     recorder = tracer.Tracer()
     recorder.install(mehgrisk)
     try:
@@ -28,10 +31,14 @@ def test_tracer_installs_and_records_analysis_spans(monkeypatch):
             mehgrisk.analysis.level_curves(
                 field, domain=None, levels=(1.0,), grid=16),
             mehgrisk.analysis.risk_region_area(field),
+            field.evaluate_grid(ts, cs),
         ))
     finally:
         recorder.uninstall()
     metrics, _, _ = tracer.layer_metrics(recorder, 1)
+    # Nothing in the package calls evaluate_grid; the tracer still counts it.
+    assert metrics["fieldfit.evaluate_grid.calls"] == 1
+    assert metrics["fieldfit.evaluate_grid.points"] == len(ts) * len(cs)
     assert metrics["analysis.level_curves.calls"] == 1
     assert metrics["analysis.level_curves.distinct_level_passes"] == 1
     assert metrics["analysis.region.calls"] == 1

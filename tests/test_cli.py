@@ -123,6 +123,34 @@ def test_bad_table_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("four.csv", "hq,1,2,3,4\n0.3,0,1,2,3\n2.4,0,4,5,6\n",
+         "need exactly 5 nodes and values, got 4 and 4"),
+        ("four.json", json.dumps({"concentrations": [0.3, 2.4],
+                                  "nodes": [1, 2, 3, 4],
+                                  "values": [[0, 1, 2, 3], [0, 4, 5, 6]]}),
+         "need exactly 5 nodes and values, got 4 and 4"),
+        ("one.csv", "hq,1,2,3,4,5\n0.3,0,1,2,3,4\n",
+         "need at least two concentrations to regress"),
+        ("equal.csv", "hq,1,2,3,4,5\n0.3,0,1,2,3,4\n0.3,0,4,5,6,7\n",
+         "all x values equal; slope undefined"),
+        ("node6.csv", "hq,1,2,3,4,6\n0.3,0,1,2,3,4\n2.4,0,4,5,6,7\n",
+         "nodes must lie within the stage range [1, 5]"),
+    ],
+    ids=["four-nodes-csv", "four-nodes-json", "one-row", "equal-rows", "node-6"],
+)
+def test_table_fit_errors_name_the_file(tmp_path, capsys, name, text, message):
+    # A table that parses but cannot be fitted gave an error without a file.
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run("fit", "--input", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
 def test_fit_synthetic_table_round_trip(tmp_path):
     # Table generated by an affine field must be recovered exactly.
     a = (1.0, 1.0, 0.0, 0.0, 0.0)

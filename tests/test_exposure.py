@@ -306,6 +306,33 @@ def test_csv_rejects_unknown_column(tmp_path):
     assert "bogus" in str(err.value)
 
 
+def test_csv_rejects_a_row_longer_than_the_header(tmp_path):
+    # The extra cell was dropped and the row accepted.
+    path = tmp_path / "long.csv"
+    _write_profile_csv(
+        path,
+        [
+            "men,12,60,73.44,262.6,2.6,0.27,0.0003,0.6037",
+            "men,12,60,73.44,262.6,2.6,0.27,0.0003,0.6037,99",
+        ],
+    )
+    with pytest.raises(ValueError) as err:
+        ex.load_profiles_csv(path)
+    assert str(err.value) == f"{path}, row 3: expected 9 cells, got 10"
+
+
+def test_csv_rejects_a_repeated_column(tmp_path):
+    # The later cell won: this men row was read as boys.
+    path = tmp_path / "twice.csv"
+    path.write_text(
+        ",".join(ex.PROFILE_COLUMNS) + ",group\n"
+        "men,12,60,73.44,262.6,2.6,0.27,0.0003,0.6037,boys\n"
+    )
+    with pytest.raises(ValueError) as err:
+        ex.load_profiles_csv(path)
+    assert str(err.value) == f"{path}, row 1: column 'group' is repeated"
+
+
 def test_json_profiles(tmp_path):
     path = tmp_path / "profiles.json"
     row = dict(zip(

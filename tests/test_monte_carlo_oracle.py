@@ -4,8 +4,8 @@ The reference below is the original estimator: it draws every t, then
 every c, from one generator, and counts hits over slices of the two
 arrays with g and h from the out-of-place Horner chain acc = acc*t + a_k.
 The package's monte_carlo_region_area must return the same RegionArea
-exactly.  slope_and_intercept, into new arrays or into the caller's, must
-give every stage the bits of the scalar calls field.g(t) and field.h(t).
+exactly.  field.g and field.h over an array, into a new one or into the
+caller's, must give every stage the bits of their scalar calls.
 """
 
 from __future__ import annotations
@@ -174,17 +174,14 @@ def test_scaled_draws_equal_uniform(low, span, n, seed):
 
 
 def _assert_same_bits(field, stages):
-    out = (np.full_like(stages, np.nan), np.full_like(stages, -0.0))
-    with np.errstate(invalid="ignore", over="ignore"):  # 0*inf, huge t
-        got = field.slope_and_intercept(stages)
-        into = field.slope_and_intercept(stages, out=out)
-        want = (
-            np.array([field.g(t) for t in stages.tolist()], dtype=float),
-            np.array([field.h(t) for t in stages.tolist()], dtype=float),
-        )
-    assert into[0] is out[0] and into[1] is out[1]
-    for x, y, z in zip(got, into, want):
-        assert x.tobytes() == y.tobytes() == z.tobytes()
+    for poly, fill in ((field.g, np.nan), (field.h, -0.0)):
+        buf = np.full_like(stages, fill)
+        with np.errstate(invalid="ignore", over="ignore"):  # 0*inf, huge t
+            got = poly(stages)
+            into = poly(stages, out=buf)
+            want = np.array([poly(t) for t in stages.tolist()], dtype=float)
+        assert into is buf
+        assert got.tobytes() == buf.tobytes() == want.tobytes()
 
 
 finite_stage = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -198,11 +195,11 @@ signed_coefficient = coefficient | st.sampled_from((0.0, -0.0))
     b=st.lists(signed_coefficient, min_size=5, max_size=5),
     ts=st.lists(any_stage, min_size=1, max_size=40),
 )
-def test_slope_and_intercept_bitwise_equal_to_horner_chain(a, b, ts):
+def test_field_polynomials_on_arrays_bitwise_equal_to_scalar_calls(a, b, ts):
     _assert_same_bits(RiskField(tuple(a), tuple(b)), np.array(ts, dtype=float))
 
 
-def test_slope_and_intercept_signed_zero_fields():
+def test_field_polynomials_on_arrays_signed_zero_fields():
     # Signed zeros and non-finite stages round as the scalar chains do.
     field = RiskField((-0.0,) * 5, (0.0, -0.0, 0.0, -0.0, -0.0))
     _assert_same_bits(

@@ -236,7 +236,8 @@ def fields_and_subdomains(draw):
 def exact_simpson_mean(field: RiskField, dom: Rectangle, cells: int) -> float:
     """The collapsed rule's three sums over the same node values, in exact
     rational arithmetic, and its mean rounded once."""
-    g, h = field.slope_and_intercept(np.linspace(dom.t_min, dom.t_max, cells + 1))
+    ts = np.linspace(dom.t_min, dom.t_max, cells + 1)
+    g, h = field.g(ts), field.h(ts)
     c = np.linspace(dom.c_min, dom.c_max, cells + 1)
     w = [1] + [4 if k % 2 else 2 for k in range(1, cells)] + [1]
     sg, sh, sc = (sum(Fraction(wk) * Fraction(x) for wk, x in zip(w, v))
@@ -259,7 +260,8 @@ def test_collapsed_simpson_mean_equals_grid_sum(case, half_cells):
     # Ulps of the largest term |g| |c| + |h|, where cancellation leaves
     # the sums' rounding.  Below the normal range floats are spaced by the
     # smallest subnormal, not by EPS times their size, which underflows.
-    g, h = field.slope_and_intercept(np.linspace(dom.t_min, dom.t_max, cells + 1))
+    ts = np.linspace(dom.t_min, dom.t_max, cells + 1)
+    g, h = field.g(ts), field.h(ts)
     ulp = max(EPS * float(np.max(np.abs(g)) * max(abs(dom.c_min), abs(dom.c_max))
                           + np.max(np.abs(h))), math.ulp(0.0))
     # The collapsed sums are within a few ulps of the exact rule (2.6 at
