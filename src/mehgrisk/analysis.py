@@ -396,7 +396,8 @@ def _level_polylines(field, level, ts, dc) -> tuple:
                 full.append((lo, hi))
             continue
         inner = ts[(ts > lo + ROOT_TOL) & (ts < hi - ROOT_TOL)]   # g != 0 there
-        t = np.concatenate(([lo], inner, [hi]))
+        # Without a grid node, the midpoint: both ends may be on one c edge.
+        t = np.concatenate(([lo], inner if len(inner) else [mid], [hi]))
         c = _c_star(field, level, t)
         for i, end in ((0, lo), (-1, hi)):   # an end at a cut is on its edge
             if cuts[end] is not None:
@@ -445,8 +446,9 @@ def level_curves(
     g = dR/dc > 0 over it, else c_min.  On any other piece c* is off D:
     its column is full if R >= L at its middle.
     """
-    if grid < 16:
-        raise ValueError("grid must be at least 16 cells per axis")
+    if (isinstance(grid, bool) or not isinstance(grid, (int, np.integer))
+            or grid < 16):
+        raise ValueError(f"grid must be an integer >= 16, got {grid!r}")
     if not all(math.isfinite(level) for level in levels):
         raise ValueError("levels must be finite")
     if domain is not None:

@@ -34,6 +34,7 @@ from .fieldfit import (
     read_json,
     survey_risk_table,
 )
+from .fieldfit import _boolean, _integer, _list, _number, _string   # the checks
 
 ENV_OUT = "MEHGRISK_OUT"
 
@@ -92,50 +93,6 @@ class RunConfig:
     def require_source(self) -> None:
         if not self.use_paper_dataset and not self.input_path:
             raise ValueError("no dataset: pass --paper-dataset or --input PATH")
-
-
-# The checks: each turns a JSON value into a RunConfig field's value, or
-# None for unset, and raises ValueError on a value of the wrong type.
-
-def _expected(what: str, value) -> ValueError:
-    return ValueError(f"expected {what}, got {value!r}")
-
-
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _expected("a number", value)
-    return float(value)
-
-
-def _integer(value) -> int:
-    """256.0 counts as 256, while 2.7, "2" or true is refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _expected("an integer", value)
-    return value
-
-
-def _list(item: Callable, count: int | None = None) -> Callable:
-    """The check of a list of items, count of them if count is given."""
-    def check(value) -> tuple:
-        if not isinstance(value, list) or count not in (None, len(value)):
-            raise _expected("a list" + (f" of {count}" if count else ""), value)
-        return tuple(map(item, value))
-    return check
-
-
-def _string(value) -> str | None:
-    """A string; the empty one counts as unset."""
-    if not isinstance(value, str):
-        raise _expected("a string", value)
-    return value or None
-
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise _expected("true or false", value)
-    return value
 
 
 def _comma_numbers(text: str) -> list[float]:
@@ -237,13 +194,11 @@ def _load_field(config: RunConfig) -> tuple[RiskField, tuple[float, ...]]:
     if path is None:
         field_obj, table = published_field(), survey_risk_table()
     elif isinstance(data, dict) and "a" in data and "b" in data:
-        field_obj = from_json_data(RiskField.from_json_dict, data, path, "field")
+        field_obj = from_json_data(RiskField.from_json_dict, data, path)
     else:
-        if is_json:
-            table = from_json_data(RiskTable.from_json_dict, data, path, "table")
-        else:
-            table = RiskTable.from_csv(path)
-        field_obj = from_json_data(build_field, table, path, "table")
+        table = (from_json_data(RiskTable.from_json_dict, data, path) if is_json
+                 else RiskTable.from_csv(path))
+        field_obj = from_json_data(build_field, table, path)
     if config.domain is not None:
         field_obj = field_obj.with_domain(config.domain)
     return field_obj, table.concentrations if table else ()

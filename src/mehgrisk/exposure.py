@@ -20,12 +20,12 @@ follow the published definitions of the respective equations.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fieldfit import SURVEY_CONCENTRATIONS, read_json
+from .fieldfit import SURVEY_CONCENTRATIONS, read_csv, read_json
+from .fieldfit import _csv_number, _finite, _object, _string   # the input checks
 
 # Reference doses, mg/kg/day.  The lower value applies to sensitive
 # groups (children, seniors), the higher one to adult men.
@@ -255,69 +255,44 @@ def profile_from_survey(
     )
 
 
-def _record_from_mapping(row: dict, where: str) -> ProfileRecord:
-    if not isinstance(row, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {row!r}")
-    missing = [c for c in PROFILE_COLUMNS if c not in row or row[c] in ("", None)]
-    if missing:
-        raise ValueError(f"{where}: missing column {missing[0]!r}")
-    values = {}
-    for col in PROFILE_COLUMNS[1:]:
-        try:
-            values[col] = float(row[col])
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{where}, column {col!r}: not a number: {row[col]!r}"
-            ) from None
-        if not math.isfinite(values[col]):
-            raise ValueError(f"{where}, column {col!r}: not a finite number")
-    if values["age_max"] <= values["age_min"]:
-        raise ValueError(f"{where}, column 'age_max': must exceed age_min")
+def _record_from_mapping(row, where: str) -> ProfileRecord:
+    """The record of a profile JSON entry or CSV row, an object with the
+    PROFILE_COLUMNS keys; an error is prefixed with where."""
     try:
+        values = _object(
+            {"group": _string} | dict.fromkeys(PROFILE_COLUMNS[1:], _finite)
+        )(row)
+        if values["age_max"] <= values["age_min"]:
+            raise ValueError("age_max: must exceed age_min")
         profile = profile_from_survey(
-            values["body_weight_kg"],
-            values["intake_g_per_month"],
-            values["portions_per_month"],
-            values["concentration_mg_per_kg"],
-            values["rfd"],
-            values["substitution_fraction"],
+            *(values[col] for col in PROFILE_COLUMNS[3:]),
             span_years=values["age_max"] - values["age_min"],
         )
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
     return ProfileRecord(
-        group=str(row["group"]),
-        age_min=values["age_min"],
-        age_max=values["age_max"],
-        profile=profile,
+        values["group"], values["age_min"], values["age_max"], profile
     )
 
 
 def load_profiles_csv(path: str | Path) -> list[ProfileRecord]:
-    """Read survey profiles from CSV; errors carry row and column."""
-    records = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames
-            if header is None:
-                raise ValueError(f"{path}: empty profile file")
-            unknown = sorted(set(header) - set(PROFILE_COLUMNS))
-            if unknown:
-                raise ValueError(f"{path}: unknown column {unknown[0]!r}")
-            twice = [name for name in header if header.count(name) > 1]
-            if twice:
-                raise ValueError(f"{path}, row 1: column {twice[0]!r} is repeated")
-            for i, row in enumerate(reader, start=2):
-                if None in row:   # DictReader keys the cells past the header by None
-                    raise ValueError(f"{path}, row {i}: expected {len(header)} "
-                                     f"cells, got {len(header) + len(row[None])}")
-                records.append(_record_from_mapping(row, f"{path}, row {i}"))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not a text file: {exc}") from None
-    if not records:
+    """Read survey profiles from CSV; errors carry row and column.  The
+    cells of group and of an unknown column, which is refused, are text."""
+    (first, header), *rows = read_csv(path)
+    twice = [name for name in header if header.count(name) > 1]
+    if twice:
+        raise ValueError(f"{path}, row {first}: column {twice[0]!r} is repeated")
+    if not rows:
         raise ValueError(f"{path}: no profile rows")
-    return records
+    numeric = PROFILE_COLUMNS[1:]
+    return [
+        _record_from_mapping({
+            col: _csv_number(cell, f"{path}, row {i}, column {col!r}")
+            if col in numeric else cell
+            for col, cell in zip(header, row)
+        }, f"{path}, row {i}")
+        for i, row in rows
+    ]
 
 
 def load_profiles_json(path: str | Path) -> list[ProfileRecord]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -70,8 +71,9 @@ class Rectangle:
         return {"t": [self.t_min, self.t_max], "c": [self.c_min, self.c_max]}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Rectangle":
-        return cls(data["t"][0], data["t"][1], data["c"][0], data["c"][1])
+    def from_json_dict(cls, data) -> "Rectangle":
+        bounds = _object({"t": _list(_number, 2), "c": _list(_number, 2)})(data)
+        return cls(*bounds["t"], *bounds["c"])
 
 
 DEFAULT_DOMAIN = Rectangle(1.0, 5.0, 0.2, 3.5)
@@ -141,18 +143,15 @@ def _require_finite(name: str, values: tuple[float, ...]) -> None:
             raise ValueError(f"{name}[{k}] is not finite: {x!r}")
 
 
-def _csv_number(path, row: int, column: int, cell: str) -> float:
-    """One CSV cell as a finite float; an error names file, row and column."""
+def _csv_number(cell: str, where: str) -> float:
+    """One CSV cell as a finite float; an error is prefixed with where,
+    which names the file, row and column."""
     try:
         x = float(cell)
     except ValueError:
-        raise ValueError(
-            f"{path}, row {row}, column {column}: not a number: {cell!r}"
-        ) from None
+        raise ValueError(f"{where}: not a number: {cell!r}") from None
     if not math.isfinite(x):
-        raise ValueError(
-            f"{path}, row {row}, column {column}: not a finite number: {cell!r}"
-        )
+        raise ValueError(f"{where}: not a finite number: {cell!r}")
     return x
 
 
@@ -165,75 +164,41 @@ class RiskTable:
     values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "concentrations", tuple(float(c) for c in self.concentrations)
-        )
-        object.__setattr__(
-            self, "nodes", tuple(float(t) for t in self.nodes)
-        )
-        object.__setattr__(
-            self,
-            "values",
-            tuple(tuple(float(v) for v in row) for row in self.values),
-        )
         for name in ("concentrations", "nodes"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
             _require_finite(name, getattr(self, name))
+        object.__setattr__(
+            self, "values", tuple(tuple(map(float, row)) for row in self.values)
+        )
         for i, row in enumerate(self.values):
             _require_finite(f"values[{i}]", row)
         if len(self.values) != len(self.concentrations):
             raise ValueError("one value row required per concentration")
-        for row in self.values:
-            if len(row) != len(self.nodes):
-                raise ValueError("row length must match node count")
-        if any(
-            b <= a for a, b in zip(self.nodes, self.nodes[1:])
-        ):
+        if any(len(row) != len(self.nodes) for row in self.values):
+            raise ValueError("row length must match node count")
+        if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValueError("nodes must be strictly increasing")
         if self.nodes and (self.nodes[0] < 1.0 or self.nodes[-1] > 5.0):
             raise ValueError("nodes must lie within the stage range [1, 5]")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "RiskTable":
-        try:
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not a text file: {exc}") from None
-        rows = [r for r in rows if any(cell.strip() for cell in r)]
-        if not rows:
-            raise ValueError(f"{path}: empty table")
-        header = rows[0]
-        if len(header) < 2:
-            raise ValueError(f"{path}, row 1: need node columns after the label")
-        nodes = tuple(
-            _csv_number(path, 1, j, cell)
-            for j, cell in enumerate(header[1:], start=2)
-        )
-        concentrations = []
-        values = []
-        for i, row in enumerate(rows[1:], start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}, row {i}: expected {len(header)} cells, got {len(row)}"
-                )
-            concentrations.append(_csv_number(path, i, 1, row[0]))
-            values.append(
-                tuple(
-                    _csv_number(path, i, j, cell)
-                    for j, cell in enumerate(row[1:], start=2)
-                )
-            )
-        return from_json_data(cls.from_json_dict, {   # errors name the file
-            "concentrations": concentrations, "nodes": nodes, "values": values,
-        }, path, "table")
+        (first, header), *rows = read_csv(path)
+        nodes = [_csv_number(cell, f"{path}, row {first}, column {j}")
+                 for j, cell in enumerate(header[1:], start=2)]
+        cells = [[_csv_number(cell, f"{path}, row {i}, column {j}")
+                  for j, cell in enumerate(row, start=1)] for i, row in rows]
+        return from_json_data(cls.from_json_dict, {
+            "concentrations": [row[0] for row in cells], "nodes": nodes,
+            "values": [row[1:] for row in cells],
+        }, path)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "RiskTable":
-        return cls(
-            tuple(data["concentrations"]),
-            tuple(data["nodes"]),
-            tuple(tuple(row) for row in data["values"]),
-        )
+    def from_json_dict(cls, data) -> "RiskTable":
+        return cls(**_object({
+            "concentrations": _list(_number), "nodes": _list(_number),
+            "values": _list(_list(_number)),
+        })(data))
 
 
 @dataclass(frozen=True)
@@ -340,12 +305,11 @@ class RiskField:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "RiskField":
-        return cls(
-            tuple(data["a"]),
-            tuple(data["b"]),
-            Rectangle.from_json_dict(data["domain"]),
-        )
+    def from_json_dict(cls, data) -> "RiskField":
+        return cls(**_object({
+            "a": _list(_number), "b": _list(_number),
+            "domain": Rectangle.from_json_dict,
+        })(data))
 
 
 def read_json(path: str | Path):
@@ -358,15 +322,111 @@ def read_json(path: str | Path):
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
-def from_json_data(build, data, path: str | Path, what: str):
-    """build(data) for a document read from path; a malformed document or
-    a rejected value raises ValueError naming the file."""
+def from_json_data(build, data, path: str | Path):
+    """build(data), such as a from_json_dict, for a document read from
+    path; its ValueError is raised again naming the file."""
     try:
         return build(data)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"{path}: malformed {what} JSON: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+# The checks of JSON values, in the config file and in every input
+# document: each returns the value as the program holds it, or None for
+# unset, and raises ValueError on a value of the wrong type.
+
+def _expected(what: str, value) -> ValueError:
+    return ValueError(f"expected {what}, got {value!r}")
+
+
+def _number(value) -> float:
+    """An int or a float: a string or true is refused, NaN left to the
+    owner's range checks."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _expected("a number", value)
+    return float(value)
+
+
+def _finite(value) -> float:
+    """A number that is neither NaN nor inf."""
+    x = _number(value)
+    if not math.isfinite(x):
+        raise _expected("a finite number", value)
+    return x
+
+
+def _integer(value) -> int:
+    """256.0 counts as 256, while 2.7, "2" or true is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _expected("an integer", value)
+    return value
+
+
+def _list(item: Callable, count: int | None = None) -> Callable:
+    """The check of a list of items, count of them if count is given."""
+    def check(value) -> tuple:
+        if not isinstance(value, list) or count not in (None, len(value)):
+            raise _expected("a list" + (f" of {count}" if count else ""), value)
+        return tuple(map(item, value))
+    return check
+
+
+def _string(value) -> str | None:
+    """A string; the empty one counts as unset."""
+    if not isinstance(value, str):
+        raise _expected("a string", value)
+    return value or None
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise _expected("true or false", value)
+    return value
+
+
+def _object(checks: dict[str, Callable]) -> Callable:
+    """The check of an object with exactly the keys of checks, each value
+    passed through its check; an error names the key.  A value its check
+    leaves unset, such as "" for _string, counts as missing."""
+    def check(value) -> dict:
+        if not isinstance(value, dict):
+            raise _expected("a JSON object", value)
+        for key in value:
+            if key not in checks:
+                raise ValueError(f"unknown key {key!r}")
+        checked = {}
+        for key, item in checks.items():
+            try:
+                checked[key] = item(value[key]) if key in value else None
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+            if checked[key] is None:
+                raise ValueError(f"missing key {key!r}")
+        return checked
+    return check
+
+
+def read_csv(path: str | Path) -> list[tuple[int, list[str]]]:
+    """The rows of a CSV file that hold a nonblank cell, the header first,
+    each with its row number in the file.  Bytes that are not UTF-8, a
+    cell past csv's size limit, a file without such a row, or a row whose
+    length differs from the header's raise ValueError naming the file
+    (and the row)."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [(i, row) for i, row in enumerate(csv.reader(fh), start=1)
+                    if any(cell.strip() for cell in row)]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: unreadable CSV: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    width = len(rows[0][1])
+    for i, row in rows[1:]:
+        if len(row) != width:
+            raise ValueError(f"{path}, row {i}: expected {width} cells, got {len(row)}")
+    return rows
 
 
 def json_text(data: dict, path: str | Path) -> str:

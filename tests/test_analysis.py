@@ -367,6 +367,35 @@ def test_level_curves_grid_floor():
         level_curves(published_field(), levels=(1.0,), grid=8)
 
 
+@pytest.mark.parametrize("grid", [16.5, True, "64"])
+def test_level_curves_reject_a_grid_that_is_not_an_integer(grid):
+    # 16.5 raised numpy's TypeError and "64" the floor comparison's, and
+    # True was refused as a grid of 1 cell.
+    with pytest.raises(ValueError, match="grid must be an integer >= 16"):
+        level_curves(published_field(), levels=(1.0,), grid=grid)
+
+
+def test_level_curves_take_a_numpy_grid():
+    f = published_field()
+    assert level_curves(f, grid=np.int64(64)) == level_curves(f, grid=64)
+
+
+def test_level_curve_piece_without_a_grid_node_follows_c_star():
+    # Between grid nodes 3.1176 and 3.3529, c* leaves c = 0.2 at 3.1448,
+    # rises to 0.336 and comes back at 3.3329.  Both ends took the edge
+    # value and the steepness bisection saw no change, so the piece was
+    # drawn as the segment c = 0.2; its midpoint is now a vertex.
+    f = RiskField((-1.3671875, 1.12109375, -0.21875, 0, 0),
+                  (0, -6.2734375, 1.6337890625, 0, -0.03125))
+    level = -6.628389547987931
+    (curves,) = level_curves(f, levels=(level,), grid=17)
+    (piece,) = [line for line in curves.polylines
+                if 3.1 < line[0][0] and line[-1][0] < 3.4]
+    t, c = np.array(piece).T
+    assert c.max() > 0.3
+    assert np.all(np.abs(f.evaluate(t, c) - level) <= 1e-8)
+
+
 def test_level_curve_polygon_area_consistency():
     # Close the level-1 curve along the domain boundary and compare the
     # enclosed polygon with the quadrature region area, within 2%.

@@ -878,10 +878,10 @@ def test_json_input_read_once(kind, tmp_path, monkeypatch):
         ('{"a": [1, 2], "b": [0, 0, 0, 0, 0], "domain": {"t": [1, 5], '
          '"c": [0.2, 3.5]}}', "input.json: field needs five slope"),
         ('{"a": [1, 2, 3, 4, 5], "b": [0, 0, 0, 0, 0]}',
-         "input.json: malformed field JSON: 'domain'"),
+         "input.json: missing key 'domain'"),
         ('{"nodes": [1, 2, 3, 4, 5]}',
-         "input.json: malformed table JSON: 'concentrations'"),
-        ('[1, 2]', "input.json: malformed table JSON: "),
+         "input.json: missing key 'concentrations'"),
+        ('[1, 2]', "input.json: expected a JSON object, got [1, 2]"),
     ],
 )
 def test_bad_json_input_names_the_file(text, message, tmp_path, capsys):
@@ -890,6 +890,55 @@ def test_bad_json_input_names_the_file(text, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert run("analyze", "--input", str(path), "--out", str(out)) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+_FIELD_DOC = RiskField(PUBLISHED_A, PUBLISHED_B).as_json_dict()
+_TABLE_DOC = {"concentrations": [0.27, 2.43, 3.33], "nodes": [1, 2, 3, 4, 5],
+              "values": [[0, 0.804, 0.342, 0.204, 0.388],
+                         [0, 7.237, 3.077, 1.834, 3.49],
+                         [0, 9.918, 4.216, 2.513, 4.783]]}
+_PROFILE_ENTRY = {"group": "men", "age_min": 12, "age_max": 60,
+                  "body_weight_kg": 73.44, "intake_g_per_month": 262.6,
+                  "portions_per_month": 2.6, "concentration_mg_per_kg": 0.27,
+                  "rfd": 0.0003, "substitution_fraction": 0.6037}
+
+
+@pytest.mark.parametrize(
+    "command, document, message",
+    [
+        ("fit", {**_FIELD_DOC, "a": "12345"},
+         ": a: expected a list, got '12345'"),
+        ("fit", {**_FIELD_DOC, "b": [-0.04, True, -0.06, 0.007, 0.006]},
+         ": b: expected a number, got True"),
+        ("fit", {**_FIELD_DOC, "note": 1}, ": unknown key 'note'"),
+        ("fit", {**_TABLE_DOC, "concentrations": [0.27, "2.43", 3.33]},
+         ": concentrations: expected a number, got '2.43'"),
+        ("fit", {**_TABLE_DOC, "nodes": "12345"},
+         ": nodes: expected a list, got '12345'"),
+        ("exposure", [{**_PROFILE_ENTRY, "age_min": True}],
+         ", entry 0: age_min: expected a number, got True"),
+        ("exposure", [{**_PROFILE_ENTRY, "group": 5}],
+         ", entry 0: group: expected a string, got 5"),
+        ("exposure", [{**_PROFILE_ENTRY, "note": 1}],
+         ", entry 0: unknown key 'note'"),
+    ],
+    ids=["field-a-string", "field-b-true", "field-unknown-key",
+         "table-concentration-string", "table-nodes-string",
+         "profile-age-true", "profile-group-number", "profile-unknown-key"],
+)
+def test_json_input_values_are_type_checked(
+    command, document, message, tmp_path, capsys
+):
+    # Input documents pass the config file's checks.  "12345" became
+    # a = [1, 2, 3, 4, 5], true became 1.0, a string cell was parsed, an
+    # age of true read as 1.0, a group of 5 became "5", and an unknown
+    # key was ignored: each exited 0.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / "out"
+    assert run(command, "--input", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
     assert not out.exists()
 
 

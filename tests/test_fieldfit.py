@@ -254,7 +254,7 @@ def test_table_json_nonfinite_names_file(tmp_path):
                     "values": [[0, 1, 2, 3, 4], [0, 1, math.nan, 3, 4]]})
     )
     with pytest.raises(ValueError, match=r"table.json: values\[1\]\[2\]"):
-        from_json_data(RiskTable.from_json_dict, read_json(path), path, "table")
+        from_json_data(RiskTable.from_json_dict, read_json(path), path)
 
 
 def test_field_rejects_nonfinite(tmp_path):
@@ -269,7 +269,7 @@ def test_field_rejects_nonfinite(tmp_path):
     data["b"][4] = math.nan
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=r"field.json: b\[4\] is not finite"):
-        from_json_data(RiskField.from_json_dict, read_json(path), path, "field")
+        from_json_data(RiskField.from_json_dict, read_json(path), path)
 
 
 def test_write_json_rejects_nonfinite_before_opening(tmp_path):
@@ -309,7 +309,7 @@ def test_field_json_round_trip(tmp_path):
     path.write_text(json_text(f.as_json_dict(), path))
     data = json.loads(path.read_text())
     assert data["a"] == list(f.a)
-    back = from_json_data(RiskField.from_json_dict, read_json(path), path, "field")
+    back = from_json_data(RiskField.from_json_dict, read_json(path), path)
     assert back == f
 
 
