@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldfit import Rectangle, RiskField
+from .fieldfit import _arg, _count, _finite, _list   # the checks
 from .polynomial import ROOT_TOL, common_roots, real_roots
 
 # Level-curve bisection in t resolves 2^-REFINE_ROUNDS of a t cell.
@@ -176,9 +177,8 @@ def mean_risk_simpson(field: RiskField, cells: int = 400) -> float:
     (w.g)(w.c) + (w.h)(sum w): no grid, only g and h at cells + 1 stages.
     Weights scaled by 1/sum w = 1/(3 cells) make each sum a finite mean.
     """
-    if (isinstance(cells, bool) or not isinstance(cells, (int, np.integer))
-            or cells < 2 or cells % 2):
-        raise ValueError(f"cells must be an even integer >= 2, got {cells!r}")
+    if _arg("cells", _count(2), cells) % 2:
+        raise ValueError(f"cells: expected an even integer >= 2, got {cells!r}")
     dom = field.domain
     w = np.ones(cells + 1)
     w[1:-1:2] = 4.0
@@ -242,15 +242,13 @@ def monte_carlo_region_area(
     the t, and the count streams in chunks of `MC_CHUNK` through five
     buffers allocated once: memory stays fixed whatever `samples` is.
     """
-    if (isinstance(samples, bool)
-            or not isinstance(samples, (int, np.integer)) or samples < 1):
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
-    if not math.isfinite(threshold):
-        raise ValueError("threshold must be finite")
+    samples = _arg("samples", _count(1), samples)
+    threshold = _arg("threshold", _finite, threshold)
+    seed = _arg("seed", _count(0), seed)
     dom = field.domain
     t_rng = np.random.default_rng(seed)
     c_rng = np.random.default_rng(seed)
-    c_rng.bit_generator.advance(int(samples))
+    c_rng.bit_generator.advance(samples)
     n = min(samples, MC_CHUNK)
     ts, cs, g, h = (np.empty(n) for _ in range(4))
     hit = np.empty(n, dtype=bool)
@@ -317,8 +315,8 @@ def risk_region_area(
     range the reduction is invalid and a seeded Monte Carlo estimate is
     returned instead.
     """
-    if not math.isfinite(threshold):
-        raise ValueError("threshold must be finite")
+    threshold = _arg("threshold", _finite, threshold)
+    seed = _arg("seed", _count(0), seed)
     dom = field.domain
     g = field.g
     if g.is_zero() or field.slope_roots:
@@ -446,11 +444,8 @@ def level_curves(
     g = dR/dc > 0 over it, else c_min.  On any other piece c* is off D:
     its column is full if R >= L at its middle.
     """
-    if (isinstance(grid, bool) or not isinstance(grid, (int, np.integer))
-            or grid < 16):
-        raise ValueError(f"grid must be an integer >= 16, got {grid!r}")
-    if not all(math.isfinite(level) for level in levels):
-        raise ValueError("levels must be finite")
+    grid = _arg("grid", _count(16), grid)
+    levels = _arg("levels", _list(_finite), levels)
     if domain is not None:
         field = field.with_domain(domain)
     dom = field.domain
@@ -458,7 +453,7 @@ def level_curves(
     dc = (dom.c_max - dom.c_min) / grid
     return [
         LevelCurveSet(level, *_level_polylines(field, level, ts, dc))
-        for level in map(float, levels)
+        for level in levels
     ]
 
 

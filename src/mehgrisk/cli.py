@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from collections.abc import Callable
@@ -34,7 +33,10 @@ from .fieldfit import (
     read_json,
     survey_risk_table,
 )
-from .fieldfit import _boolean, _integer, _list, _number, _string   # the checks
+from .fieldfit import (   # the checks
+    _arg, _boolean, _count, _finite, _integer, _list, _number, _positive,
+    _string,
+)
 
 ENV_OUT = "MEHGRISK_OUT"
 
@@ -65,28 +67,19 @@ class RunConfig:
     output_dir: Path = Path("mehgrisk_out")
 
     def __post_init__(self) -> None:
-        if not 16 <= self.grid <= MAX_GRID:
-            raise ValueError(f"grid must be between 16 and {MAX_GRID}")
+        # Each checked field, named in an error by its config key.
+        for key, check in (
+            ("paper_dataset", _boolean), ("levels", _list(_finite)),
+            ("threshold", _finite), ("grid", _count(16, MAX_GRID)),
+            ("seed", _count(0)), ("samples", _count(1, MAX_MC_SAMPLES)),
+            ("flow_starts", _list(_list(_finite, 2))),
+            ("flow_step", _positive),
+            ("flow_max_steps", _count(1, MAX_FLOW_STEPS)),
+        ):
+            name = OPTIONS[key].field
+            object.__setattr__(self, name, _arg(key, check, getattr(self, name)))
         if not self.levels:
             raise ValueError("levels must be nonempty")
-        if not all(math.isfinite(level) for level in self.levels):
-            raise ValueError("levels must be finite")
-        if not math.isfinite(self.threshold):
-            raise ValueError("threshold must be finite")
-        if not (math.isfinite(self.flow_step) and self.flow_step > 0):
-            raise ValueError("flow_step must be finite and positive")
-        if self.flow_max_steps < 1:
-            raise ValueError("flow_max_steps must be at least 1")
-        if self.flow_max_steps > MAX_FLOW_STEPS:
-            raise ValueError(f"flow_max_steps must be at most {MAX_FLOW_STEPS}")
-        if self.mc_samples < 1:
-            raise ValueError("samples must be at least 1")
-        if self.mc_samples > MAX_MC_SAMPLES:
-            raise ValueError(f"samples must be at most {MAX_MC_SAMPLES}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if not all(math.isfinite(x) for start in self.flow_starts for x in start):
-            raise ValueError("flow starts must be finite")
         if self.use_paper_dataset and self.input_path:
             raise ValueError("choose either --paper-dataset or --input, not both")
 
@@ -161,15 +154,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         text = opt.flag and getattr(args, opt.flag[2:].replace("-", "_"), None)
         if text is not None:
             given.append((opt, text, opt.flag, opt.parse))
+
+    def check(opt: Option, parse, value):
+        checked = opt.check(parse(value) if parse else value)
+        if checked is not None:
+            RunConfig(**{opt.field: checked})   # its range checks
+        return checked
+
     values = {}
     for opt, value, where, parse in given:
-        try:
-            checked = opt.check(parse(value) if parse else value)
-            if checked is not None:
-                RunConfig(**{opt.field: checked})   # its range checks
-                values[opt.field] = checked
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+        checked = _arg(where, partial(check, opt, parse), value)
+        if checked is not None:
+            values[opt.field] = checked
     return RunConfig(**values)
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .fieldfit import RiskField
+from .fieldfit import _arg, _count, _finite, _list, _positive   # the checks
 
 EXIT_LEFT_DOMAIN = "left_domain"
 EXIT_MAX_STEPS = "max_steps"
@@ -53,18 +53,10 @@ def flow(
     column is summed after the loop; tests/test_flow_oracle.py holds every
     sample to a looped integrator, bit for bit.
     """
-    if isinstance(step, bool) or not isinstance(step, numbers.Real):
-        raise ValueError(f"step must be a real number, got {step!r}")
-    if not math.isfinite(step):
-        raise ValueError("step must be finite")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if (isinstance(max_steps, bool)
-            or not isinstance(max_steps, (int, np.integer)) or max_steps < 1):
-        raise ValueError(
-            f"max_steps must be an integer >= 1, got {max_steps!r}")
+    step = _arg("step", _positive, step)
+    max_steps = _arg("max_steps", _count(1), max_steps)
+    t0, c0 = _arg("start", _list(_finite, 2), start)
     dom = field.domain
-    t0, c0 = float(start[0]), float(start[1])
     if not dom.contains(t0, c0):
         raise ValueError(f"start point {start!r} lies outside the domain")
 
@@ -170,12 +162,7 @@ def check_no_recurrence(
     passes; one that circles within the radius moves its rows a few
     samples per pass, and costs up to O(n^2) distances.
     """
-    if isinstance(radius, bool) or not isinstance(radius, numbers.Real):
-        raise ValueError(f"radius must be a real number, got {radius!r}")
-    if not math.isfinite(radius):
-        raise ValueError("radius must be finite")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = _arg("radius", _positive, radius)
     # One column per coordinate: zip(*) transposes the rows in C.
     pts = np.array(list(zip(*trajectory.samples))[1:3], dtype=float)
     if not np.all(np.isfinite(pts)):

@@ -20,12 +20,14 @@ follow the published definitions of the respective equations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .fieldfit import SURVEY_CONCENTRATIONS, read_csv, read_json
-from .fieldfit import _csv_number, _finite, _object, _string   # the input checks
+from .fieldfit import (   # the checks
+    _arg, _csv_number, _finite, _nonnegative, _object, _positive, _string,
+    _within,
+)
 
 # Reference doses, mg/kg/day.  The lower value applies to sensitive
 # groups (children, seniors), the higher one to adult men.
@@ -41,18 +43,6 @@ WEEKS_PER_YEAR = 52.0
 FE_DAYS_PER_YEAR = 365.0
 
 
-def _require_nonnegative(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not 0 <= value < math.inf:   # False for NaN too
-            raise ValueError(f"{name} must be a finite number >= 0, got {value}")
-
-
-def _require_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be a finite number > 0, got {value}")
-
-
 def total_dose(
     concentration: float, ingestion: float, duration: float, frequency: float
 ) -> float:
@@ -65,12 +55,10 @@ def total_dose(
     duration      : exposure duration, days
     frequency     : events per day
     """
-    _require_nonnegative(
-        concentration=concentration,
-        ingestion=ingestion,
-        duration=duration,
-        frequency=frequency,
-    )
+    _arg("concentration", _nonnegative, concentration)
+    _arg("ingestion", _nonnegative, ingestion)
+    _arg("duration", _nonnegative, duration)
+    _arg("frequency", _nonnegative, frequency)
     return concentration * ingestion * duration * frequency
 
 
@@ -82,8 +70,9 @@ def average_daily_dose(
     Normalizes a total dose (mg) by body weight (kg) and life expectancy
     (years, converted at 365.25 days/year).
     """
-    _require_positive(body_weight=body_weight, life_expectancy=life_expectancy)
-    _require_nonnegative(dose=dose)
+    _arg("body_weight", _positive, body_weight)
+    _arg("life_expectancy", _positive, life_expectancy)
+    _arg("dose", _nonnegative, dose)
     return dose / (body_weight * life_expectancy * DAYS_PER_YEAR)
 
 
@@ -91,8 +80,9 @@ def consumption_limit_kg_per_day(
     rfd: float, body_weight: float, concentration: float
 ) -> float:
     """Maximum safe consumption rate in kg/day: RfD * BW / Cm."""
-    _require_positive(concentration=concentration, body_weight=body_weight)
-    _require_nonnegative(rfd=rfd)
+    _arg("concentration", _positive, concentration)
+    _arg("body_weight", _positive, body_weight)
+    _arg("rfd", _nonnegative, rfd)
     return rfd * body_weight / concentration
 
 
@@ -100,8 +90,8 @@ def consumption_limit_meals_per_month(
     cr_lim: float, portion_mass: float
 ) -> float:
     """Maximum safe meal count per month: CRlim * 30.44 / MS."""
-    _require_positive(portion_mass=portion_mass)
-    _require_nonnegative(cr_lim=cr_lim)
+    _arg("portion_mass", _positive, portion_mass)
+    _arg("cr_lim", _nonnegative, cr_lim)
     return cr_lim * DAYS_PER_MONTH / portion_mass
 
 
@@ -109,13 +99,9 @@ def exposure_factor(
     days_per_week: float, exposure_years: float, averaging_years: float
 ) -> float:
     """Dimensionless schedule factor (dpw * 52 * EY) / (AY * 365)."""
-    if not 0 <= days_per_week <= 7:
-        raise ValueError(
-            f"days_per_week must lie in [0, 7], got {days_per_week}"
-        )
-    _require_positive(
-        exposure_years=exposure_years, averaging_years=averaging_years
-    )
+    _arg("days_per_week", _within(0, 7), days_per_week)
+    _arg("exposure_years", _positive, exposure_years)
+    _arg("averaging_years", _positive, averaging_years)
     return (days_per_week * WEEKS_PER_YEAR * exposure_years) / (
         averaging_years * FE_DAYS_PER_YEAR
     )
@@ -139,26 +125,14 @@ class ExposureProfile:
     substitution_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_positive(
-            body_weight=self.body_weight,
-            exposure_years=self.exposure_years,
-            averaging_years=self.averaging_years,
-            reference_dose=self.reference_dose,
-        )
-        _require_nonnegative(
-            concentration=self.concentration,
-            intake_rate=self.intake_rate,
-        )
-        if not 0 <= self.substitution_fraction <= 1:
-            raise ValueError(
-                "substitution_fraction must lie in [0, 1], got "
-                f"{self.substitution_fraction}"
-            )
-        if not 0 <= self.exposure_days_per_week <= 7:
-            raise ValueError(
-                "exposure_days_per_week must lie in [0, 7], got "
-                f"{self.exposure_days_per_week}"
-            )
+        for name, check in (
+            ("body_weight", _positive), ("exposure_years", _positive),
+            ("averaging_years", _positive), ("reference_dose", _positive),
+            ("concentration", _nonnegative), ("intake_rate", _nonnegative),
+            ("substitution_fraction", _within(0, 1)),
+            ("exposure_days_per_week", _within(0, 7)),
+        ):
+            object.__setattr__(self, name, _arg(name, check, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -191,8 +165,8 @@ def exposure(profile: ExposureProfile) -> float:
 
 def risk_coefficient(exposure_value: float, rfd: float) -> RiskVerdict:
     """Hazard quotient RC = E / RfD."""
-    _require_positive(rfd=rfd)
-    _require_nonnegative(exposure_value=exposure_value)
+    _arg("rfd", _positive, rfd)
+    _arg("exposure_value", _nonnegative, exposure_value)
     return RiskVerdict(exposure_value / rfd)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,6 +35,125 @@ NODE_COUNT = DEGREE + 1
 MIN_SPAN = 1e-9
 
 
+# The checks of the values the package is given: the JSON values of the
+# config file and of every input document, and the arguments of its
+# constructors and entry points.  Each returns the value as the program
+# holds it, or None for unset, and raises ValueError "expected WHAT, got
+# VALUE" on a value of the wrong type or range; _arg names the value.
+
+def _expected(what: str, value) -> ValueError:
+    return ValueError(f"expected {what}, got {value!r}")
+
+
+def _arg(name: str, check: Callable, value):
+    """check(value), its ValueError prefixed with the value's name, as in
+    "name: expected ...", or "name[3]: ..." for a list's item."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        text = str(exc)
+        raise ValueError(name + ("" if text[:1] == "[" else ": ") + text) from None
+
+
+def _number(value) -> float:
+    """A real number, a numpy one too, as a float: a string, a bool or an
+    int past the float range is refused, NaN and inf left to the range
+    checks."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise _expected("a number", value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _expected("a number in the float range", value) from None
+
+
+def _real(what: str, inside: Callable[[float], bool]) -> Callable:
+    """The check of a finite number x for which inside(x) holds; its
+    error says it expected `what`."""
+    def check(value) -> float:
+        x = _number(value)
+        if not (math.isfinite(x) and inside(x)):
+            raise _expected(what, value)
+        return x
+    return check
+
+
+_finite = _real("a finite number", lambda x: True)
+_positive = _real("a finite number > 0", lambda x: x > 0)
+_nonnegative = _real("a finite number >= 0", lambda x: x >= 0)
+
+
+def _within(lo: float, hi: float) -> Callable:
+    """The check of a number in [lo, hi]."""
+    return _real(f"a number in [{lo:g}, {hi:g}]", lambda x: lo <= x <= hi)
+
+
+def _count(low: int, high: int | None = None) -> Callable:
+    """The check of an int, a numpy one too, in [low, high]: a float, 2.0
+    too, or a bool is refused."""
+    what = (f"an integer >= {low}" if high is None
+            else f"an integer in [{low}, {high}]")
+
+    def check(value) -> int:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < low or high is not None and value > high):
+            raise _expected(what, value)
+        return int(value)
+    return check
+
+
+def _integer(value) -> int:
+    """An integer in JSON text, where 256.0 counts as 256, while 2.7, "2"
+    or true is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _expected("an integer", value)
+    return value
+
+
+def _list(item: Callable, count: int | None = None) -> Callable:
+    """The check of a list or a tuple of items, count of them if count is
+    given, as a tuple; an item's error names its index."""
+    def check(value) -> tuple:
+        if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
+            raise _expected("a list" + (f" of {count}" if count else ""), value)
+        return tuple(_arg(f"[{i}]", item, x) for i, x in enumerate(value))
+    return check
+
+
+def _string(value) -> str | None:
+    """A string; the empty one counts as unset."""
+    if not isinstance(value, str):
+        raise _expected("a string", value)
+    return value or None
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise _expected("true or false", value)
+    return value
+
+
+def _object(checks: dict[str, Callable]) -> Callable:
+    """The check of an object with exactly the keys of checks, each value
+    passed through its check and named by its key.  A value its check
+    leaves unset, such as "" for _string, counts as missing."""
+    def check(value) -> dict:
+        if not isinstance(value, dict):
+            raise _expected("a JSON object", value)
+        for key in value:
+            if key not in checks:
+                raise ValueError(f"unknown key {key!r}")
+        checked = {}
+        for key, item in checks.items():
+            checked[key] = _arg(key, item, value[key]) if key in value else None
+            if checked[key] is None:
+                raise ValueError(f"missing key {key!r}")
+        return checked
+    return check
+
+
 @dataclass(frozen=True)
 class Rectangle:
     """Axis-aligned domain [t_min, t_max] x [c_min, c_max]."""
@@ -44,9 +164,8 @@ class Rectangle:
     c_max: float
 
     def __post_init__(self) -> None:
-        bounds = (self.t_min, self.t_max, self.c_min, self.c_max)
-        if not all(math.isfinite(x) for x in bounds):
-            raise ValueError(f"domain bounds must be finite, got {bounds}")
+        for name in ("t_min", "t_max", "c_min", "c_max"):
+            object.__setattr__(self, name, _arg(name, _finite, getattr(self, name)))
         for axis, lo, hi in (
             ("t", self.t_min, self.t_max), ("c", self.c_min, self.c_max)
         ):
@@ -96,18 +215,18 @@ def interpolate(
     Newton divided differences, expanded to monomial coefficients so the
     printed-coefficient comparisons downstream are direct.
     """
-    if len(nodes) != NODE_COUNT or len(values) != NODE_COUNT:
+    xs = _arg("nodes", _list(_finite), nodes)
+    dd = list(_arg("values", _list(_finite), values))
+    if len(xs) != NODE_COUNT or len(dd) != NODE_COUNT:
         raise ValueError(
             f"need exactly {NODE_COUNT} nodes and values, got "
-            f"{len(nodes)} and {len(values)}"
+            f"{len(xs)} and {len(dd)}"
         )
-    xs = [float(x) for x in nodes]
     for i in range(NODE_COUNT):
         for j in range(i + 1, NODE_COUNT):
             if abs(xs[i] - xs[j]) < 1e-12:
                 raise ValueError(f"duplicate node {xs[i]!r}")
     # Divided-difference table, in place.
-    dd = [float(v) for v in values]
     for order in range(1, NODE_COUNT):
         for i in range(NODE_COUNT - 1, order - 1, -1):
             dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - order])
@@ -122,6 +241,7 @@ def regress_linear(
     xs: tuple[float, ...], ys: tuple[float, ...]
 ) -> tuple[float, float]:
     """Ordinary least squares line: returns (slope, intercept)."""
+    xs, ys = _arg("xs", _list(_finite), xs), _arg("ys", _list(_finite), ys)
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
     n = len(xs)
@@ -135,12 +255,6 @@ def regress_linear(
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     slope = sxy / sxx
     return slope, mean_y - slope * mean_x
-
-
-def _require_finite(name: str, values: tuple[float, ...]) -> None:
-    for k, x in enumerate(values):
-        if not math.isfinite(x):
-            raise ValueError(f"{name}[{k}] is not finite: {x!r}")
 
 
 def _csv_number(cell: str, where: str) -> float:
@@ -164,14 +278,10 @@ class RiskTable:
     values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        for name in ("concentrations", "nodes"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-            _require_finite(name, getattr(self, name))
-        object.__setattr__(
-            self, "values", tuple(tuple(map(float, row)) for row in self.values)
-        )
-        for i, row in enumerate(self.values):
-            _require_finite(f"values[{i}]", row)
+        for name, check in (("concentrations", _list(_finite)),
+                            ("nodes", _list(_finite)),
+                            ("values", _list(_list(_finite)))):
+            object.__setattr__(self, name, _arg(name, check, getattr(self, name)))
         if len(self.values) != len(self.concentrations):
             raise ValueError("one value row required per concentration")
         if any(len(row) != len(self.nodes) for row in self.values):
@@ -225,12 +335,9 @@ class RiskField:
     )
 
     def __post_init__(self) -> None:
-        if len(self.a) != NODE_COUNT or len(self.b) != NODE_COUNT:
-            raise ValueError("field needs five slope and five intercept terms")
-        object.__setattr__(self, "a", tuple(float(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(float(x) for x in self.b))
-        _require_finite("a", self.a)
-        _require_finite("b", self.b)
+        for name in ("a", "b"):
+            object.__setattr__(self, name, _arg(
+                name, _list(_finite, NODE_COUNT), getattr(self, name)))
         # |R| <= sum_k (|a_k| max|c| + |b_k|) max|t|^k on the domain.
         d = self.domain
         bound = Polynomial(tuple(
@@ -307,7 +414,7 @@ class RiskField:
     @classmethod
     def from_json_dict(cls, data) -> "RiskField":
         return cls(**_object({
-            "a": _list(_number), "b": _list(_number),
+            "a": _list(_number, NODE_COUNT), "b": _list(_number, NODE_COUNT),
             "domain": Rectangle.from_json_dict,
         })(data))
 
@@ -329,83 +436,6 @@ def from_json_data(build, data, path: str | Path):
         return build(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-# The checks of JSON values, in the config file and in every input
-# document: each returns the value as the program holds it, or None for
-# unset, and raises ValueError on a value of the wrong type.
-
-def _expected(what: str, value) -> ValueError:
-    return ValueError(f"expected {what}, got {value!r}")
-
-
-def _number(value) -> float:
-    """An int or a float: a string or true is refused, NaN left to the
-    owner's range checks."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _expected("a number", value)
-    return float(value)
-
-
-def _finite(value) -> float:
-    """A number that is neither NaN nor inf."""
-    x = _number(value)
-    if not math.isfinite(x):
-        raise _expected("a finite number", value)
-    return x
-
-
-def _integer(value) -> int:
-    """256.0 counts as 256, while 2.7, "2" or true is refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _expected("an integer", value)
-    return value
-
-
-def _list(item: Callable, count: int | None = None) -> Callable:
-    """The check of a list of items, count of them if count is given."""
-    def check(value) -> tuple:
-        if not isinstance(value, list) or count not in (None, len(value)):
-            raise _expected("a list" + (f" of {count}" if count else ""), value)
-        return tuple(map(item, value))
-    return check
-
-
-def _string(value) -> str | None:
-    """A string; the empty one counts as unset."""
-    if not isinstance(value, str):
-        raise _expected("a string", value)
-    return value or None
-
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise _expected("true or false", value)
-    return value
-
-
-def _object(checks: dict[str, Callable]) -> Callable:
-    """The check of an object with exactly the keys of checks, each value
-    passed through its check; an error names the key.  A value its check
-    leaves unset, such as "" for _string, counts as missing."""
-    def check(value) -> dict:
-        if not isinstance(value, dict):
-            raise _expected("a JSON object", value)
-        for key in value:
-            if key not in checks:
-                raise ValueError(f"unknown key {key!r}")
-        checked = {}
-        for key, item in checks.items():
-            try:
-                checked[key] = item(value[key]) if key in value else None
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
-            if checked[key] is None:
-                raise ValueError(f"missing key {key!r}")
-        return checked
-    return check
 
 
 def read_csv(path: str | Path) -> list[tuple[int, list[str]]]:

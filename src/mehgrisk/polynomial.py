@@ -261,14 +261,13 @@ def isolate_roots(
 
 
 def bisect_root(p: tuple[int, ...], lo: float, hi: float) -> float:
-    """Refine a sign-change bracket of the integer polynomial p by
-    bisection to width ROOT_TOL, or until no float lies between its ends."""
-    slo, shi = sign_at(p, lo), sign_at(p, hi)
-    if slo == 0:
-        return lo
+    """Refine the root in the bracket (lo, hi] of the integer polynomial p,
+    whose sign changes there, by bisection to width ROOT_TOL, or until no
+    float lies between its ends.  A zero at lo is not the bracket's root."""
+    shi = sign_at(p, hi)
     if shi == 0:
         return hi
-    if slo == shi:
+    if sign_at(p, lo) == shi:
         raise ValueError("bracket does not straddle a sign change")
     while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
@@ -277,19 +276,20 @@ def bisect_root(p: tuple[int, ...], lo: float, hi: float) -> float:
         s = sign_at(p, mid)
         if s == 0:
             return mid
-        if s == slo:
-            lo = mid
-        else:
+        if s == shi:
             hi = mid
+        else:
+            lo = mid
     return 0.5 * (lo + hi)
 
 
 def real_roots(p: Polynomial, a: float, b: float) -> tuple[float, ...]:
     """Distinct real roots of p in the closed interval [a, b], sorted.
 
-    Sturm counting is half-open at the left end, so the interval is padded
-    slightly to catch a root sitting exactly on a; results are clamped
-    back into [a, b].
+    Sturm counting is half-open at the left end, so roots are isolated on
+    the interval padded slightly below a.  The exact signs at a decide
+    whether the root of a bracket that reaches below a lies in [a, b], and
+    each root is clamped into [a, b].
     """
     return _roots(sturm_sequence(p), a, b)
 
@@ -309,8 +309,11 @@ def common_roots(polys: list[Polynomial], a: float, b: float) -> tuple[float, ..
 
 
 def _roots(chain: list[tuple[int, ...]], a: float, b: float) -> tuple[float, ...]:
-    pad = 1e-9 * (1.0 + abs(a)) + 1e-9 * (b - a)
+    p, pad = chain[0], 1e-9 * (1.0 + abs(a)) + 1e-9 * (b - a)
+    s_a = sign_at(p, a)
+    # The root in (lo, hi] is at or above a when the sign changes in [a, hi].
     return tuple(sorted(
-        min(max(bisect_root(chain[0], lo, hi), a), b)
+        min(max(bisect_root(p, lo, hi), a), b)
         for lo, hi in isolate_roots(chain, a - pad, b)
+        if lo >= a or hi >= a and (s_a == 0 or s_a != sign_at(p, hi))
     ))

@@ -274,6 +274,16 @@ def test_region_area_random_fields_against_monte_carlo():
         assert abs(region.area - mc.area) <= 3 * mc.std_error + 1e-9
 
 
+def test_slope_root_just_below_the_stage_range_is_no_slope_root():
+    # g's root 0.99886222486 lies below this t_min: it was reported as
+    # t_min beside min dR/dc = 1.76e-8 > 0, and the region fell back to
+    # Monte Carlo.
+    f = published_field().with_domain(Rectangle(0.9988622268324628, 5.0, 0.2, 3.5))
+    cert = certify_no_critical_points(f)
+    assert f.slope_roots == cert.slope_roots == () and cert.min_dRdc > 0.0
+    assert risk_region_area(f).method == "reduction"
+
+
 def test_region_area_fallback_when_slope_changes_sign():
     # dR/dc = t - 3 changes sign inside [1, 5]; the reduction is invalid
     # and the estimate must come from Monte Carlo with a standard error.
@@ -295,20 +305,20 @@ def test_monte_carlo_determinism():
 @pytest.mark.parametrize("samples", [0, -5, 2.5, "1000", None, True])
 def test_monte_carlo_rejects_bad_sample_count(samples):
     # A streamed count of -5 samples would return area -0.0 silently.
-    with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+    with pytest.raises(ValueError, match="samples: expected an integer >= 1, got "):
         monte_carlo_region_area(published_field(), samples=samples)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
 def test_monte_carlo_rejects_nonfinite_threshold(threshold):
     # NaN compares false with every R, so it read as an empty region.
-    with pytest.raises(ValueError, match="threshold must be finite"):
+    with pytest.raises(ValueError, match="threshold: expected a finite number, got "):
         monte_carlo_region_area(published_field(), threshold, samples=1000)
 
 
 @pytest.mark.parametrize("cells", [0, -2, 3, 2.0, True, "4", None])
 def test_simpson_rejects_bad_cell_count(cells):
-    with pytest.raises(ValueError, match="cells must be an even integer >= 2"):
+    with pytest.raises(ValueError, match="cells: expected an (even )?integer >= 2, got "):
         mean_risk_simpson(published_field(), cells=cells)
 
 
@@ -371,13 +381,43 @@ def test_level_curves_grid_floor():
 def test_level_curves_reject_a_grid_that_is_not_an_integer(grid):
     # 16.5 raised numpy's TypeError and "64" the floor comparison's, and
     # True was refused as a grid of 1 cell.
-    with pytest.raises(ValueError, match="grid must be an integer >= 16"):
+    with pytest.raises(ValueError, match="grid: expected an integer >= 16, got "):
         level_curves(published_field(), levels=(1.0,), grid=grid)
 
 
 def test_level_curves_take_a_numpy_grid():
     f = published_field()
     assert level_curves(f, grid=np.int64(64)) == level_curves(f, grid=64)
+    assert level_curves(f, levels=[1.0, 2.0]) == level_curves(f, levels=(1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda f: risk_region_area(f, True), "threshold: expected a number, got True"),
+        (lambda f: risk_region_area(f, None), "threshold: expected a number, got None"),
+        (lambda f: risk_region_area(f, 1.0, seed=-1), "seed: expected an integer >= 0, got -1"),
+        (lambda f: monte_carlo_region_area(f, 1.0, 10, seed=1.5),
+         "seed: expected an integer >= 0, got 1.5"),
+        (lambda f: monte_carlo_region_area(f, 1.0, 10, seed=-1),
+         "seed: expected an integer >= 0, got -1"),
+        (lambda f: monte_carlo_region_area(f, 1.0, 10, seed=True),
+         "seed: expected an integer >= 0, got True"),
+        (lambda f: level_curves(f, levels=[True], grid=16),
+         "levels[0]: expected a number, got True"),
+        (lambda f: level_curves(f, levels=(1.0, math.nan), grid=16),
+         "levels[1]: expected a finite number, got nan"),
+    ],
+    ids=["region-threshold-true", "region-threshold-none", "region-seed-negative",
+         "mc-seed-float", "mc-seed-negative", "mc-seed-true", "levels-true",
+         "levels-nan"],
+)
+def test_entry_points_name_a_refused_argument(call, message):
+    # True ran as threshold 1.0, seed True and level True as 1, and None,
+    # a float or a negative seed failed in numpy without naming it.
+    with pytest.raises(ValueError) as err:
+        call(published_field())
+    assert str(err.value) == message
 
 
 def test_level_curve_piece_without_a_grid_node_follows_c_star():

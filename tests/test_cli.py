@@ -395,7 +395,8 @@ def test_nonfinite_threshold_and_levels_exit_2(flag, tmp_path, fresh_python):
         flag, "--out", str(tmp_path), seconds=30.0,
     )
     assert proc.returncode == 2, proc.stderr
-    assert "must be finite" in proc.stderr
+    assert f"{flag.split('=')[0]}: " in proc.stderr
+    assert "expected a finite number" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -440,15 +441,34 @@ def test_narrow_domain_names_config_key_and_field_file(tmp_path, capsys):
 
 
 def test_run_config_rejects_nonfinite():
-    with pytest.raises(ValueError, match="threshold must be finite"):
+    with pytest.raises(ValueError, match="threshold: expected a finite number, got nan"):
         RunConfig(threshold=math.nan)
-    with pytest.raises(ValueError, match="levels must be finite"):
+    with pytest.raises(ValueError, match=r"levels\[1\]: expected a finite number, got inf"):
         RunConfig(levels=(1.0, math.inf))
     for step in (math.nan, math.inf, 0.0, -1e-3):
-        with pytest.raises(ValueError, match="flow_step must be finite"):
+        with pytest.raises(ValueError, match="flow_step: expected a finite number > 0, got "):
             RunConfig(flow_step=step)
-    with pytest.raises(ValueError, match="flow_max_steps must be at least 1"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"flow_max_steps: expected an integer in [1, {cli.MAX_FLOW_STEPS}], got 0")):
         RunConfig(flow_max_steps=0)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("grid", 16.5, f"grid: expected an integer in [16, {cli.MAX_GRID}], got 16.5"),
+        ("seed", 1.5, "seed: expected an integer >= 0, got 1.5"),
+        ("mc_samples", True,
+         f"samples: expected an integer in [1, {cli.MAX_MC_SAMPLES}], got True"),
+        ("flow_starts", ((2.0, "1"),), "flow_starts[0][1]: expected a number, got '1'"),
+    ],
+    ids=["grid-float", "seed-float", "samples-true", "start-string"],
+)
+def test_run_config_checks_field_types(field, value, message):
+    # The first three were accepted, and a string start failed in flow.
+    with pytest.raises(ValueError) as err:
+        RunConfig(**{field: value})
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -508,7 +528,7 @@ def test_nonfinite_field_json_exit_2(tmp_path, fresh_python):
         "--out", str(out), seconds=30.0,
     )
     assert proc.returncode == 2, proc.stderr
-    assert "field.json: a[2] is not finite" in proc.stderr
+    assert "field.json: a[2]: expected a finite number, got inf" in proc.stderr
     assert not out.exists()
 
 
@@ -542,9 +562,10 @@ def test_samples_below_one_exit_2(samples, tmp_path, capsys):
     assert run(
         "analyze", "--paper-dataset", "--config", str(cfg), "--out", str(out)
     ) == 2
-    assert "samples must be at least 1" in capsys.readouterr().err
+    message = f"samples: expected an integer in [1, {cli.MAX_MC_SAMPLES}], got {samples}"
+    assert f"{cfg}: samples: {message}" in capsys.readouterr().err
     assert not out.exists()
-    with pytest.raises(ValueError, match="samples must be at least 1"):
+    with pytest.raises(ValueError, match=re.escape(message)):
         RunConfig(mc_samples=samples)
 
 
@@ -558,7 +579,7 @@ def test_samples_above_bound_exit_2(samples, tmp_path, capsys):
     assert run(
         "analyze", "--paper-dataset", "--config", str(cfg), "--out", str(out)
     ) == 2
-    assert f"{cfg}: samples: samples must be at most {cli.MAX_MC_SAMPLES}" in (
+    assert f"{cfg}: samples: samples: expected an integer in [1, {cli.MAX_MC_SAMPLES}], got {int(samples)}" in (
         capsys.readouterr().err
     )
     assert not out.exists()
@@ -574,7 +595,9 @@ def test_nonfinite_flow_start_exit_2(tmp_path, capsys):
     assert run(
         "flow", "--paper-dataset", "--starts", "2,1,nan,1", "--out", str(out)
     ) == 2
-    assert "flow starts must be finite" in capsys.readouterr().err
+    assert "--starts: flow_starts[1][0]: expected a finite number, got nan" in (
+        capsys.readouterr().err
+    )
     assert not out.exists()
 
 
@@ -876,7 +899,7 @@ def test_json_input_read_once(kind, tmp_path, monkeypatch):
     [
         ("{", "input.json: invalid JSON: "),
         ('{"a": [1, 2], "b": [0, 0, 0, 0, 0], "domain": {"t": [1, 5], '
-         '"c": [0.2, 3.5]}}', "input.json: field needs five slope"),
+         '"c": [0.2, 3.5]}}', "input.json: a: expected a list of 5, got [1, 2]"),
         ('{"a": [1, 2, 3, 4, 5], "b": [0, 0, 0, 0, 0]}',
          "input.json: missing key 'domain'"),
         ('{"nodes": [1, 2, 3, 4, 5]}',
@@ -908,12 +931,12 @@ _PROFILE_ENTRY = {"group": "men", "age_min": 12, "age_max": 60,
     "command, document, message",
     [
         ("fit", {**_FIELD_DOC, "a": "12345"},
-         ": a: expected a list, got '12345'"),
+         ": a: expected a list of 5, got '12345'"),
         ("fit", {**_FIELD_DOC, "b": [-0.04, True, -0.06, 0.007, 0.006]},
-         ": b: expected a number, got True"),
+         ": b[1]: expected a number, got True"),
         ("fit", {**_FIELD_DOC, "note": 1}, ": unknown key 'note'"),
         ("fit", {**_TABLE_DOC, "concentrations": [0.27, "2.43", 3.33]},
-         ": concentrations: expected a number, got '2.43'"),
+         ": concentrations[1]: expected a number, got '2.43'"),
         ("fit", {**_TABLE_DOC, "nodes": "12345"},
          ": nodes: expected a list, got '12345'"),
         ("exposure", [{**_PROFILE_ENTRY, "age_min": True}],
@@ -945,18 +968,20 @@ def test_json_input_values_are_type_checked(
 @pytest.mark.parametrize(
     "text, message",
     [
-        ('{"levels": ["x"]}', "levels: expected a number, got 'x'"),
+        ('{"levels": ["x"]}', "levels[0]: expected a number, got 'x'"),
         ('{"levels": 3}', "levels: expected a list, got 3"),
         ('{"domain": [1, 2, 3]}', "domain: expected a list of 4, got"),
         ('{"domain": "abcd"}', "domain: expected a list of 4, got"),
         ('{"threshold": null}', "threshold: expected a number, got None"),
         ('{"flow_starts": [[1]]}',
-         "flow_starts: expected a list of 2, got [1]"),
+         "flow_starts[0]: expected a list of 2, got [1]"),
         ('{"out": 7}', "out: expected a string, got 7"),
         ('{"flow_step": "1e-3"}', "flow_step: expected a number, got '1e-3'"),
         ('{"paper_dataset": "no"}',
          "paper_dataset: expected true or false, got 'no'"),
-        ('{"seed": -1}', "seed: seed must be non-negative"),
+        ('{"seed": -1}', "seed: seed: expected an integer >= 0, got -1"),
+        ('{"threshold": 1' + "0" * 400 + "}",
+         "threshold: expected a number in the float range, got 1" + "0" * 400),
         ("[1, 2]", "config must be a JSON object"),
         ("{", "invalid JSON: "),
         ("\xff\xfe{", "invalid JSON: "),
@@ -964,15 +989,16 @@ def test_json_input_values_are_type_checked(
     ids=[
         "levels-item", "levels-scalar", "domain-3", "domain-string",
         "threshold-null", "starts-short", "out-int", "step-string",
-        "paper-dataset-string", "seed-negative", "not-object",
+        "paper-dataset-string", "seed-negative", "threshold-huge-int", "not-object",
         "invalid-json", "invalid-utf8",
     ],
 )
 def test_bad_config_value_exit_2(text, message, tmp_path, monkeypatch, capsys):
     # The first seven raised a TypeError or IndexError (exit 1); a string
     # flow_step was parsed, "no" ran fit on the built-in dataset, a
-    # negative seed failed in numpy without naming the setting, and bytes
-    # that are not UTF-8 gave a message without the file name.
+    # negative seed failed in numpy without naming the setting, an integer
+    # past the float range raised OverflowError (exit 1), and bytes that are
+    # not UTF-8 gave a message without the file name.
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("MEHGRISK_OUT", raising=False)
     cfg = tmp_path / "c.json"
@@ -1019,7 +1045,8 @@ def test_flag_and_config_key_agree(tmp_path):
 def test_grid_bound(tmp_path, capsys):
     # Level curves allocate grid^2 nodes per array, so the bound is
     # checked before any work; nothing of that size is allocated here.
-    with pytest.raises(ValueError, match=f"between 16 and {cli.MAX_GRID}"):
+    message = f"grid: expected an integer in [16, {cli.MAX_GRID}], got {cli.MAX_GRID + 1}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         RunConfig(grid=cli.MAX_GRID + 1)
     assert RunConfig(grid=cli.MAX_GRID).grid == cli.MAX_GRID
     out = tmp_path / "out"
@@ -1027,7 +1054,7 @@ def test_grid_bound(tmp_path, capsys):
         "analyze", "--paper-dataset", "--grid", str(cli.MAX_GRID + 1),
         "--out", str(out),
     ) == 2
-    assert "--grid: grid must be between 16" in capsys.readouterr().err
+    assert f"--grid: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1037,7 +1064,9 @@ def test_flow_max_steps_bound(tmp_path, fresh_python):
     # thousand steps of the default size, so even a missing bound would
     # allocate nothing of the bound's size here.
     too_many = cli.MAX_FLOW_STEPS + 1
-    with pytest.raises(ValueError, match="flow_max_steps must be at most"):
+    message = (f"flow_max_steps: expected an integer in [1, {cli.MAX_FLOW_STEPS}], "
+               f"got {too_many}")
+    with pytest.raises(ValueError, match=re.escape(message)):
         RunConfig(flow_max_steps=too_many)
     assert RunConfig(flow_max_steps=cli.MAX_FLOW_STEPS).flow_max_steps == (
         cli.MAX_FLOW_STEPS
@@ -1050,9 +1079,7 @@ def test_flow_max_steps_bound(tmp_path, fresh_python):
         "--out", str(out), seconds=30.0,
     )
     assert proc.returncode == 2, proc.stderr
-    assert f"{cfg}: flow_max_steps: flow_max_steps must be at most" in (
-        proc.stderr
-    )
+    assert f"{cfg}: flow_max_steps: {message}" in proc.stderr
     assert not out.exists()
 
 

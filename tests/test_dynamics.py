@@ -180,14 +180,26 @@ def test_flow_step_validation():
     with pytest.raises(ValueError):
         flow(f, (3.0, 1.0), max_steps=0)
     for steps in (1e3, 10.5, "1000", True):
-        with pytest.raises(ValueError, match="max_steps must be an integer"):
+        with pytest.raises(ValueError, match="max_steps: expected an integer >= 1, got "):
             flow(f, (3.0, 1.0), max_steps=steps)
     for step in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="step must be finite"):
+        with pytest.raises(ValueError, match="step: expected a finite number > 0, got "):
             flow(f, (3.0, 1.0), step=step)
     for step in ("0.01", None, 1e-3j, True):
-        with pytest.raises(ValueError, match=re.escape(f"step must be a real number, got {step!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"step: expected a number, got {step!r}")):
             flow(f, (3.0, 1.0), step=step)
+    # A one-item start raised IndexError, and a start of strings ran.
+    with pytest.raises(ValueError, match=re.escape("start: expected a list of 2, got (3.0,)")):
+        flow(f, (3.0,))
+    with pytest.raises(ValueError, match=r"start\[0\]: expected a number, got '3'"):
+        flow(f, ("3", "1"))
+
+
+def test_flow_and_witness_take_numpy_scalars_and_list_starts():
+    f = published_field()
+    traj = flow(f, (3.0, 1.0), step=1e-3, max_steps=200)
+    assert flow(f, [3.0, 1.0], step=np.float64(1e-3), max_steps=np.int64(200)) == traj
+    assert check_no_recurrence(traj, radius=np.float32(0.05))
 
 
 def test_all_grid_starts_leave_domain():
@@ -238,14 +250,14 @@ def test_recurrence_trivial_cases():
 @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
 def test_recurrence_rejects_nonfinite_radius(radius):
     traj = flow(published_field(), (3.0, 1.0), step=0.01, max_steps=5)
-    with pytest.raises(ValueError, match="radius must be finite"):
+    with pytest.raises(ValueError, match="radius: expected a finite number > 0, got "):
         check_no_recurrence(traj, radius=radius)
 
 
 @pytest.mark.parametrize("radius", [True, "0.05", None])
 def test_recurrence_rejects_a_radius_that_is_no_number(radius):
     traj = flow(published_field(), (3.0, 1.0), step=0.01, max_steps=5)
-    with pytest.raises(ValueError, match="radius must be a real number"):
+    with pytest.raises(ValueError, match="radius: expected a number, got "):
         check_no_recurrence(traj, radius=radius)
 
 

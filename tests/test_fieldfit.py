@@ -72,6 +72,9 @@ def test_interpolate_arity_and_duplicates():
         interpolate((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6))
     with pytest.raises(ValueError):
         interpolate((1, 2, 2, 4, 5), (1, 2, 3, 4, 5))
+    # A NaN value gave NaN coefficients.
+    with pytest.raises(ValueError, match=r"values\[2\]: expected a finite number, got nan"):
+        interpolate((1, 2, 3, 4, 5), (0, 1, math.nan, 3, 4))
 
 
 def test_survey_nodes_reproduce_published_quartic():
@@ -106,6 +109,9 @@ def test_regress_degenerate():
         regress_linear((2.0, 2.0, 2.0), (1.0, 2.0, 3.0))
     with pytest.raises(ValueError):
         regress_linear((1.0,), (1.0,))
+    # A NaN gave (nan, nan).
+    with pytest.raises(ValueError, match=r"xs\[2\]: expected a finite number, got nan"):
+        regress_linear((1, 2, math.nan), (1, 2, 3))
 
 
 def test_regress_matches_grid_refinement():
@@ -238,13 +244,16 @@ def test_table_csv_nonfinite_location(tmp_path, text, row, column):
 def test_table_rejects_nonfinite():
     good = survey_risk_table()
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=r"concentrations\[1\] is not finite"):
+        with pytest.raises(ValueError, match=r"concentrations\[1\]: expected a finite number"):
             RiskTable((0.27, bad, 3.33), good.nodes, good.values)
-        with pytest.raises(ValueError, match=r"nodes\[4\] is not finite"):
+        with pytest.raises(ValueError, match=r"nodes\[4\]: expected a finite number"):
             RiskTable(good.concentrations, (1, 2, 3, 4, bad), good.values)
         values = (good.values[0], (0.0, 7.2, bad, 1.8, 3.5), good.values[2])
-        with pytest.raises(ValueError, match=r"values\[1\]\[2\] is not finite"):
+        with pytest.raises(ValueError, match=r"values\[1\]\[2\]: expected a finite number"):
             RiskTable(good.concentrations, good.nodes, values)
+    # True was taken as 1.0.
+    with pytest.raises(ValueError, match=r"concentrations\[0\]: expected a number, got True"):
+        RiskTable((True, 2.0), good.nodes, good.values[:2])
 
 
 def test_table_json_nonfinite_names_file(tmp_path):
@@ -260,15 +269,19 @@ def test_table_json_nonfinite_names_file(tmp_path):
 def test_field_rejects_nonfinite(tmp_path):
     a, b = published_field().a, published_field().b
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=r"a\[3\] is not finite"):
+        with pytest.raises(ValueError, match=r"a\[3\]: expected a finite number"):
             RiskField(a[:3] + (bad,) + a[4:], b)
-        with pytest.raises(ValueError, match=r"b\[0\] is not finite"):
+        with pytest.raises(ValueError, match=r"b\[0\]: expected a finite number"):
             RiskField(a, (bad,) + b[1:])
+    # A field of strings was built.
+    with pytest.raises(ValueError, match=r"a\[0\]: expected a number, got '1'"):
+        RiskField(("1",) * 5, (0,) * 5)
+    assert RiskField(list(a), list(b)) == published_field()
     path = tmp_path / "field.json"
     data = published_field().as_json_dict()
     data["b"][4] = math.nan
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=r"field.json: b\[4\] is not finite"):
+    with pytest.raises(ValueError, match=r"field.json: b\[4\]: expected a finite number"):
         from_json_data(RiskField.from_json_dict, read_json(path), path)
 
 
@@ -318,12 +331,17 @@ def test_rectangle_validation():
         Rectangle(2.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Rectangle(1.0, 2.0, 3.0, 3.0)
+    names = ("t_min", "t_max", "c_min", "c_max")
     for bad in (math.nan, math.inf, -math.inf):
         for k in range(4):
             bounds = [1.0, 5.0, 0.2, 3.5]
             bounds[k] = bad
-            with pytest.raises(ValueError, match="bounds must be finite"):
+            with pytest.raises(ValueError, match=f"{names[k]}: expected a finite number"):
                 Rectangle(*bounds)
+    # True was taken as 1.0, and "1" raised a TypeError.
+    for bad in (True, "1"):
+        with pytest.raises(ValueError, match=f"t_min: expected a number, got {bad!r}"):
+            Rectangle(bad, 5, 0.2, 3.5)
     r = Rectangle(1.0, 5.0, 0.2, 3.5)
     assert math.isclose(r.area, 13.2)
     assert r.contains(1.0, 0.2) and not r.contains(0.9, 1.0)

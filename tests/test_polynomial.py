@@ -127,6 +127,25 @@ def test_root_on_interval_endpoint_is_found():
     assert abs(roots[0] - 1.0) < 1e-8
 
 
+def test_root_just_below_the_interval_is_not_reported():
+    # The isolation padded below a used to clamp this root onto a.
+    below = Polynomial((-(1 - 2**-33), 1.0))
+    assert real_roots(below, 1.0, 5.0) == ()
+    assert common_roots([below, below * 2.0], 1.0, 5.0) == ()
+    (root,) = real_roots(below * Polynomial((-1.0, 1.0)), 1.0, 5.0)
+    assert abs(root - 1.0) <= ROOT_TOL
+    (root,) = real_roots(Polynomial((-1.0, 1.0)), 1.0, 5.0)
+    assert abs(root - 1.0) <= ROOT_TOL
+
+
+def test_bisection_takes_the_root_of_its_bracket():
+    # A zero at lo belongs to the bracket before: bisection returned
+    # 0.5 for both brackets and lost 0.75.
+    chain = sturm_sequence(Polynomial((-0.5, 1.0)) * Polynomial((-0.75, 1.0)))
+    assert isolate_roots(chain, 0.0, 1.0) == [(0.0, 0.5), (0.5, 1.0)]
+    assert bisect_root(chain[0], 0.5, 1.0) == 0.75
+
+
 def test_repeated_root_counted_once():
     # (x - 2)^2 (x + 1)
     p = Polynomial((4.0, 0.0, -3.0, 1.0))
