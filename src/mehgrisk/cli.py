@@ -35,7 +35,7 @@ from .fieldfit import (
 )
 from .fieldfit import (   # the checks
     _arg, _boolean, _count, _finite, _integer, _list, _number, _positive,
-    _string,
+    _rectangle, _string,
 )
 
 ENV_OUT = "MEHGRISK_OUT"
@@ -45,9 +45,9 @@ MAX_GRID = 2048   # input validation: level curves take O(grid) memory per level
 # slot), about 210 B while the trajectory is built, so 10^6 steps cap one
 # trajectory near 200 MB.
 MAX_FLOW_STEPS = 10**6
-# The Monte Carlo cross-check streams about 6e7 samples a second (one
-# 2-vCPU Xeon core), so 10^9 samples take about 16 s; 1e15 would run for
-# months, in constant memory.
+# The Monte Carlo cross-check streams about 9e7 samples a second on two
+# threads of a 2-vCPU Xeon (6e7 on one), so 10^9 samples take about 11 s;
+# 1e15 would run for months, in constant memory.
 MAX_MC_SAMPLES = 10**9
 
 
@@ -69,7 +69,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         # Each checked field, named in an error by its config key.
         for key, check in (
-            ("paper_dataset", _boolean), ("levels", _list(_finite)),
+            ("paper_dataset", _boolean),
+            ("domain", lambda v: None if v is None else _rectangle(v)),
+            ("levels", _list(_finite)),
             ("threshold", _finite), ("grid", _count(16, MAX_GRID)),
             ("seed", _count(0)), ("samples", _count(1, MAX_MC_SAMPLES)),
             ("flow_starts", _list(_list(_finite, 2))),

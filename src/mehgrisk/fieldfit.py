@@ -195,6 +195,12 @@ class Rectangle:
         return cls(*bounds["t"], *bounds["c"])
 
 
+def _rectangle(value) -> Rectangle:
+    if not isinstance(value, Rectangle):
+        raise _expected("a Rectangle", value)
+    return value
+
+
 DEFAULT_DOMAIN = Rectangle(1.0, 5.0, 0.2, 3.5)
 # Stages searched for zero curvature: wider than the default domain on the
 # right because the oldest critical age sits just past stage 5.  A field's
@@ -338,6 +344,7 @@ class RiskField:
         for name in ("a", "b"):
             object.__setattr__(self, name, _arg(
                 name, _list(_finite, NODE_COUNT), getattr(self, name)))
+        _arg("domain", _rectangle, self.domain)
         # |R| <= sum_k (|a_k| max|c| + |b_k|) max|t|^k on the domain.
         d = self.domain
         bound = Polynomial(tuple(

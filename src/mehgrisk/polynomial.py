@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Width to which real_roots brackets each root.
 ROOT_TOL = 1e-10
 # Bisection depth at which isolate_roots stops splitting a bracket.
@@ -61,11 +63,15 @@ class Polynomial:
         """Horner's rule from the top coefficient: acc = acc * x + c_k, for
         a float x or, in place in a new array or in `out` (a float array of
         x's shape, returned), for each element of an array x."""
-        acc = self.coefficients[-1]
-        if out is not None:
+        acc, *rest = reversed(self.coefficients)
+        if out is not None and rest:
+            # x * top is top * x, bit for bit: one pass instead of fill, *=.
+            acc = np.multiply(x, acc, out=out)
+            acc += rest.pop(0)
+        elif out is not None:
             out.fill(acc)
             acc = out
-        for c in reversed(self.coefficients[:-1]):
+        for c in rest:
             acc *= x   # a float times an array is a new array
             acc += c
         return acc

@@ -453,6 +453,13 @@ def test_run_config_rejects_nonfinite():
         RunConfig(flow_max_steps=0)
 
 
+def test_run_config_rejects_a_domain_that_is_no_rectangle():
+    # A tuple was accepted and failed later with an AttributeError.
+    with pytest.raises(ValueError, match=re.escape(
+            "domain: expected a Rectangle, got (1.0, 5.0, 0.2, 3.5)")):
+        RunConfig(domain=(1.0, 5.0, 0.2, 3.5))
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

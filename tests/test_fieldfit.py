@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mehgrisk.fieldfit import (
     DEFAULT_NODES,
+    PUBLISHED_A,
+    PUBLISHED_B,
     Rectangle,
     RiskField,
     RiskTable,
@@ -324,6 +327,14 @@ def test_field_json_round_trip(tmp_path):
     assert data["a"] == list(f.a)
     back = from_json_data(RiskField.from_json_dict, read_json(path), path)
     assert back == f
+
+
+def test_field_rejects_a_domain_that_is_no_rectangle():
+    # A tuple was accepted and failed later with an AttributeError.
+    for bad in ((1.0, 5.0, 0.2, 3.5), None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"domain: expected a Rectangle, got {bad!r}")):
+            RiskField(PUBLISHED_A, PUBLISHED_B, domain=bad)
 
 
 def test_rectangle_validation():

@@ -4,12 +4,14 @@ The reference below is the original estimator: it draws every t, then
 every c, from one generator, and counts hits over slices of the two
 arrays with g and h from the out-of-place Horner chain acc = acc*t + a_k.
 The package's monte_carlo_region_area must return the same RegionArea
-exactly.  field.g and field.h over an array, into a new one or into the
-caller's, must give every stage the bits of their scalar calls.
+exactly, on one thread or two.  field.g and field.h over an array, into
+a new one or into the caller's, must give every stage the bits of their
+scalar calls.
 """
 
 from __future__ import annotations
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,8 +19,11 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from mehgrisk import analysis
 from mehgrisk.analysis import (
     MC_CHUNK,
+    MC_PAIR_CHUNK,
+    MC_SPLIT,
     RegionArea,
     _uniform_into,
     monte_carlo_region_area,
@@ -65,7 +70,11 @@ def _assert_same(field, domain, threshold, samples, seed):
     assert repr(got.as_json_dict()) == repr(want.as_json_dict())
 
 
-SAMPLE_COUNTS = (1, 1000, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 100_003)
+# One slice up to MC_SPLIT samples, two above it: here halves of about
+# MC_SPLIT / 2 and of six MC_PAIR_CHUNK chunks.
+SAMPLE_COUNTS = (1, 1000, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 100_003) + tuple(
+    n + d for n in (MC_SPLIT, 12 * MC_PAIR_CHUNK) for d in (-1, 0, 1)
+)
 SIGN_CHANGING = RiskField((-3.0, 1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0))
 SUBDOMAIN = Rectangle(2.0, 3.5, 0.5, 2.0)
 
@@ -130,6 +139,48 @@ def test_memory_does_not_grow_with_samples():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 8 * MC_CHUNK
+
+
+@pytest.mark.parametrize("samples", (MC_SPLIT + 1, 12 * MC_PAIR_CHUNK + 1, 10**6))
+def test_one_thread_gives_the_same_bits(monkeypatch, samples):
+    field = SIGN_CHANGING.with_domain(SUBDOMAIN)
+    threaded = monte_carlo_region_area(field, 1.0, samples, 3)
+    monkeypatch.setattr(analysis, "_cpus", lambda: 1)
+    alone = monte_carlo_region_area(field, 1.0, samples, 3)
+    assert repr(alone.as_json_dict()) == repr(threaded.as_json_dict())
+
+
+@pytest.mark.skipif(analysis._cpus() < 2, reason="one CPU: one slice")
+def test_both_threads_draw_under_the_callers_errstate(monkeypatch):
+    calls, draw = [], analysis._uniform_into
+
+    def recording(*args):
+        calls.append((threading.get_ident(), np.geterr()))
+        draw(*args)
+
+    monkeypatch.setattr(analysis, "_uniform_into", recording)
+    with np.errstate(over="ignore", under="raise", invalid="warn"):
+        monte_carlo_region_area(published_field(), samples=MC_SPLIT + 1)
+        caller = np.geterr()
+    threads = {ident for ident, _ in calls}
+    assert len(threads) == 2 and threading.get_ident() in threads
+    assert all(state == caller for _, state in calls)
+
+
+def test_a_slice_error_reaches_the_caller(monkeypatch):
+    # Only the second thread's slice fails; its error must not be lost
+    # to the thread, nor reported there as unhandled.
+    monkeypatch.setattr(analysis, "_cpus", lambda: 2)
+    caller, draw = threading.get_ident(), analysis._uniform_into
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            raise OverflowError("worker")
+        draw(*args)
+
+    monkeypatch.setattr(analysis, "_uniform_into", failing)
+    with pytest.raises(OverflowError, match="worker"):
+        monte_carlo_region_area(published_field(), samples=MC_SPLIT + 1)
 
 
 def test_overflowing_span_raises():
