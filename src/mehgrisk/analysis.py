@@ -21,21 +21,23 @@ import numpy as np
 
 from .fieldfit import Rectangle, RiskField
 from .fieldfit import _arg, _count, _finite, _list   # the checks
-from .polynomial import ROOT_TOL, common_roots, real_roots
+from .polynomial import ROOT_TOL, _horner, common_roots, real_roots
 
 # Level-curve bisection in t resolves 2^-REFINE_ROUNDS of a t cell.
 REFINE_ROUNDS = 20
 # Draws per Monte Carlo chunk of a slice counted alone, and of each of two
-# slices counted at once.  Medians of 10^6 samples (2-vCPU Xeon): one slice
-# 14.6, 12.3, 12.0 and 12.4 ms at 2^13..2^16; two slices 12.3, 11.4 and
-# 10.5 ms at 2^14, 5 * 2^12 and 3 * 2^13.  Two slices hold 25 B a draw
-# each, so 3 * 2^13 keeps them within 1.25 MiB.
+# slices counted at once.  A chunk takes 18 numpy calls, and the two
+# threads contend for the GIL between them, so larger chunks run faster.
+# Medians of 10^6 samples (2-vCPU Xeon): one slice 13.6, 12.1, 11.4 and
+# 11.3 ms at 2^13..2^16; two slices 10.3, 11.1, 9.0 and 7.8 ms at 2^14,
+# 5 * 2^12, 3 * 2^13 and 2^15.  A slice holds 25 B a draw, so 3 * 2^13
+# keeps two of them within 1.25 MiB.
 MC_CHUNK = 2**15
 MC_PAIR_CHUNK = 3 * 2**13
 # Samples above which a second thread counts half of them.  It takes about
-# 0.12 ms to start and join, and the two threads contend for the GIL
-# between numpy calls: two slices were 4-25% slower than one at 10^5
-# samples and 17-26% faster at 5 * 10^5.
+# 0.12 ms to start and join: two slices were 33% slower than one at
+# 5 * 10^4 samples and 12-28% faster from 10^5 to 5 * 10^5, but moving
+# 10^5 onto two threads raised the field sweep's median operation time.
 MC_SPLIT = 2**18
 # Integrand evaluations a region integral may spend after its first pass,
 # and the absolute error it aims for.
@@ -251,25 +253,29 @@ def _slice_hits(field: RiskField, threshold: float, seed: int, samples: int,
                 lo: int, hi: int, chunk: int) -> int:
     """The hits among the sample indices [lo, hi): t draws lo.. of
     ``default_rng(seed)`` with c draws samples + lo.., from two generators
-    jumped ahead to them, streamed in chunks of `chunk` through three
-    float buffers and one bool buffer allocated once."""
+    jumped ahead to them, streamed in chunks of `chunk` through one draw
+    buffer, one (2, chunk) buffer for g and h and one bool buffer, each
+    allocated once."""
     dom = field.domain
     t_rng, c_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     t_rng.bit_generator.advance(lo)
     c_rng.bit_generator.advance(samples + lo)
+    # g and h as one Horner chain over the rows of gh: half the numpy
+    # calls, and so half the GIL hand-offs, of two chains.
+    columns = np.array((field.g.coefficients, field.h.coefficients)).T[..., None]
     n = min(hi - lo, chunk)
-    ts, cs, r = (np.empty(n) for _ in range(3))
+    x, gh = np.empty(n), np.empty((2, n))
     hit = np.empty(n, dtype=bool)
     hits = 0
     for start in range(lo, hi, n):
         m = min(n, hi - start)
         if m < n:
-            ts, cs, r, hit = ts[:m], cs[:m], r[:m], hit[:m]
-        _uniform_into(t_rng, dom.t_min, dom.t_max, ts)
-        _uniform_into(c_rng, dom.c_min, dom.c_max, cs)
-        field.g(ts, out=r)
-        r *= cs
-        r += field.h(ts, out=cs)   # the c draws are spent
+            x, gh, hit = x[:m], gh[:, :m], hit[:m]
+        _uniform_into(t_rng, dom.t_min, dom.t_max, x)
+        r, h = _horner(columns, x, out=gh)
+        _uniform_into(c_rng, dom.c_min, dom.c_max, x)   # the t draws are spent
+        r *= x
+        r += h
         np.greater_equal(r, threshold, out=hit)
         hits += int(np.count_nonzero(hit))
     return hits

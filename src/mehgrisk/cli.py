@@ -34,8 +34,8 @@ from .fieldfit import (
     survey_risk_table,
 )
 from .fieldfit import (   # the checks
-    _arg, _boolean, _count, _finite, _integer, _list, _number, _positive,
-    _rectangle, _string,
+    _arg, _boolean, _count, _finite, _integer, _list, _number, _path,
+    _positive, _rectangle, _string,
 )
 
 ENV_OUT = "MEHGRISK_OUT"
@@ -45,8 +45,8 @@ MAX_GRID = 2048   # input validation: level curves take O(grid) memory per level
 # slot), about 210 B while the trajectory is built, so 10^6 steps cap one
 # trajectory near 200 MB.
 MAX_FLOW_STEPS = 10**6
-# The Monte Carlo cross-check streams about 9e7 samples a second on two
-# threads of a 2-vCPU Xeon (6e7 on one), so 10^9 samples take about 11 s;
+# The Monte Carlo cross-check streams about 1.1e8 samples a second on two
+# threads of a 2-vCPU Xeon (7.8e7 on one), so 10^9 samples take about 9 s;
 # 1e15 would run for months, in constant memory.
 MAX_MC_SAMPLES = 10**9
 
@@ -70,6 +70,7 @@ class RunConfig:
         # Each checked field, named in an error by its config key.
         for key, check in (
             ("paper_dataset", _boolean),
+            ("input", lambda v: None if v is None else _string(v)),
             ("domain", lambda v: None if v is None else _rectangle(v)),
             ("levels", _list(_finite)),
             ("threshold", _finite), ("grid", _count(16, MAX_GRID)),
@@ -77,6 +78,7 @@ class RunConfig:
             ("flow_starts", _list(_list(_finite, 2))),
             ("flow_step", _positive),
             ("flow_max_steps", _count(1, MAX_FLOW_STEPS)),
+            ("out", _path),
         ):
             name = OPTIONS[key].field
             object.__setattr__(self, name, _arg(key, check, getattr(self, name)))
@@ -128,8 +130,7 @@ OPTIONS = {opt.key: opt for opt in (
            "risk threshold"),
     Option("grid", "grid", _integer, "--grid", int, "contour grid resolution"),
     Option("seed", "seed", _integer, "--seed", int, "Monte Carlo seed"),
-    Option("out", "output_dir", lambda v: Path(v) if _string(v) else None,
-           "--out", help="output directory"),
+    Option("out", "output_dir", _string, "--out", help="output directory"),
     Option("flow_starts", "flow_starts", _list(_list(_number, 2)), "--starts",
            _comma_pairs, "flow start points t1,c1,t2,c2,...",
            ("flow", "report")),

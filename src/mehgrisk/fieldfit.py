@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from pathlib import Path
+from pathlib import Path, PurePath
 from types import MappingProxyType
 
 import numpy as np
@@ -127,6 +127,13 @@ def _string(value) -> str | None:
     if not isinstance(value, str):
         raise _expected("a string", value)
     return value or None
+
+
+def _path(value) -> Path:
+    """A path, given as one or as a nonempty string."""
+    if not isinstance(value, (str, PurePath)) or value == "":
+        raise _expected("a path or a nonempty string", value)
+    return Path(value)
 
 
 def _boolean(value) -> bool:

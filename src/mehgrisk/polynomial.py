@@ -23,6 +23,24 @@ ROOT_TOL = 1e-10
 _MAX_DEPTH = 80
 
 
+def _horner(coefficients, x, out=None):
+    """Polynomial.__call__ on coefficients ascending by power.  With `out`
+    of shape (k, n) they may be (k, 1) columns: k polynomials evaluated at
+    once, one to a row of out, each row with the bits of its own chain."""
+    acc, *rest = reversed(coefficients)
+    if out is not None and rest:
+        # x * top is top * x, bit for bit: one pass instead of fill, *=.
+        acc = np.multiply(x, acc, out=out)
+        acc += rest.pop(0)
+    elif out is not None:
+        out[...] = acc
+        acc = out
+    for c in rest:
+        acc *= x   # a float times an array is a new array
+        acc += c
+    return acc
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Immutable real polynomial, coefficients ascending by power."""
@@ -63,18 +81,7 @@ class Polynomial:
         """Horner's rule from the top coefficient: acc = acc * x + c_k, for
         a float x or, in place in a new array or in `out` (a float array of
         x's shape, returned), for each element of an array x."""
-        acc, *rest = reversed(self.coefficients)
-        if out is not None and rest:
-            # x * top is top * x, bit for bit: one pass instead of fill, *=.
-            acc = np.multiply(x, acc, out=out)
-            acc += rest.pop(0)
-        elif out is not None:
-            out.fill(acc)
-            acc = out
-        for c in rest:
-            acc *= x   # a float times an array is a new array
-            acc += c
-        return acc
+        return _horner(self.coefficients, x, out)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coefficients))

@@ -6,6 +6,7 @@ import collections
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -453,6 +454,10 @@ def test_run_config_rejects_nonfinite():
         RunConfig(flow_max_steps=0)
 
 
+def test_run_config_stores_the_output_directory_as_a_path():
+    assert RunConfig(output_dir="d").output_dir == Path("d")
+
+
 def test_run_config_rejects_a_domain_that_is_no_rectangle():
     # A tuple was accepted and failed later with an AttributeError.
     with pytest.raises(ValueError, match=re.escape(
@@ -468,11 +473,15 @@ def test_run_config_rejects_a_domain_that_is_no_rectangle():
         ("mc_samples", True,
          f"samples: expected an integer in [1, {cli.MAX_MC_SAMPLES}], got True"),
         ("flow_starts", ((2.0, "1"),), "flow_starts[0][1]: expected a number, got '1'"),
+        ("input_path", b"x.csv", "input: expected a string, got b'x.csv'"),
+        ("output_dir", 3, "out: expected a path or a nonempty string, got 3"),
     ],
-    ids=["grid-float", "seed-float", "samples-true", "start-string"],
+    ids=["grid-float", "seed-float", "samples-true", "start-string",
+         "input-bytes", "out-int"],
 )
 def test_run_config_checks_field_types(field, value, message):
-    # The first three were accepted, and a string start failed in flow.
+    # Grid, seed, samples and the paths were accepted, and a string start
+    # failed in flow.
     with pytest.raises(ValueError) as err:
         RunConfig(**{field: value})
     assert str(err.value) == message
@@ -736,7 +745,7 @@ def test_report_loads_and_fits_the_table_once(tmp_path, monkeypatch):
         pytest.param("analyze", 1e308, "big.json: field overflows", id="analyze"),
         pytest.param("report", 1e308, "big.json: field overflows", id="report"),
         pytest.param("fit", 1e308, "big.json: field overflows", id="fit"),
-        pytest.param("report", 1e200, "geometry.json: Out of range float values",
+        pytest.param("report", 1e200, "flow.json: Out of range float values",
                      id="report-1e200"),
         pytest.param("report", 1e150, "flow.json: Out of range float values",
                      id="report-1e150"),
@@ -746,8 +755,9 @@ def test_overflowing_field_writes_nothing(
     command, value, message, tmp_path, fresh_python
 ):
     # At 1e308 the field overflows on its domain and is refused at load;
-    # fit used to write it.  Coefficients of 1e200 overflow in the
-    # curvature and 1e150 in the flow summary.  analyze used to leave an
+    # fit used to write it.  Coefficients of 1e150 and 1e200 overflow in
+    # the flow summary (1e200 overflowed first in the curvature, which is
+    # now scaled: see the next test).  analyze used to leave an
     # empty output directory, and report every file it wrote before the
     # first document that refused the values; numpy printed its overflow
     # warnings first.
@@ -765,6 +775,19 @@ def test_overflowing_field_writes_nothing(
     assert message in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert not out.exists()
+
+
+def test_huge_field_geometry_is_written(tmp_path):
+    # Its curvature denominator overflows unscaled: geometry exited 2 with
+    # "geometry.json: Out of range float values" (K was nan).
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "a": [1e200] * 5, "b": [0.0] * 5,
+        "domain": {"t": [1.0, 5.0], "c": [0.2, 3.5]},
+    }))
+    assert run("geometry", "--input", str(path), "--out", str(tmp_path)) == 0
+    report = read_json(tmp_path / "geometry.json")
+    assert report["is_hadamard"] and report["max_curvature_on_domain"] <= 0.0
 
 
 @pytest.mark.parametrize("command", ["analyze", "report"])

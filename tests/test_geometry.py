@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -160,6 +161,22 @@ def test_rootless_cubic_field():
     assert report.zero_loci == ()
     assert report.max_curvature_on_domain < 0.0
     assert report.is_hadamard
+
+
+def test_huge_field_curvature_is_scaled_not_overflowed():
+    # (1 + R_t^2 + g^2)^2 overflows here; unscaled, K was nan (inf / inf)
+    # with overflow and invalid warnings (errors under this suite's
+    # filterwarnings), and is_hadamard False.
+    domain, zero = Rectangle(6.0, 7.0, 0.2, 3.5), (0.0,) * 5
+    report = certify_hadamard(RiskField((0.0,) * 4 + (1e154,), zero, domain))
+    assert math.isfinite(report.max_curvature_on_domain)
+    assert report.max_curvature_on_domain <= 0.0 and report.is_hadamard
+    # At 1e80, K is a normal float; unscaled, it read -0.0.
+    a, t, c = (0.0,) * 4 + (1e80,), 6.5, 3.5
+    got = gaussian_curvature(RiskField(a, zero, domain), t, c)
+    g, q = Fraction(a[4]) * Fraction(t) ** 4, 4 * Fraction(a[4]) * Fraction(t) ** 3
+    want = -q * q / (1 + (Fraction(c) * q) ** 2 + g * g) ** 2
+    assert got < 0.0 and abs(Fraction(float(got)) / want - 1) < 1e-13
 
 
 def _fd_curvature(f, t, c, h=1e-4):

@@ -5,8 +5,8 @@ every c, from one generator, and counts hits over slices of the two
 arrays with g and h from the out-of-place Horner chain acc = acc*t + a_k.
 The package's monte_carlo_region_area must return the same RegionArea
 exactly, on one thread or two.  field.g and field.h over an array, into
-a new one or into the caller's, must give every stage the bits of their
-scalar calls.
+a new one or into the caller's, and the stream's one chain for both must
+give every stage the bits of their scalar calls.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from mehgrisk.analysis import (
     monte_carlo_region_area,
 )
 from mehgrisk.fieldfit import Rectangle, RiskField, published_field
+from mehgrisk.polynomial import _horner
 
 _REFERENCE_CHUNK = 65536
 
@@ -79,10 +80,11 @@ SIGN_CHANGING = RiskField((-3.0, 1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0))
 SUBDOMAIN = Rectangle(2.0, 3.5, 0.5, 2.0)
 
 coefficient = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+signed_coefficient = coefficient | st.sampled_from((0.0, -0.0))
 fields = st.builds(
     lambda a, b: RiskField(tuple(a), tuple(b)),
-    st.lists(coefficient, min_size=5, max_size=5),
-    st.lists(coefficient, min_size=5, max_size=5),
+    st.lists(signed_coefficient, min_size=5, max_size=5),
+    st.lists(signed_coefficient, min_size=5, max_size=5),
 )
 
 
@@ -126,10 +128,28 @@ def test_fixed_fields_match_reference(samples):
     _assert_same(published_field(), SUBDOMAIN, 4.0, samples, 7)
 
 
+# The slope (t - 2)(t - 3)(t - 4) changes sign three times on the stages,
+# as in the benchmark's sign-changing survey tables, and h has signed zeros.
+SWEEP_LIKE = RiskField((-24.0, 26.0, -9.0, 1.0, -0.0), (0.5, -0.0, 0.25, -0.0, -0.01))
+
+
+@pytest.mark.parametrize("samples", (10**5, 10**6))
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_sweep_sizes_match_reference_on_one_and_two_threads(monkeypatch, samples, cpus):
+    # The region areas of a field sweep's fallback: with MC_SPLIT at 0,
+    # two CPUs count two slices whatever the sample count.
+    monkeypatch.setattr(analysis, "_cpus", lambda: cpus)
+    monkeypatch.setattr(analysis, "MC_SPLIT", 0)
+    _assert_same(SWEEP_LIKE, None, 1.0, samples, 5)
+
+
 def test_memory_does_not_grow_with_samples():
     # The reference holds 2 x 8 MB of draws at 10^6 samples.  The stream
-    # allocates four float chunks and one bool chunk once per call (1.03
-    # MiB at MC_CHUNK = 2^15); fresh arrays per chunk peaked at 1.50 MiB.
+    # allocates, once per slice, one float chunk for the draws, a (2, n)
+    # float chunk for g and h, and one bool chunk: 25 B a sample.  Two
+    # slices of MC_PAIR_CHUNK = 3 x 2^13 peaked at 1,240,112 B traced
+    # (one slice of MC_CHUNK = 2^15 at 824,056 B); fresh arrays per chunk
+    # peaked at 1.50 MiB.
     field = published_field()
     monte_carlo_region_area(field, samples=1000)
     tracemalloc.start()
@@ -225,6 +245,7 @@ def test_scaled_draws_equal_uniform(low, span, n, seed):
 
 
 def _assert_same_bits(field, stages):
+    rows = []
     for poly, fill in ((field.g, np.nan), (field.h, -0.0)):
         buf = np.full_like(stages, fill)
         with np.errstate(invalid="ignore", over="ignore"):  # 0*inf, huge t
@@ -233,11 +254,16 @@ def _assert_same_bits(field, stages):
             want = np.array([poly(t) for t in stages.tolist()], dtype=float)
         assert into is buf
         assert got.tobytes() == buf.tobytes() == want.tobytes()
+        rows.append(want)
+    # The stream's one chain for both, over (2, 1) coefficient columns.
+    columns = np.array((field.g.coefficients, field.h.coefficients)).T[..., None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        both = _horner(columns, stages, out=np.empty((2, len(stages))))
+    assert both.tobytes() == np.array(rows).tobytes()
 
 
 finite_stage = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 any_stage = st.floats(allow_nan=True, allow_infinity=True) | finite_stage
-signed_coefficient = coefficient | st.sampled_from((0.0, -0.0))
 
 
 @settings(max_examples=200, deadline=None)
