@@ -23,8 +23,12 @@ from .fieldfit import Rectangle, RiskField
 from .fieldfit import _arg, _count, _finite, _list   # the checks
 from .polynomial import ROOT_TOL, _horner, common_roots, real_roots
 
-# Level-curve bisection in t resolves 2^-REFINE_ROUNDS of a t cell.
+# Level-curve chords are checked against c* at CHORD_CHECKS evenly spaced
+# interior points each, and one that fails is halved, for at most
+# REFINE_ROUNDS rounds and REFINE_ROOM new vertices a grid sample.
+CHORD_CHECKS = 15
 REFINE_ROUNDS = 20
+REFINE_ROOM = 16
 # Draws per Monte Carlo chunk of a slice counted alone, and of each of two
 # slices counted at once.  A chunk takes 18 numpy calls, and the two
 # threads contend for the GIL between them, so larger chunks run faster.
@@ -403,12 +407,14 @@ def risk_region_area(
 class LevelCurveSet:
     """Iso-level polylines, each a vertex chain in (t, c), and for
     {R >= level} the c edge on each polyline's side of it (None for a line
-    t = t0) and the full (t_lo, t_hi) pieces, whose whole column is in it."""
+    t = t0) and the full (t_lo, t_hi) pieces, whose whole column is in it;
+    the polylines' chords keep within `tolerance` of the curve in c."""
 
     level: float
     polylines: tuple[tuple[tuple[float, float], ...], ...]
     sides: tuple[float | None, ...] = ()
     full: tuple[tuple[float, float], ...] = ()
+    tolerance: float | None = None
 
     def as_json_dict(self) -> dict:
         return {
@@ -420,23 +426,28 @@ class LevelCurveSet:
 
 def _c_star(field: RiskField, level: float, t: np.ndarray) -> np.ndarray:
     """c*(t) = (level - h(t))/g(t) at an array of stages, clipped to the c
-    range; at a root of g (field.slope_roots) or where g(t) is 0.0, c*'s
-    limit -h'/g' there, or c_min where g' is 0.0 too."""
+    range, with level a float or an array of t's shape; at a root of g
+    (field.slope_roots) or where g(t) is 0.0, c*'s limit -h'/g' there, or
+    c_min where g' is 0.0 too."""
     dom, roots = field.domain, field.slope_roots
     g_t, h_t = field.g(t), field.h(t)
     at_zero = g_t == 0.0
-    if roots:
-        at_zero |= np.isin(t, roots)
+    for root in roots:
+        at_zero |= t == root
     c = (level - h_t) / np.where(at_zero, 1.0, g_t)
-    gp, hp = field.g_prime, field.h_prime
-    c[at_zero] = [-hp(x) / gp(x) if gp(x) != 0.0 else dom.c_min
-                  for x in t[at_zero].tolist()]
+    if at_zero.any():
+        gp, hp = field.g_prime, field.h_prime
+        c[at_zero] = [-hp(x) / gp(x) if gp(x) != 0.0 else dom.c_min
+                      for x in t[at_zero].tolist()]
     return np.clip(c, dom.c_min, dom.c_max)
 
 
-def _level_polylines(field, level, ts, dc) -> tuple:
-    """The polylines of {R = level} in the field's domain, their sides and
-    the full pieces; see level_curves and LevelCurveSet."""
+def _level_pieces(field, level, ts) -> tuple:
+    """The pieces of {R = level} in the field's domain: the graphs of c*,
+    each as its level, its stage samples (its ends and the grid nodes
+    between) and the c edges its ends are on (None: not an edge), their
+    sides, the saddle stages and the full pieces; see level_curves and
+    LevelCurveSet."""
     dom, roots = field.domain, field.slope_roots
     g, h, gp, hp = field.g, field.h, field.g_prime, field.h_prime
     if g.is_zero():   # R = h(t): R = level on the lines t = t0 where h(t0) = level
@@ -448,7 +459,7 @@ def _level_polylines(field, level, ts, dc) -> tuple:
         cuts = field.cuts(level)
     poles = set(roots).difference(saddles)   # c* is unbounded beside these
 
-    lines, sides, full = [], [], []
+    graphs, sides, full = [], [], []
     stages = list(cuts)
     for lo, hi in zip(stages, stages[1:]):
         mid = 0.5 * (lo + hi)
@@ -461,32 +472,114 @@ def _level_polylines(field, level, ts, dc) -> tuple:
         inner = ts[(ts > lo + ROOT_TOL) & (ts < hi - ROOT_TOL)]   # g != 0 there
         # Without a grid node, the midpoint: both ends may be on one c edge.
         t = np.concatenate(([lo], inner if len(inner) else [mid], [hi]))
-        c = _c_star(field, level, t)
-        for i, end in ((0, lo), (-1, hi)):   # an end at a cut is on its edge
-            if cuts[end] is not None:
-                c[i] = cuts[end]
-        for _ in range(REFINE_ROUNDS):
-            steep = np.flatnonzero(np.abs(np.diff(c)) > dc) + 1
-            if not len(steep):
-                break
-            t_mid = 0.5 * (t[steep - 1] + t[steep])
-            c_mid = _c_star(field, level, t_mid)
-            t, c = np.insert(t, steep, t_mid), np.insert(c, steep, c_mid)
-        lines.append((t, c))
+        graphs.append((level, t, (cuts[lo], cuts[hi])))
         sides.append(dom.c_max if g(mid) > 0.0 else dom.c_min)
-    lines.extend(((t0, t0), (dom.c_min, dom.c_max)) for t0 in saddles)
-    sides += [None] * len(saddles)
-    polylines = tuple(tuple(zip(_round9(t), _round9(c))) for t, c in lines)
-    return polylines, tuple(sides), tuple(full)
+    return graphs, sides, saddles, full
 
 
-def _round9(x) -> list[float]:
+def _trace(field, graphs, eps) -> list[tuple[tuple[float, float], ...]]:
+    """The vertices of each graph of _level_pieces, all levels at once:
+    points of c*, rounded to 9 decimals, whose chords keep within eps of
+    c* in c at CHORD_CHECKS evenly spaced interior points each.
+
+    c* is evaluated once at the samples and at 15 points between each two,
+    evenly spaced, or closer toward the ends of a graph, where c* bends
+    fastest as it comes in from a pole off the domain.  Second divided
+    differences there give |c''|.  The candidate vertices are the samples
+    and, between two whose chord de Boor's bound h^2/8 max|c''| puts
+    beyond eps, the points between.  A graph keeps its ends and, from each
+    kept candidate, the farthest one within eps by that bound.  Then every
+    chord is checked, and those that fail are halved and checked again, a
+    round at a time.
+    """
+    if not graphs:
+        return []
+    sizes = [len(t) for _, t, _ in graphs]
+    n = CHORD_CHECKS + 1
+    t = _round9(np.concatenate([t for _, t, _ in graphs]))
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    share, dt = np.arange(n) / n, np.diff(t)[:, None]
+    points = t[:-1, None] + dt * share
+    points[first] = t[first, None] + dt[first] * share ** 2
+    points[last - 1] = t[last - 1, None] + dt[last - 1] * (1.0 - (1.0 - share) ** 2)
+    points = np.append(points, t[-1])
+    # Rows t, c, level and graph index of the points.
+    owner = np.append(np.repeat(np.arange(len(t) - 1), n), len(t) - 1)
+    rows = np.array((points, points, np.repeat([lv for lv, _, _ in graphs], sizes)[owner],
+                     np.repeat(np.arange(len(graphs)), sizes)[owner]))
+    rows[1] = _c_star(field, rows[2], points)
+    for i, j, (_, _, edges) in zip(first * n, last * n, graphs):   # ends at cuts
+        for k, edge in zip((i, j), edges):
+            if edge is not None:
+                rows[1, k] = edge
+
+    # |c''| on each step between points: the larger second divided
+    # difference at its ends, none at the ends of a graph.
+    step = np.diff(points)
+    step[step == 0.0] = np.inf
+    d2 = np.zeros_like(points)
+    d2[1:-1] = np.abs(np.diff(np.diff(rows[1]) / step)) * 2.0 / (step[1:] + step[:-1])
+    d2[first * n] = d2[last * n] = 0.0
+    bend = np.maximum(d2[1:], d2[:-1])
+    limit = 8.0 * eps
+    candidate = np.zeros_like(points, dtype=bool)
+    candidate[::n] = True
+    steep = bend.reshape(-1, n).max(axis=1) * dt[:, 0] ** 2 > limit
+    steep[last[:-1]] = False   # between graphs
+    candidate[:-1].reshape(-1, n)[steep] = True
+    candidate = np.flatnonzero(candidate)
+    bend = np.maximum.reduceat(bend, candidate[:-1]).tolist()
+    ts, kept = points[candidate].tolist(), []
+    for i, j in zip(np.searchsorted(candidate, first * n).tolist(),
+                    np.searchsorted(candidate, last * n).tolist()):
+        start, most = ts[i], 0.0
+        kept.append(i)
+        for k, (end, b) in enumerate(zip(ts[i + 1:j + 1], bend[i:j]), i):
+            if b > most:
+                most = b
+            if (end - start) ** 2 * most > limit and kept[-1] != k:
+                kept.append(k)
+                start, most = ts[k], b
+        kept.append(j)
+    vertices = rows[:, candidate[kept]]
+    vertices[:2] = _round9(vertices[:2])
+
+    joined = np.flatnonzero(np.diff(vertices[3]) == 0.0)
+    ends = np.array((joined, joined + 1))   # the chords, by their vertices
+    room = REFINE_ROOM * len(t) + len(kept)
+    checks, mid = share[1:], CHORD_CHECKS // 2
+    for _ in range(REFINE_ROUNDS):
+        (t0, c0, lv), (t1, c1) = vertices[:3, ends[0], None], vertices[:2, ends[1], None]
+        at = t0 + (t1 - t0) * checks
+        on = _c_star(field, lv, at)
+        bad = np.abs(c0 + (c1 - c0) * checks - on).max(axis=1) > eps
+        made = np.count_nonzero(bad)
+        if not made or vertices.shape[1] + made > room:
+            break
+        # Halve each chord that fails at its middle check point.
+        halves = vertices.shape[1] + np.arange(made)
+        vertices = np.concatenate((vertices, np.concatenate((
+            _round9(np.array((at[bad, mid], on[bad, mid]))),
+            vertices[2:, ends[0, bad]]))), axis=1)
+        ends = np.concatenate((ends[:, bad], ends[:, bad]), axis=1)
+        ends[1, :made] = ends[0, made:] = halves
+    if vertices.shape[1] > len(kept):   # new vertices go to their places
+        vertices = vertices[:, np.lexsort(vertices[[0, 3]])]
+    bounds = np.flatnonzero(np.diff(vertices[3])) + 1
+    return [tuple(zip(t.tolist(), c.tolist()))
+            for t, c in zip(*(np.split(row, bounds) for row in vertices[:2]))]
+
+
+def _round9(x: np.ndarray) -> np.ndarray:
     """x rounded to 9 decimals by np.round, which scales by 1e9: where
     that overflows, |x| is above about 1.8e299, has no decimals to round
     and is kept as it is."""
+    if np.abs(x).max(initial=0.0) < 1e299:
+        return x.round(9)
     with np.errstate(over="ignore"):
         rounded = np.round(x, 9)
-    return np.where(np.isinf(rounded), x, rounded).tolist()
+    return np.where(np.isinf(rounded), x, rounded)
 
 
 def level_curves(
@@ -502,10 +595,12 @@ def level_curves(
     R is affine in c, so the level set is the graph c*(t) = (L - h(t))/g(t)
     wherever that lies in D.  Each piece between consecutive cuts whose
     midpoint does, and that ends at no root of g but a saddle's, is one
-    polyline, t increasing, with vertices at its ends and at the grid's t
-    nodes, bisected in t where c moves more than one of the grid's c
-    cells.  At a saddle level, where h(t0) = L at a root t0 of g, the
-    line t = t0 is one more polyline.  A graph's side is c_max where
+    polyline, t increasing.  Its vertices lie on c*, rounded to 9
+    decimals: its ends and as few of the grid's t nodes as keep every
+    chord within the grid's chord tolerance eps = 4 (c_max - c_min)/grid^2
+    of c* in c, with more points of c* where the nodes are too far apart
+    (see _trace).  At a saddle level, where h(t0) = L at a root t0 of g,
+    the line t = t0 is one more polyline.  A graph's side is c_max where
     g = dR/dc > 0 over it, else c_min.  On any other piece c* is off D:
     its column is full if R >= L at its middle.
     """
@@ -515,11 +610,20 @@ def level_curves(
         field = field.with_domain(domain)
     dom = field.domain
     ts = np.linspace(dom.t_min, dom.t_max, grid + 1)
-    dc = (dom.c_max - dom.c_min) / grid
-    return [
-        LevelCurveSet(level, *_level_polylines(field, level, ts, dc))
-        for level in levels
-    ]
+    eps = 4.0 * (dom.c_max - dom.c_min) / (grid * grid)   # a c cell over grid/4
+    pieces = [_level_pieces(field, level, ts) for level in levels]
+    chains = iter(_trace(field, [graph for p in pieces for graph in p[0]], eps))
+    sets = []
+    for level, (graphs, sides, saddles, full) in zip(levels, pieces):
+        lines = [next(chains) for _ in graphs]
+        if saddles:
+            lo, hi = _round9(np.array((dom.c_min, dom.c_max))).tolist()
+            lines += [((t0, lo), (t0, hi))
+                      for t0 in _round9(np.array(saddles)).tolist()]
+        sets.append(LevelCurveSet(level, tuple(lines),
+                                  tuple(sides) + (None,) * len(saddles),
+                                  tuple(full), eps))
+    return sets
 
 
 def build_analysis_report(
@@ -529,7 +633,8 @@ def build_analysis_report(
     seed: int = 0,
     mc_samples: int = 10**6,
 ) -> dict:
-    """Full analysis bundle in plain-JSON form, with curves as its level sets."""
+    """Full analysis bundle in plain-JSON form, with curves as its level
+    sets and the largest of their chord tolerances."""
     dom = field.domain
     certificate = certify_no_critical_points(field)
     region = risk_region_area(field, threshold, seed=seed)
@@ -553,4 +658,6 @@ def build_analysis_report(
         "region_area_monte_carlo": crosscheck.as_json_dict(),
         "probability": region.area / dom.area,
         "levels": [cset.as_json_dict() for cset in curves],
+        "level_chord_tolerance": max(
+            (cset.tolerance for cset in curves), default=None),
     }

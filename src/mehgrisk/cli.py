@@ -16,7 +16,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -424,7 +424,10 @@ def cmd_report(config: RunConfig) -> None:
     _write(config, texts, writers)
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: building it costs more than
+    parsing with it, and parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="mehgrisk",
         description="Methylmercury dietary risk field toolkit",

@@ -7,14 +7,16 @@ Usage, from the root of a checkout:
 Both directories must hold the same file names.  A JSON file is compared
 as a document: the same keys in the same places, equal strings, integers,
 booleans and nulls, and floats whose relative difference
-|a - b| / max(|a|, |b|) is at most the tolerance.  Any other file (CSV,
+|a - b| / max(|a|, |b|) is at most the tolerance; the values under the
+keys both documents have are compared even where the keys differ.  Any other file (CSV,
 SVG) is compared as text cut into numbers and the text between them; the
 text must be equal, a number written without a point or an exponent is an
 integer, and the other numbers are floats.
 
 The report prints one line per key whose floats differ, with the largest
 difference there and the two values it was found between, and one line
-per mismatch.  A key is the file name and the path into the document,
+per mismatch; a text file whose numbers do not line up is one, with both
+files' counts of numbers.  A key is the file name and the path into the document,
 with list indices left out, so the vertices of every polyline share one
 key.  The exit status is 1 if any mismatch was found, else 0.
 """
@@ -55,10 +57,14 @@ class Comparison:
             self.floats(key, old, new)
         elif isinstance(old, dict) and isinstance(new, dict):
             if list(old) != list(new):
-                self.mismatches.append(f"{key}: keys {list(old)} vs {list(new)}")
-                return
+                gone = [name for name in old if name not in new]
+                added = [name for name in new if name not in old]
+                self.mismatches.append(
+                    f"{key}: keys only in the old {gone}, only in the new {added}"
+                    if gone or added else f"{key}: keys {list(old)} vs {list(new)}")
             for name in old:
-                self.values(f"{key}.{name}", old[name], new[name])
+                if name in new:
+                    self.values(f"{key}.{name}", old[name], new[name])
         elif isinstance(old, list) and isinstance(new, list):
             if len(old) != len(new):
                 self.mismatches.append(f"{key}[]: length {len(old)} vs {len(new)}")
@@ -71,7 +77,8 @@ class Comparison:
     def text(self, key: str, old: str, new: str) -> None:
         old_nums, new_nums = NUMBER.findall(old), NUMBER.findall(new)
         if NUMBER.split(old) != NUMBER.split(new) or len(old_nums) != len(new_nums):
-            self.mismatches.append(f"{key}: text differs outside its numbers")
+            self.mismatches.append(f"{key}: text differs outside its numbers "
+                                   f"({len(old_nums)} numbers vs {len(new_nums)})")
             return
         for a, b in zip(old_nums, new_nums):
             self.values(key, *(int(x) if x.lstrip("-").isdigit() else float(x)

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mehgrisk import analysis, polynomial, svgplot as sp
@@ -438,7 +438,9 @@ def test_level_curve_piece_without_a_grid_node_follows_c_star():
 
 def test_level_curve_polygon_area_consistency():
     # Close the level-1 curve along the domain boundary and compare the
-    # enclosed polygon with the quadrature region area, within 2%.
+    # enclosed polygon with the quadrature region area.  The chords stay
+    # within the tolerance eps of the curve in c, so the areas differ by
+    # at most eps times the stage range.
     f = published_field()
     region = risk_region_area(f).area
     curve = level_curves(f, levels=(1.0,), grid=256)[0]
@@ -453,7 +455,7 @@ def test_level_curve_polygon_area_consistency():
     for (x0, y0), (x1, y1) in zip(polygon, polygon[1:] + polygon[:1]):
         area += x0 * y1 - x1 * y0
     area = abs(area) / 2.0
-    assert abs(area - region) / region < 0.02
+    assert abs(area - region) <= curve.tolerance * (DOMAIN.t_max - DOMAIN.t_min) + 1e-9
 
 
 def test_level_curves_deterministic():
@@ -461,6 +463,57 @@ def test_level_curves_deterministic():
     one = level_curves(f, levels=(1.0, 8.0), grid=64)
     two = level_curves(f, levels=(1.0, 8.0), grid=64)
     assert one == two
+
+
+@st.composite
+def one_sign_slope_fields(draw):
+    """A field whose g = dR/dc keeps one sign on the stage range, at least
+    a drawn margin from 0, and levels that R takes in the domain.  A g
+    with several roots is left out: c* cancels next to them."""
+    coefficient = st.floats(-2.0, 2.0)
+    a = draw(st.lists(coefficient, min_size=5, max_size=5))
+    b = draw(st.lists(coefficient, min_size=5, max_size=5))
+    margin = draw(st.floats(0.01, 1.0))
+    g = np.polyval(a[::-1], np.linspace(DOMAIN.t_min, DOMAIN.t_max, 401))
+    a[0] += margin - g.min() if draw(st.booleans()) else -margin - g.max()
+    field = RiskField(tuple(a), tuple(b))
+    assume(not field.slope_roots)
+    values = field.evaluate_grid(np.linspace(DOMAIN.t_min, DOMAIN.t_max, 101),
+                                 np.linspace(DOMAIN.c_min, DOMAIN.c_max, 101))
+    quantiles = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    return field, tuple(float(np.quantile(values, q)) for q in quantiles)
+
+
+REPORT_LEVELS = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=one_sign_slope_fields(), grid=st.integers(16, 256))
+@example(case=(published_field(), REPORT_LEVELS), grid=256)
+@example(case=(published_field(), REPORT_LEVELS), grid=64)
+def test_level_curve_chords_keep_the_stated_tolerance(case, grid):
+    # At 15 evenly spaced interior points of every chord, c* is within
+    # eps = 4 (c_max - c_min)/grid^2 of the chord in c, up to the slack of
+    # the 9-decimal rounding of the vertices (_assert_on_graph in
+    # tests/test_level_curve_oracle.py), and the report states eps.
+    field, levels = case
+    eps = 4.0 * (DOMAIN.c_max - DOMAIN.c_min) / grid**2
+    sets = level_curves(field, levels=levels, grid=grid)
+    share = np.arange(1, 16) / 16
+    for cset in sets:
+        assert cset.tolerance == eps
+        for line in cset.polylines:
+            (t0, c0), (t1, c1) = np.array(line[:-1]).T, np.array(line[1:]).T
+            t = t0[:, None] + (t1 - t0)[:, None] * share
+            g = np.polyval(field.a[::-1], t)
+            c_star = (cset.level - np.polyval(field.b[::-1], t)) / g
+            slope = (np.polyval(np.polyder(field.b[::-1]), t)
+                     + c_star * np.polyval(np.polyder(field.a[::-1]), t)) / g
+            gap = np.abs(c0[:, None] + (c1 - c0)[:, None] * share - c_star)
+            assert np.all(gap <= eps + 1e-9 * (1.0 + np.abs(slope))), (
+                cset.level, gap.max() / eps)
+    report = build_analysis_report(field, sets, seed=1, mc_samples=64)
+    assert report["level_chord_tolerance"] == eps
 
 
 # Vertex coordinates up to 1e15 in size; near 8.4e6 the floats are

@@ -85,3 +85,12 @@ def test_missing_file_fails(tmp_path, capsys):
     (new / "plot.svg").unlink()
     assert main([str(old), str(new)]) == 1
     assert "MISMATCH plot.svg: only in one bundle" in capsys.readouterr().out
+
+
+def test_text_that_does_not_line_up_reports_both_number_counts(tmp_path):
+    # A polyline that lost a vertex: its coordinates no longer pair up.
+    result = compare_bundles(
+        bundle(tmp_path / "old", BASE, '<svg><polyline points="1,2 3,4 5,6"/></svg>\n'),
+        bundle(tmp_path / "new", BASE, '<svg><polyline points="1,2 5,6"/></svg>\n'))
+    assert result.mismatches == [
+        "plot.svg: text differs outside its numbers (6 numbers vs 4)"]

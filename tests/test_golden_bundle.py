@@ -17,6 +17,15 @@ rule from the top coefficient: tests/bundle_compare.py --rel-tol 1e-12
 finds only the trajectories' risk_start and risk_end moved, by at most a
 relative 1.2e-14 (built-in data, seed 0) and 6.1e-14 (the table below),
 and every other value, key and file equal, the flow CSVs byte for byte.
+Those of analysis.json, report.json, contours.svg and region.svg were
+recorded again, for both bundles, when level curves kept only the
+vertices that their chord tolerance 4 (c_max - c_min)/grid^2 needs and
+analysis.json gained level_chord_tolerance: tests/bundle_compare.py
+--rel-tol 0 finds that key new, every polyline shorter (2,547 vertices
+down to 829 on the built-in data, 2,210 to 829 on the table) and the
+SVGs with fewer numbers (on the built-in data contours.svg 5,330 down to
+1,894 and region.svg 2,086 to 882), and every other value, key and file
+equal.
 A refactor that changes no result keeps every one of them; a change that
 alters a file on purpose updates its digest here and says why, with the
 comparator's report.  Another numpy or platform may round differently, so a mismatch
@@ -40,8 +49,8 @@ TABLE_CSV = (
 )
 
 PAPER_SEED_0 = {
-        "analysis.json": "820d56ef548ba1446c63ca50ebbb72f412c9b3758b60da9c6fb68fed0a51e068",
-        "contours.svg": "b5283a7ac1efbc292c81482d06cd8c68154479ab038bfcb6ab1ec9981963205b",
+        "analysis.json": "82d351a53ce23882ae2e0dbf9c27899fd84714b8187ec01521a7703cc1648efe",
+        "contours.svg": "828ce10fbd6aac9f81be8ef281d96784aaf212c522d1e75fe50d375c2ebe16b6",
         "curvature.svg": "ba78379b5b3e3d2bbeda2fce92eff79a67f9ef0573510446ca0d8e5e1309665d",
         "exposure.csv": "2317025039c76f33eae85b369a5b5aa094371c578e0f7ec3e6ba441a4801f6cd",
         "exposure.json": "4e702465c8f72ae7ec7f9fa5d30bd029c08b1876e39a587730f28717908411fa",
@@ -59,13 +68,13 @@ PAPER_SEED_0 = {
         "flow_07.csv": "9da67e9235e5fc9dcefde02216550e6955bbbea0695ee46682c04d7ed3b1af27",
         "flow_08.csv": "1585d681765c9d4d949859da65d296023c55ddb75c6ba70a3edbabbd0ba5d147",
         "geometry.json": "f6c0eef0bb7c15e61aa4fb4d7b8901b01c59bfc2cabd68894a57a594bc5c0ee3",
-        "region.svg": "c21378b9e754c9921fed36744466423618b1d95d8a121d1ef44bbf64fb52a0a3",
-        "report.json": "7e69539998eb6a5eac2cc7017ccc9deb843c66a2b04c0d1d3930c2104bceb98a",
+        "region.svg": "c54ea8e77c3097ffa1647cdfac4b8ca653aee6471670bb718cfcc7e9e09e3d1a",
+        "report.json": "9f3e4e0097bbb31daecaf3ba83bd1c74b0837677bbef060e25ce031c6ad0a42b",
 }
 
 TABLE_REPORT = {
-        "analysis.json": "6a4a7782cf70e9424c38c6611fecf2f74449468e41c9da3c12382e383a692e52",
-        "contours.svg": "28fa9d2f6cf8b2e82227972d64bed67d276623c47cfc7f5ba4909cc5ec8ecc22",
+        "analysis.json": "068e8e9cbf8966f177ec1dae4d5d832c1aa702c6e8abdbe3b7b3d1a6928ed667",
+        "contours.svg": "91b66dda79b5d7059d82607ac63be14f937341ac80074ecceda6c7603f395d3a",
         "curvature.svg": "407b23fc0c125ef9ca582e25bd956380b735c28e99c521bf68ec4ee5c0218251",
         "field.json": "88edff2f798f4655e6e5c12d0e5ac7d2d4bd90de268b51bc33fdad85a2f691df",
         "fit_report.json": "9161690d3664731ca6c3a85a27175eda00df8fe57962d6210bfb985eac774b0e",
@@ -81,8 +90,8 @@ TABLE_REPORT = {
         "flow_07.csv": "e64f70ba5a236f9bae99cab3c086e29bdb81de047775c1a6743a5cdefcc07321",
         "flow_08.csv": "c18b98d6157e399462d4fcac935193d7a60fe4250f024f82f97f64408641f9d1",
         "geometry.json": "b16f3dca3ce5499315fd7465472f10ef4af2b44d55f99a108e989f78051a5e92",
-        "region.svg": "ed12c53dd021cd611614b0d5da45b4d6c586137453434cc0c346d0b27e54ec50",
-        "report.json": "ecb3d1b3b8c3450df7d445a2c5ba45a5676555acc656ef517335c5a63735ca72",
+        "region.svg": "b6aab3921ccaf4314a46dd7b76b8905dd1d576306ac1841098bb16ceb235a605",
+        "report.json": "f99e149bf6ccfaac7ed4c58ca72e88ca2b5f5d88a734110e85c424dc35abc7d6",
 }
 
 
