@@ -319,8 +319,7 @@ def cmd_flow(config: RunConfig, field_obj: RiskField) -> Output:
     ]
     summary = []
     for traj in trajectories:
-        first = traj.samples[0]
-        last = traj.samples[-1]
+        first, last = traj.samples[[0, -1]].tolist()
         summary.append(
             {
                 "start": [first[1], first[2]],

@@ -241,9 +241,9 @@ def flow_portrait_svg(field: RiskField, trajectories, path: str | Path) -> None:
                 'stroke-width="1"/>'
             )
     for idx, traj in enumerate(trajectories):
-        pts = [(s[1], s[2]) for s in traj.samples]
+        pts = traj.samples[:, 1:3]
         canvas.polyline(pts, PALETTE[idx % len(PALETTE)], 1.8)
-        if pts:
+        if len(pts):
             t0, c0 = pts[0]
             canvas.parts.append(
                 f'<circle cx="{canvas.x(t0):.2f}" cy="{canvas.y(c0):.2f}" '

@@ -198,8 +198,79 @@ def test_flow_step_validation():
 def test_flow_and_witness_take_numpy_scalars_and_list_starts():
     f = published_field()
     traj = flow(f, (3.0, 1.0), step=1e-3, max_steps=200)
+    # Equality compares the samples' bytes and the exit reasons.
     assert flow(f, [3.0, 1.0], step=np.float64(1e-3), max_steps=np.int64(200)) == traj
     assert check_no_recurrence(traj, radius=np.float32(0.05))
+
+
+def test_trajectory_samples_are_one_read_only_array():
+    traj = flow(published_field(), (3.0, 1.0), step=1e-3, max_steps=50)
+    s = traj.samples
+    assert isinstance(s, np.ndarray) and s.dtype == np.float64
+    assert s.shape == (51, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        s[0, 0] = 1.0
+    # Rows of four numbers, numpy ones and ints too, give the same array;
+    # the trajectory keeps its own copy of an array it is given.
+    rows = tuple(map(tuple, s.tolist()))
+    assert FlowTrajectory(rows, traj.exit_reason) == traj
+    assert FlowTrajectory(list(map(list, rows)), traj.exit_reason) == traj
+    given_array = s.copy()
+    assert FlowTrajectory(given_array, traj.exit_reason) == traj
+    assert given_array.flags.writeable
+    ints = FlowTrajectory(((0, np.int64(3), 1, np.float32(2.5)),), EXIT_MAX_STEPS)
+    assert ints.samples.tolist() == [[0.0, 3.0, 1.0, 2.5]]
+
+
+def test_trajectory_equality_is_by_bytes_and_exit_reason():
+    row = (0.0, 3.0, 1.0, 2.0)
+    base = FlowTrajectory((row,), EXIT_MAX_STEPS)
+    assert base == FlowTrajectory(np.array([row]), EXIT_MAX_STEPS)
+    assert hash(base) == hash(FlowTrajectory((row,), EXIT_MAX_STEPS))
+    assert base != FlowTrajectory((row,), EXIT_LEFT_DOMAIN)
+    assert base != FlowTrajectory((row, row), EXIT_MAX_STEPS)
+    # A signed zero differs, and a NaN sample equals itself.
+    assert base != FlowTrajectory(((-0.0, 3.0, 1.0, 2.0),), EXIT_MAX_STEPS)
+    nan = FlowTrajectory(((0.0, 3.0, 1.0, math.nan),), EXIT_STEP_UNDERFLOW)
+    assert nan == FlowTrajectory(((0.0, 3.0, 1.0, math.nan),), EXIT_STEP_UNDERFLOW)
+    assert base != row
+
+
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        ((0.0, 3.0, 1.0, 2.0), "samples[0]: expected a list of 4, got 0.0"),
+        (((0.0, 3.0, 1.0),), "samples[0]: expected a list of 4, got (0.0, 3.0, 1.0)"),
+        (((0.0, 3.0, 1.0, "2"),), "samples[0][3]: expected a number, got '2'"),
+        (((0.0, True, 1.0, 2.0),), "samples[0][1]: expected a number, got True"),
+        ("0.0", "samples: expected a list, got '0.0'"),
+        (np.zeros((3, 5)), "samples: expected an (n, 4) array of numbers, got array("),
+        (np.zeros(4), "samples: expected an (n, 4) array of numbers, got array("),
+        (np.zeros((2, 4), dtype=bool),
+         "samples: expected an (n, 4) array of numbers, got array("),
+        (np.array([["0", "1", "2", "3"]]),
+         "samples: expected an (n, 4) array of numbers, got array("),
+    ],
+)
+def test_trajectory_refuses_wrong_samples(samples, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FlowTrajectory(samples, EXIT_MAX_STEPS)
+
+
+@pytest.mark.parametrize("reason", ["stalled", "", None, 3])
+def test_trajectory_refuses_unknown_exit_reason(reason):
+    message = (f"exit_reason: expected one of ('left_domain', 'max_steps', "
+               f"'step_underflow'), got {reason!r}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FlowTrajectory(((0.0, 3.0, 1.0, 2.0),), reason)
+
+
+def test_trajectory_keeps_nan_and_inf_rows():
+    # A flow whose gradient overflows leaves such rows.
+    rows = ((0.0, 3.0, 1.0, math.nan), (0.1, math.inf, -math.inf, math.nan))
+    traj = FlowTrajectory(rows, EXIT_MAX_STEPS)
+    assert np.isnan(traj.samples[:, 3]).all()
+    assert traj.samples[1, 1:3].tolist() == [math.inf, -math.inf]
 
 
 def test_all_grid_starts_leave_domain():
