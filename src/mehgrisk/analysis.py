@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextvars
 import functools
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -134,12 +133,9 @@ def certify_no_critical_points(field: RiskField) -> CriticalPointCertificate:
     # stationary points of g.
     candidates = sorted([dom.t_min, dom.t_max, *(
         t for t in field.g_prime_roots if dom.t_min <= t <= dom.t_max)])
-    min_val = None
-    min_at = dom.t_min
-    for t in candidates:
-        v = g(t)
-        if min_val is None or v < min_val:
-            min_val, min_at = v, t
+    values = g(np.array(candidates))
+    first_min = int(np.argmin(values))
+    min_val, min_at = float(values[first_min]), candidates[first_min]
 
     # grad R vanishes all along t = t0 where g, g' and h' share the root
     # t0: decided exactly, by their integer gcd, then matched to the
@@ -236,13 +232,10 @@ def _uniform_into(rng, low: float, high: float, out: np.ndarray) -> None:
     """Fill out with rng.uniform(low, high, len(out)), bit for bit.
 
     uniform computes low + (high - low) * u from the same doubles u that
-    random draws; a span that overflows raises OverflowError as there.
+    random draws; Rectangle refuses a side whose span overflows.
     """
-    span = high - low
-    if not math.isfinite(span):
-        raise OverflowError("high - low range exceeds valid bounds")
     rng.random(out=out)
-    out *= span
+    out *= high - low
     out += low
 
 
@@ -538,7 +531,11 @@ def _trace(field, graphs, eps) -> list[tuple[tuple[float, float], ...]]:
         for k, (end, b) in enumerate(zip(ts[i + 1:j + 1], bend[i:j]), i):
             if b > most:
                 most = b
-            if (end - start) ** 2 * most > limit and kept[-1] != k:
+            try:
+                too_long = (end - start) ** 2 * most > limit
+            except OverflowError:   # a gap past about 1.3e154 is too long
+                too_long = True
+            if too_long and kept[-1] != k:
                 kept.append(k)
                 start, most = ts[k], b
         kept.append(j)

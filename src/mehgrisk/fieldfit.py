@@ -178,6 +178,8 @@ class Rectangle:
         ):
             if not lo < hi:
                 raise ValueError(f"{axis}_min must be below {axis}_max")
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"{axis} span {hi!r} - {lo!r} overflows a float")
             if hi - lo < MIN_SPAN * max(1.0, abs(lo), abs(hi)):
                 raise ValueError(
                     f"{axis} span {hi - lo:.3g} is narrower than {MIN_SPAN:g} "
@@ -408,11 +410,11 @@ class RiskField:
         return self.g(t) * c + self.h(t)
 
     def evaluate_grid(self, ts, cs):
-        """Vectorized evaluation: returns R with shape (len(cs), len(ts))."""
-        ts, cs = np.asarray(ts, dtype=float), np.asarray(cs, dtype=float)
-        return cs[:, None] * self.g(ts)[None, :] + self.h(ts)[None, :]
+        """R at every (ts[j], cs[i]), with shape (len(cs), len(ts))."""
+        return self.evaluate(np.asarray(ts, float), np.asarray(cs, float)[:, None])
 
-    def partial_t(self, t: float, c: float) -> float:
+    def partial_t(self, t, c):
+        """dR/dt = c g'(t) + h'(t), on floats or arrays as evaluate takes."""
         return c * self.g_prime(t) + self.h_prime(t)
 
     def with_domain(self, domain: Rectangle) -> "RiskField":

@@ -24,8 +24,7 @@ from .fieldfit import RiskField
 def gaussian_curvature(field: RiskField, t, c):
     """Signed Gaussian curvature -q(t)^2 / (1 + R_t^2 + g(t)^2)^2 of the
     graph surface at (t, c); t and c are floats or broadcastable arrays."""
-    q, g = field.g_prime(t), field.g(t)
-    r_t = c * q + field.h_prime(t)
+    q, r_t, g = field.g_prime(t), field.partial_t(t, c), field.g(t)
     # The squared denominator overflows once |R_t| or |g| passes about
     # 2^255, so at each point where one of q, R_t and g passes 2^250, the
     # three are scaled by 2^-k first, with k the least that brings them

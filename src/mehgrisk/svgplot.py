@@ -216,30 +216,31 @@ def flow_portrait_svg(field: RiskField, trajectories, path: str | Path) -> None:
     dom = field.domain
     canvas = _Canvas(dom, "Gradient flow of the risk field")
     arrow_px = 0.45 * (WIDTH - MARGIN_L - MARGIN_R) / ARROW_GRID
-    for i in range(ARROW_GRID):
-        for j in range(ARROW_GRID):
-            t = dom.t_min + (i + 0.5) * (dom.t_max - dom.t_min) / ARROW_GRID
-            c = dom.c_min + (j + 0.5) * (dom.c_max - dom.c_min) / ARROW_GRID
-            dt_val = field.partial_t(t, c)
-            dc_val = field.g(t)
-            norm = math.hypot(dt_val, dc_val)
-            if norm < 1e-15:
-                continue
-            px, py = canvas.x(t), canvas.y(c)
-            # Screen-space direction; the y axis points down in SVG.
-            ux, uy = dt_val / norm, -dc_val / norm
-            x1, y1 = px + ux * arrow_px, py + uy * arrow_px
-            canvas.parts.append(
-                f'<line x1="{px:.2f}" y1="{py:.2f}" x2="{x1:.2f}" '
-                f'y2="{y1:.2f}" stroke="#999999" stroke-width="1"/>'
-            )
-            hx, hy = x1 - 3.5 * (ux + uy * 0.5), y1 - 3.5 * (uy - ux * 0.5)
-            gx, gy = x1 - 3.5 * (ux - uy * 0.5), y1 - 3.5 * (uy + ux * 0.5)
-            canvas.parts.append(
-                f'<polyline points="{hx:.2f},{hy:.2f} {x1:.2f},{y1:.2f} '
-                f'{gx:.2f},{gy:.2f}" fill="none" stroke="#999999" '
-                'stroke-width="1"/>'
-            )
+    # All arrows at once: the stages down a column, concentrations along a row.
+    mid = np.arange(ARROW_GRID) + 0.5
+    t = dom.t_min + mid[:, None] * (dom.t_max - dom.t_min) / ARROW_GRID
+    c = dom.c_min + mid * (dom.c_max - dom.c_min) / ARROW_GRID
+    rows = np.reshape(np.broadcast_arrays(
+        field.partial_t(t, c), field.g(t), canvas.x(t), canvas.y(c)), (4, -1))
+    # math.hypot, which np.hypot does not round as.
+    norm = np.array(list(map(math.hypot, *rows[:2].tolist())))
+    drawn = ~(norm < 1e-15)
+    dt, dc, x0, y0 = rows[:, drawn]
+    # Screen-space direction; the y axis points down in SVG.
+    ux, uy = dt / norm[drawn], -dc / norm[drawn]
+    x1, y1 = x0 + ux * arrow_px, y0 + uy * arrow_px
+    ends = (x0, y0, x1, y1, x1 - 3.5 * (ux + uy * 0.5), y1 - 3.5 * (uy - ux * 0.5),
+            x1 - 3.5 * (ux - uy * 0.5), y1 - 3.5 * (uy + ux * 0.5))
+    for px, py, qx, qy, hx, hy, gx, gy in zip(*(v.tolist() for v in ends)):
+        canvas.parts.append(
+            f'<line x1="{px:.2f}" y1="{py:.2f}" x2="{qx:.2f}" '
+            f'y2="{qy:.2f}" stroke="#999999" stroke-width="1"/>'
+        )
+        canvas.parts.append(
+            f'<polyline points="{hx:.2f},{hy:.2f} {qx:.2f},{qy:.2f} '
+            f'{gx:.2f},{gy:.2f}" fill="none" stroke="#999999" '
+            'stroke-width="1"/>'
+        )
     for idx, traj in enumerate(trajectories):
         pts = traj.samples[:, 1:3]
         canvas.polyline(pts, PALETTE[idx % len(PALETTE)], 1.8)
@@ -256,18 +257,17 @@ def flow_portrait_svg(field: RiskField, trajectories, path: str | Path) -> None:
 def curvature_profile_svg(field: RiskField, path: str | Path) -> None:
     """Profile of the curvature numerator k(t) = -(q(t))^2 over the field's
     search range, with its zero stages marked."""
-    q = field.g_prime
     t_lo, t_hi = field.search_range
     ts = [
         t_lo + i * (t_hi - t_lo) / PROFILE_SAMPLES
         for i in range(PROFILE_SAMPLES + 1)
     ]
-    qs = [q(t) for t in ts]
-    # q(t)**2 overflows a float once |q| passes about 1.3e154, so q is
-    # scaled by 2**-k first, with k = 0 unless max |q| passes 2**500; a
-    # power of two scales exactly, and the y label carries 2**(2k).
-    k = max(0, math.frexp(max(map(abs, qs)))[1] - 500)
-    ks = [-(math.ldexp(v, -k) ** 2) for v in qs]
+    qs = field.g_prime(np.array(ts))
+    # q(t)**2 overflows a float once |q| passes about 1.3e154, so q is scaled
+    # by 2**-k first, k = 0 unless max |q| passes 2**500; a power of two scales
+    # exactly, the y label carries 2**(2k), and v ** 2 is not always v * v.
+    k = max(0, int(np.frexp(np.abs(qs).max())[1]) - 500)
+    ks = [-(v ** 2) for v in np.ldexp(qs, -k).tolist()]
     lo = min(ks)
     world = Rectangle(t_lo, t_hi, lo * 1.05 if lo < 0 else -1.0, max(0.5, -lo * 0.05))
     canvas = _Canvas(world, "Curvature numerator -(q(t))² and its zero stages")

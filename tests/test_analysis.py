@@ -133,6 +133,17 @@ def test_certificate_interior_slope_extrema_dominate():
     assert values[0] > 1.0
 
 
+def test_certificate_minimum_tied_at_two_candidates_is_the_first():
+    # g = 5 - (t - 3)^2 is 1 at both ends of [1, 5] and 5 at its stationary
+    # point: the certificate names the first candidate that is a minimum.
+    f = RiskField((-4.0, 6.0, -1.0, 0.0, 0.0), (0.0,) * 5)
+    assert f.g(1.0) == f.g(5.0) == 1.0
+    cert = certify_no_critical_points(f)
+    assert (cert.min_dRdc, cert.min_dRdc_at) == (1.0, 1.0)
+    assert type(cert.min_dRdc) is float
+    assert "1 at t = 1," in cert.method
+
+
 def test_certificate_shifted_field_reports_sign_change():
     f = published_field()
     shifted = RiskField((f.a[0] - 0.02,) + f.a[1:], f.b)
@@ -364,6 +375,18 @@ def test_level_curves_where_the_slope_rounds_to_zero():
         for line in cset.polylines:
             t, c = np.array(line).T
             assert np.all(np.abs(f.evaluate(t, c)) <= 1e-8)
+
+
+def test_level_curves_on_a_stage_range_whose_chords_overflow_when_squared():
+    # R = c on t in [1, 1e156]: the gap between two kept stages passes
+    # about 1.3e154, and squaring it raised OverflowError; such a chord
+    # counts as too long.
+    f = RiskField((1.0, 0.0, 0.0, 0.0, 0.0), (0.0,) * 5,
+                  Rectangle(1.0, 1e156, 0.2, 3.5))
+    (cset,) = level_curves(f, levels=(2.0,))
+    (line,) = cset.polylines
+    assert (line[0][0], line[-1][0]) == (1.0, 1e156)
+    assert {c for _, c in line} == {2.0}
 
 
 def test_level_curves_empty_cases():

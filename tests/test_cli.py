@@ -834,6 +834,40 @@ def test_wide_concentration_domain_vertices_are_finite(tmp_path):
     assert all(map(math.isfinite, vertices))
 
 
+@pytest.mark.parametrize("command", ["fit", "analyze", "geometry", "flow", "report"])
+@pytest.mark.parametrize("side", ["t", "c"])
+def test_domain_side_whose_span_overflows_is_refused(command, side, tmp_path, capsys):
+    # A side [-1e308, 1e308] spans more than the largest float: analyze and
+    # report died in the Monte Carlo draws with an OverflowError traceback,
+    # flow blamed its default start, and fit and geometry exited 0.
+    bounds = {"t": [1.0, 5.0], "c": [0.2, 3.5], side: [-1e308, 1e308]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"a": [1, 0, 0, 0, 0], "b": [0] * 5, "domain": bounds}))
+    out = tmp_path / "out"
+    assert run(command, "--input", str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: domain: {side} span 1e+308 - -1e+308 overflows a float\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_stage_range_whose_chords_overflow_when_squared(command, tmp_path):
+    # R = c on t in [1, 1e156]: a chord's squared length overflowed in the
+    # level-curve tracer, and both commands exited 1 with a traceback.
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "a": [1, 0, 0, 0, 0], "b": [0] * 5,
+        "domain": {"t": [1, 1e156], "c": [0.2, 3.5]},
+    }))
+    out = tmp_path / "out"
+    assert run(command, "--input", str(path), "--grid", "64", "--out", str(out)) == 0
+    report = read_json(out / "analysis.json")
+    assert report["region_area"] == pytest.approx(2.5e156, rel=1e-12)
+    for level in report["levels"]:
+        assert {c for line in level["polylines"] for _, c in line} <= {level["level"]}
+    assert [len(level["polylines"]) for level in report["levels"]][:2] == [1, 1]
+
+
 PROFILE_HEADER = (
     "group,age_min,age_max,body_weight_kg,intake_g_per_month,"
     "portions_per_month,concentration_mg_per_kg,rfd,substitution_fraction\n"

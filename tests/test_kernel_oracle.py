@@ -4,7 +4,8 @@ Before RiskField cached g, h, g' and h', every layer rebuilt them from
 the coefficients on each call: Polynomial(a), Polynomial(b) and their
 derivatives.  The references below are those expressions, kept verbatim;
 the cached polynomials and the partials must equal them bit for bit,
-signed zeros included.
+signed zeros included.  evaluate_grid is held the same way to the
+expression it computed before it called evaluate.
 The regression loop that build_field used to run is kept the same way.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +65,21 @@ def test_cached_polynomials_and_partials_match_rebuilds(a, b, t, c):
     r_c = g(t)
     assert bits(field.partial_t(t, c)) == bits(r_t)
     assert bits(field.g(t)) == bits(r_c)
+
+
+def _reference_evaluate_grid(field: RiskField, ts, cs):
+    ts, cs = np.asarray(ts, dtype=float), np.asarray(cs, dtype=float)
+    return cs[:, None] * field.g(ts)[None, :] + field.h(ts)[None, :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=quintuple, b=quintuple, ts=st.lists(point, max_size=8),
+       cs=st.lists(point, max_size=8))
+def test_evaluate_grid_matches_its_old_expression(a, b, ts, cs):
+    field = RiskField(a, b)
+    got, want = field.evaluate_grid(ts, cs), _reference_evaluate_grid(field, ts, cs)
+    assert got.shape == want.shape == (len(cs), len(ts))
+    assert got.tobytes() == want.tobytes()
 
 
 def _reference_build_field(table: RiskTable) -> RiskField:

@@ -2,9 +2,10 @@
 
 The references below are what the package used before its fast paths:
 json.dumps(sort_keys=True, indent=2, allow_nan=False) for every JSON
-file, a csv.writer loop for trajectory CSV and an f-string loop over
-_Canvas.x/_Canvas.y for SVG polylines.  The package's writers must give
-the same text, byte for byte.
+file, a csv.writer loop for trajectory CSV, an f-string loop over
+_Canvas.x/_Canvas.y for SVG polylines, and scalar field-kernel calls
+for the flow portrait's arrows and the curvature profile.  The
+package's writers must give the same text, byte for byte.
 """
 
 from __future__ import annotations
@@ -13,18 +14,29 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from mehgrisk.cli import main
 from mehgrisk.dynamics import FlowTrajectory, write_trajectory_csv
-from mehgrisk.fieldfit import MIN_SPAN, Rectangle, json_text
-from mehgrisk.svgplot import _Canvas
+from mehgrisk.fieldfit import MIN_SPAN, Rectangle, RiskField, json_text
+from mehgrisk.svgplot import (
+    ARROW_GRID,
+    MARGIN_L,
+    MARGIN_R,
+    MARGIN_T,
+    PROFILE_SAMPLES,
+    WIDTH,
+    _Canvas,
+    curvature_profile_svg,
+    flow_portrait_svg,
+)
 
 
 def _reference_json(data) -> str:
@@ -229,3 +241,137 @@ def test_polyline_skips_fewer_than_two_points():
     canvas.polyline([], "#000000")
     canvas.polyline([(0.5, 0.5)], "#000000")
     assert canvas.parts == before
+
+
+def _reference_flow_svg(field) -> str:
+    """flow_portrait_svg's text without trajectories, its arrows from the
+    scalar loop it ran before the field kernel took arrays."""
+    dom = field.domain
+    canvas = _Canvas(dom, "Gradient flow of the risk field")
+    arrow_px = 0.45 * (WIDTH - MARGIN_L - MARGIN_R) / ARROW_GRID
+    for i in range(ARROW_GRID):
+        for j in range(ARROW_GRID):
+            t = dom.t_min + (i + 0.5) * (dom.t_max - dom.t_min) / ARROW_GRID
+            c = dom.c_min + (j + 0.5) * (dom.c_max - dom.c_min) / ARROW_GRID
+            dt_val = field.partial_t(t, c)
+            dc_val = field.g(t)
+            norm = math.hypot(dt_val, dc_val)
+            if norm < 1e-15:
+                continue
+            px, py = canvas.x(t), canvas.y(c)
+            # Screen-space direction; the y axis points down in SVG.
+            ux, uy = dt_val / norm, -dc_val / norm
+            x1, y1 = px + ux * arrow_px, py + uy * arrow_px
+            canvas.parts.append(
+                f'<line x1="{px:.2f}" y1="{py:.2f}" x2="{x1:.2f}" '
+                f'y2="{y1:.2f}" stroke="#999999" stroke-width="1"/>'
+            )
+            hx, hy = x1 - 3.5 * (ux + uy * 0.5), y1 - 3.5 * (uy - ux * 0.5)
+            gx, gy = x1 - 3.5 * (ux - uy * 0.5), y1 - 3.5 * (uy + ux * 0.5)
+            canvas.parts.append(
+                f'<polyline points="{hx:.2f},{hy:.2f} {x1:.2f},{y1:.2f} '
+                f'{gx:.2f},{gy:.2f}" fill="none" stroke="#999999" '
+                'stroke-width="1"/>'
+            )
+    canvas.axes()
+    return canvas.render()
+
+
+def _reference_curvature_svg(field) -> str:
+    """curvature_profile_svg's text from the scalar profile it drew before
+    the field kernel took arrays."""
+    q = field.g_prime
+    t_lo, t_hi = field.search_range
+    ts = [
+        t_lo + i * (t_hi - t_lo) / PROFILE_SAMPLES
+        for i in range(PROFILE_SAMPLES + 1)
+    ]
+    qs = [q(t) for t in ts]
+    # q(t)**2 overflows a float once |q| passes about 1.3e154, so q is
+    # scaled by 2**-k first, with k = 0 unless max |q| passes 2**500; a
+    # power of two scales exactly, and the y label carries 2**(2k).
+    k = max(0, math.frexp(max(map(abs, qs)))[1] - 500)
+    ks = [-(math.ldexp(v, -k) ** 2) for v in qs]
+    lo = min(ks)
+    world = Rectangle(t_lo, t_hi, lo * 1.05 if lo < 0 else -1.0, max(0.5, -lo * 0.05))
+    canvas = _Canvas(world, "Curvature numerator -(q(t))² and its zero stages")
+    canvas.line(world.t_min, 0.0, world.t_max, 0.0, "#888888", 1.0, "4 3")
+    canvas.polyline(list(zip(ts, ks)), "#1f77b4", 1.8)
+    for t in field.g_prime_roots:
+        canvas.line(t, world.c_min, t, world.c_max, "#d62728", 1.0, "5 4")
+        canvas.text(canvas.x(t), MARGIN_T + 14, f"t={t:.2f}", size=10, color="#d62728")
+    canvas.axes("stage t", f"k(t) / 2^{2 * k}" if k else "k(t)", ages=False)
+    return canvas.render()
+
+
+def _written_svg(write, *args) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plot.svg"
+        write(*args, path)
+        return path.read_text()
+
+
+big_coefficient = st.floats(-1e3, 1e3) | st.sampled_from(
+    (0.0, -0.0, 1e-16, -3e-16, 1e152, -1e160))
+
+
+@st.composite
+def fields(draw):
+    """Fields on worlds() that RiskField accepts, some with |q| past 2^500."""
+    a, b = (draw(st.tuples(*[big_coefficient] * 5)) for _ in "ab")
+    try:
+        return RiskField(a, b, draw(worlds()))
+    except ValueError:
+        reject()
+
+
+SQUARE = Rectangle(-1.0, 1.0, -1.0, 1.0)
+# R = t c + 1e-16 t on SQUARE: the arrow at (0, 0) has gradient (1e-16, 0).
+ONE_FLAT_ARROW = RiskField((0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 1e-16, 0.0, 0.0, 0.0), SQUARE)
+# Gradient (dt, dc) the same at every arrow, with math.hypot(dt, dc) just
+# below 1e-15 and np.hypot(dt, dc) at 1e-15 or above.
+FLAT = RiskField((2.383528979773194e-16, 0.0, 0.0, 0.0, 0.0),
+                 (0.0, 9.711786118041385e-16, 0.0, 0.0, 0.0))
+# q = 4e152 t^3 passes 2^500 on the search range: the profile is scaled.
+STEEP = RiskField((0.0, 0.0, 0.0, 0.0, 1e152), (0.0,) * 5)
+# q = 2A t is at its largest at the last stage, 49.80201247111327 as
+# t_lo + 400 (t_hi - t_lo)/400 but t_hi = 49.80201247111328 from np.linspace,
+# and 2^500 lies between 2A times the two: only the second is scaled.
+AT_THE_SCALE = RiskField((0.0, 0.0, 3.2864039478272193e+148, 0.0, 0.0), (0.0,) * 5,
+                         Rectangle(1.0, 49.80201247111328, 0.2, 3.5))
+
+
+def test_flow_and_curvature_examples_reach_the_cases_they_name():
+    # An arrow is a line and a polyline in its grey.
+    arrows = [_written_svg(flow_portrait_svg, f, ()).count('"#999999"') // 2
+              for f in (ONE_FLAT_ARROW, FLAT)]
+    assert arrows == [ARROW_GRID**2 - 1, 0]
+    assert "k(t) / 2^" in _written_svg(curvature_profile_svg, STEEP)
+    assert "k(t) / 2^" not in _written_svg(curvature_profile_svg, AT_THE_SCALE)
+    assert 2.0**500 <= AT_THE_SCALE.g_prime(49.80201247111328)
+    assert AT_THE_SCALE.g_prime(49.80201247111327) < 2.0**500
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=fields())
+@example(field=ONE_FLAT_ARROW)
+@example(field=FLAT)
+@example(field=STEEP)
+def test_flow_portrait_matches_scalar_arrow_loop(field):
+    assert _written_svg(flow_portrait_svg, field, ()) == _reference_flow_svg(field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=fields())
+@example(field=STEEP)
+@example(field=AT_THE_SCALE)
+@example(field=FLAT)
+def test_curvature_profile_matches_scalar_profile(field):
+    # A field whose roots of q the search refuses gets the same error.
+    try:
+        want = _reference_curvature_svg(field)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            _written_svg(curvature_profile_svg, field)
+        return
+    assert _written_svg(curvature_profile_svg, field) == want
