@@ -518,8 +518,8 @@ def _trace(field, graphs, eps) -> list[tuple[tuple[float, float], ...]]:
     limit = 8.0 * eps
     candidate = np.zeros_like(points, dtype=bool)
     candidate[::n] = True
+    dt[last[:-1]] = 0.0   # no step between graphs
     steep = bend.reshape(-1, n).max(axis=1) * dt[:, 0] ** 2 > limit
-    steep[last[:-1]] = False   # between graphs
     candidate[:-1].reshape(-1, n)[steep] = True
     candidate = np.flatnonzero(candidate)
     bend = np.maximum.reduceat(bend, candidate[:-1]).tolist()

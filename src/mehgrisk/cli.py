@@ -34,8 +34,8 @@ from .fieldfit import (
     survey_risk_table,
 )
 from .fieldfit import (   # the checks
-    _arg, _boolean, _count, _finite, _integer, _list, _number, _path,
-    _positive, _rectangle, _string,
+    _arg, _boolean, _count, _expected, _finite, _integer, _list, _number,
+    _path, _positive, _rectangle, _string,
 )
 
 ENV_OUT = "MEHGRISK_OUT"
@@ -53,43 +53,27 @@ MAX_MC_SAMPLES = 10**9
 
 @dataclass(frozen=True)
 class RunConfig:
-    use_paper_dataset: bool = False
-    input_path: str | None = None
+    """The settings of a run, each field named by its config key and
+    checked by its Option."""
+
+    paper_dataset: bool = False
+    input: str | None = None
     domain: Rectangle | None = None   # None: the input's own domain
     levels: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0)
     threshold: float = 1.0
     grid: int = 256
     seed: int = 0
-    mc_samples: int = 10**6
+    samples: int = 10**6
     flow_starts: tuple[tuple[float, float], ...] = ()
     flow_step: float = 1e-3
     flow_max_steps: int = 20000
-    output_dir: Path = Path("mehgrisk_out")
+    out: Path = Path("mehgrisk_out")
 
     def __post_init__(self) -> None:
-        # Each checked field, named in an error by its config key.
-        for key, check in (
-            ("paper_dataset", _boolean),
-            ("input", lambda v: None if v is None else _string(v)),
-            ("domain", lambda v: None if v is None else _rectangle(v)),
-            ("levels", _list(_finite)),
-            ("threshold", _finite), ("grid", _count(16, MAX_GRID)),
-            ("seed", _count(0)), ("samples", _count(1, MAX_MC_SAMPLES)),
-            ("flow_starts", _list(_list(_finite, 2))),
-            ("flow_step", _positive),
-            ("flow_max_steps", _count(1, MAX_FLOW_STEPS)),
-            ("out", _path),
-        ):
-            name = OPTIONS[key].field
-            object.__setattr__(self, name, _arg(key, check, getattr(self, name)))
-        if not self.levels:
-            raise ValueError("levels must be nonempty")
-        if self.use_paper_dataset and self.input_path:
+        for key, opt in OPTIONS.items():
+            object.__setattr__(self, key, _arg(key, opt.check, getattr(self, key)))
+        if self.paper_dataset and self.input:
             raise ValueError("choose either --paper-dataset or --input, not both")
-
-    def require_source(self) -> None:
-        if not self.use_paper_dataset and not self.input_path:
-            raise ValueError("no dataset: pass --paper-dataset or --input PATH")
 
 
 def _comma_numbers(text: str) -> list[float]:
@@ -101,42 +85,55 @@ def _comma_pairs(text: str) -> list[list[float]]:
     return [values[i:i + 2] for i in range(0, len(values), 2)]
 
 
+def _unset_or(check: Callable) -> Callable:
+    """check, with None let through as unset."""
+    return lambda value: None if value is None else check(value)
+
+
+def _levels(value) -> tuple[float, ...]:
+    levels = _list(_finite)(value)
+    if not levels:
+        raise _expected("a nonempty list", value)
+    return levels
+
+
 @dataclass(frozen=True)
 class Option:
-    """A setting: its config key, RunConfig field and check; its flag, if
-    any, with the parse of the flag's text into a JSON value (None: the
-    text), help and commands (None: all).  A _boolean flag is a switch."""
+    """A setting: its config key, which names its RunConfig field, and the
+    check of its value; its flag, if any, with the parse of the flag's
+    text into a JSON value (None: the text), help and commands (None:
+    all).  A _boolean flag is a switch.  read, if given, first turns a
+    JSON value into one the check takes, or into None for unset."""
 
     key: str
-    field: str
     check: Callable
     flag: str | None = None
     parse: Callable[[str], object] | None = None
     help: str | None = None
     commands: tuple[str, ...] | None = None
+    read: Callable | None = None
 
 
 OPTIONS = {opt.key: opt for opt in (
-    Option("paper_dataset", "use_paper_dataset", _boolean, "--paper-dataset",
+    Option("paper_dataset", _boolean, "--paper-dataset",
            help="use the built-in published survey dataset"),
-    Option("input", "input_path", _string, "--input",
-           help="input table/field/profile file"),
-    Option("domain", "domain", lambda v: Rectangle(*_list(_number, 4)(v)),
-           "--domain", _comma_numbers,
-           "analysis rectangle as tmin,tmax,cmin,cmax"),
-    Option("levels", "levels", _list(_number), "--levels", _comma_numbers,
+    Option("input", _unset_or(_string), "--input",
+           help="input table/field/profile file", read=_string),
+    Option("domain", _unset_or(_rectangle), "--domain", _comma_numbers,
+           "analysis rectangle as tmin,tmax,cmin,cmax",
+           read=lambda v: Rectangle(*_list(_number, 4)(v))),
+    Option("levels", _levels, "--levels", _comma_numbers,
            "contour levels L1,L2,..."),
-    Option("threshold", "threshold", _number, "--threshold", float,
-           "risk threshold"),
-    Option("grid", "grid", _integer, "--grid", int, "contour grid resolution"),
-    Option("seed", "seed", _integer, "--seed", int, "Monte Carlo seed"),
-    Option("out", "output_dir", _string, "--out", help="output directory"),
-    Option("flow_starts", "flow_starts", _list(_list(_number, 2)), "--starts",
-           _comma_pairs, "flow start points t1,c1,t2,c2,...",
-           ("flow", "report")),
-    Option("samples", "mc_samples", _integer),
-    Option("flow_step", "flow_step", _number),
-    Option("flow_max_steps", "flow_max_steps", _integer),
+    Option("threshold", _finite, "--threshold", float, "risk threshold"),
+    Option("grid", _count(16, MAX_GRID), "--grid", int,
+           "contour grid resolution", read=_integer),
+    Option("seed", _count(0), "--seed", int, "Monte Carlo seed", read=_integer),
+    Option("out", _path, "--out", help="output directory", read=_string),
+    Option("flow_starts", _list(_list(_finite, 2)), "--starts", _comma_pairs,
+           "flow start points t1,c1,t2,c2,...", ("flow", "report")),
+    Option("samples", _count(1, MAX_MC_SAMPLES), read=_integer),
+    Option("flow_step", _positive),
+    Option("flow_max_steps", _count(1, MAX_FLOW_STEPS), read=_integer),
 )}
 
 
@@ -159,26 +156,30 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             given.append((opt, text, opt.flag, opt.parse))
 
     def check(opt: Option, parse, value):
-        checked = opt.check(parse(value) if parse else value)
-        if checked is not None:
-            RunConfig(**{opt.field: checked})   # its range checks
-        return checked
+        if parse:
+            value = parse(value)
+        if opt.read:
+            value = opt.read(value)
+            if value is None:   # "": unset
+                return None
+        return opt.check(value)
 
     values = {}
     for opt, value, where, parse in given:
         checked = _arg(where, partial(check, opt, parse), value)
         if checked is not None:
-            values[opt.field] = checked
+            values[opt.key] = checked
     return RunConfig(**values)
 
 
 def _input_file(config: RunConfig) -> tuple[Path | None, bool]:
     """The input file and whether it is JSON; (None, False) for the
     built-in dataset.  A missing source or file raises ValueError."""
-    config.require_source()
-    if config.use_paper_dataset:
+    if config.paper_dataset:
         return None, False
-    path = Path(config.input_path)
+    if not config.input:
+        raise ValueError("no dataset: pass --paper-dataset or --input PATH")
+    path = Path(config.input)
     if not path.exists():
         raise ValueError(f"{path}: no such file")
     return path, path.suffix.lower() == ".json"
@@ -212,7 +213,7 @@ def _texts(config: RunConfig, documents: dict) -> dict[str, str]:
     """Each document's JSON text.  A NaN or inf value fails, naming its
     file, before anything is written."""
     return {
-        name: json_text(doc, config.output_dir / name)
+        name: json_text(doc, config.out / name)
         for name, doc in documents.items()
     }
 
@@ -221,7 +222,7 @@ def _write(config: RunConfig, texts: dict, writers: dict) -> None:
     """Make the output directory, write the texts, then run the writers.
     One that fails is an error naming its file, and removes what this run
     made: the files that were not there before, and the directories."""
-    out = config.output_dir
+    out = config.out
     made = [path for path in (out, *out.parents) if not path.exists()]
     out.mkdir(parents=True, exist_ok=True)
     files = {name: partial(Path.write_text, data=text)
@@ -241,10 +242,7 @@ def _write(config: RunConfig, texts: dict, writers: dict) -> None:
 def _fit_report(
     config: RunConfig, field_obj: RiskField, concentrations: tuple[float, ...]
 ) -> dict:
-    if config.use_paper_dataset:
-        source = "builtin"
-    else:
-        source = Path(config.input_path).name
+    source = "builtin" if config.paper_dataset else Path(config.input).name
     per_conc = []
     for conc in concentrations:
         r = field_obj.g * conc + field_obj.h   # R(t, conc), a quartic in t
@@ -284,7 +282,7 @@ def cmd_analyze(config: RunConfig, field_obj: RiskField) -> Output:
         curves,
         threshold=config.threshold,
         seed=config.seed,
-        mc_samples=config.mc_samples,
+        mc_samples=config.samples,
     )
     return {"analysis.json": report}, {
         "contours.svg": partial(svgplot.contour_plot_svg, field_obj, curves),
@@ -370,15 +368,14 @@ def _write_exposure_csv(rows: list[dict], path: Path) -> None:
 def cmd_exposure(config: RunConfig) -> Output:
     rows = []
     for rec in _exposure_records(config):
-        e = exposure.exposure(rec.profile)
-        verdict = exposure.risk_coefficient(e, rec.profile.reference_dose)
+        verdict = exposure.profile_risk(rec.profile)
         rows.append(
             {
                 "group": rec.group,
                 "age_min": rec.age_min,
                 "age_max": rec.age_max,
                 "concentration_mg_per_kg": rec.profile.concentration,
-                "exposure_mg_per_kg_day": e,
+                "exposure_mg_per_kg_day": exposure.exposure(rec.profile),
                 "risk_coefficient": verdict.risk_coefficient,
                 "acceptable": verdict.acceptable,
             }
@@ -404,7 +401,7 @@ def cmd_report(config: RunConfig) -> None:
         cmd_geometry(config, field_obj),
         cmd_flow(config, field_obj),
     ]
-    if config.use_paper_dataset:
+    if config.paper_dataset:
         outputs.append(cmd_exposure(config))
     documents: dict = {}
     writers: dict = {}
@@ -423,6 +420,25 @@ def cmd_report(config: RunConfig) -> None:
     _write(config, texts, writers)
 
 
+# Each command's help and run.  A run looks its cmd_ function up in the
+# module when it is called, so a wrapper set on the module is what runs.
+# It returns the command's Output, but report writes its own files.
+COMMANDS = {
+    "fit": ("build the risk field from a hazard-quotient table",
+            lambda config: cmd_fit(config, *_load_field(config))),
+    "analyze": ("mean risk, critical region, certificate, level curves",
+                lambda config: cmd_analyze(config, _load_field(config)[0])),
+    "geometry": ("surface curvature and zero-curvature critical ages",
+                 lambda config: cmd_geometry(config, _load_field(config)[0])),
+    "flow": ("integrate gradient-flow trajectories",
+             lambda config: cmd_flow(config, _load_field(config)[0])),
+    "exposure": ("per-group exposure and risk verdicts",
+                 lambda config: cmd_exposure(config)),
+    "report": ("run the full pipeline and bundle all outputs",
+               lambda config: cmd_report(config)),
+}
+
+
 @cache
 def make_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once: building it costs more than
@@ -432,32 +448,16 @@ def make_parser() -> argparse.ArgumentParser:
         description="Methylmercury dietary risk field toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "fit": "build the risk field from a hazard-quotient table",
-        "analyze": "mean risk, critical region, certificate, level curves",
-        "geometry": "surface curvature and zero-curvature critical ages",
-        "flow": "integrate gradient-flow trajectories",
-        "exposure": "per-group exposure and risk verdicts",
-        "report": "run the full pipeline and bundle all outputs",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for opt in OPTIONS.values():
-            if opt.flag and name in (opt.commands or commands):
+            if opt.flag and name in (opt.commands or COMMANDS):
                 p.add_argument(
                     opt.flag, help=opt.help, default=None,
                     action="store_true" if opt.check is _boolean else "store",
                 )
         p.add_argument("--config", help="JSON config file (flags win)")
     return parser
-
-
-# Commands that take the loaded field alone.
-_FIELD_COMMANDS = {
-    "analyze": cmd_analyze,
-    "geometry": cmd_geometry,
-    "flow": cmd_flow,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -468,17 +468,9 @@ def main(argv: list[str] | None = None) -> int:
         # numpy's overflow warnings are noise: _write refuses every NaN or
         # inf they leave, naming its file, before the first write.
         with np.errstate(over="ignore", invalid="ignore"):
-            if args.command == "report":
-                cmd_report(config)
-            else:
-                if args.command == "exposure":
-                    documents, writers = cmd_exposure(config)
-                elif args.command == "fit":
-                    documents, writers = cmd_fit(config, *_load_field(config))
-                else:
-                    command = _FIELD_COMMANDS[args.command]
-                    documents, writers = command(config, _load_field(config)[0])
-                _write(config, _texts(config, documents), writers)
+            output = COMMANDS[args.command][1](config)
+            if output is not None:
+                _write(config, _texts(config, output[0]), output[1])
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

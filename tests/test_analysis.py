@@ -389,6 +389,19 @@ def test_level_curves_on_a_stage_range_whose_chords_overflow_when_squared():
     assert {c for _, c in line} == {2.0}
 
 
+def test_level_curves_square_no_gap_between_two_graphs():
+    # Two levels on t in [1, 1e156]: the step from one graph's last stage
+    # to the next graph's first was squared too, and numpy's "overflow
+    # encountered in square" is an error under the suite's filter.
+    f = RiskField((1.0, 0.0, 0.0, 0.0, 0.0), (0.0,) * 5,
+                  Rectangle(1.0, 1e156, 0.2, 3.5))
+    sets = level_curves(f, levels=(1.0, 2.0))
+    for cset, level in zip(sets, (1.0, 2.0)):
+        (line,) = cset.polylines
+        assert (line[0][0], line[-1][0]) == (1.0, 1e156)
+        assert {c for _, c in line} == {level}
+
+
 def test_level_curves_empty_cases():
     f = published_field()
     assert level_curves(f, levels=(1e6,))[0].polylines == ()

@@ -9,6 +9,7 @@ these tests fail first.
 
 from __future__ import annotations
 
+import collections
 from pathlib import Path
 
 import numpy as np
@@ -75,3 +76,26 @@ def test_tracer_counts_flow_steps_and_witness_samples(monkeypatch):
     assert metrics["dynamics.recurrence.calls"] == 1
     assert metrics["dynamics.recurrence.samples"] == n
     assert not hasattr(mehgrisk.dynamics.flow, "__wrapped__")
+
+
+def test_tracer_sees_each_command_of_a_report(monkeypatch, tmp_path):
+    # cli's command table and cmd_report call cmd_fit ... cmd_exposure
+    # through the module, so the tracer's wrappers run: one span each, in
+    # a report and in each command run on its own.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    argv = ["--paper-dataset", "--grid", "16", "--out", str(tmp_path / "out")]
+    commands = ("fit", "analyze", "geometry", "flow", "exposure")
+    recorder = tracer.Tracer()
+    recorder.install(mehgrisk)
+    try:
+        codes = [recorder.run_op(op, command, mehgrisk.cli.main, [command, *argv])
+                 for op, command in enumerate(("report", *commands))]
+    finally:
+        recorder.uninstall()
+    assert codes == [0] * 6
+    spans = collections.Counter((rec[2], rec[3]) for rec in recorder.spans)
+    for op, command in enumerate(commands, 1):
+        assert spans[0, f"cli.cmd_{command}"] == 1, command
+        assert spans[op, f"cli.cmd_{command}"] == 1, command

@@ -396,7 +396,8 @@ def test_nonfinite_threshold_and_levels_exit_2(flag, tmp_path, fresh_python):
         flag, "--out", str(tmp_path), seconds=30.0,
     )
     assert proc.returncode == 2, proc.stderr
-    assert f"{flag.split('=')[0]}: " in proc.stderr
+    name = flag.split("=")[0]   # followed by a list item's index, if any
+    assert f"{name}: " in proc.stderr or f"{name}[" in proc.stderr
     assert "expected a finite number" in proc.stderr
 
 
@@ -455,7 +456,7 @@ def test_run_config_rejects_nonfinite():
 
 
 def test_run_config_stores_the_output_directory_as_a_path():
-    assert RunConfig(output_dir="d").output_dir == Path("d")
+    assert RunConfig(out="d").out == Path("d")
 
 
 def test_run_config_rejects_a_domain_that_is_no_rectangle():
@@ -466,24 +467,24 @@ def test_run_config_rejects_a_domain_that_is_no_rectangle():
 
 
 @pytest.mark.parametrize(
-    "field, value, message",
+    "key, value, message",
     [
         ("grid", 16.5, f"grid: expected an integer in [16, {cli.MAX_GRID}], got 16.5"),
         ("seed", 1.5, "seed: expected an integer >= 0, got 1.5"),
-        ("mc_samples", True,
+        ("samples", True,
          f"samples: expected an integer in [1, {cli.MAX_MC_SAMPLES}], got True"),
         ("flow_starts", ((2.0, "1"),), "flow_starts[0][1]: expected a number, got '1'"),
-        ("input_path", b"x.csv", "input: expected a string, got b'x.csv'"),
-        ("output_dir", 3, "out: expected a path or a nonempty string, got 3"),
+        ("input", b"x.csv", "input: expected a string, got b'x.csv'"),
+        ("out", 3, "out: expected a path or a nonempty string, got 3"),
     ],
     ids=["grid-float", "seed-float", "samples-true", "start-string",
          "input-bytes", "out-int"],
 )
-def test_run_config_checks_field_types(field, value, message):
+def test_run_config_checks_field_types(key, value, message):
     # Grid, seed, samples and the paths were accepted, and a string start
     # failed in flow.
     with pytest.raises(ValueError) as err:
-        RunConfig(**{field: value})
+        RunConfig(**{key: value})
     assert str(err.value) == message
 
 
@@ -579,10 +580,10 @@ def test_samples_below_one_exit_2(samples, tmp_path, capsys):
         "analyze", "--paper-dataset", "--config", str(cfg), "--out", str(out)
     ) == 2
     message = f"samples: expected an integer in [1, {cli.MAX_MC_SAMPLES}], got {samples}"
-    assert f"{cfg}: samples: {message}" in capsys.readouterr().err
+    assert f"{cfg}: {message}" in capsys.readouterr().err
     assert not out.exists()
     with pytest.raises(ValueError, match=re.escape(message)):
-        RunConfig(mc_samples=samples)
+        RunConfig(samples=samples)
 
 
 @pytest.mark.parametrize("samples", [cli.MAX_MC_SAMPLES + 1, 1e15])
@@ -595,13 +596,11 @@ def test_samples_above_bound_exit_2(samples, tmp_path, capsys):
     assert run(
         "analyze", "--paper-dataset", "--config", str(cfg), "--out", str(out)
     ) == 2
-    assert f"{cfg}: samples: samples: expected an integer in [1, {cli.MAX_MC_SAMPLES}], got {int(samples)}" in (
+    assert f"{cfg}: samples: expected an integer in [1, {cli.MAX_MC_SAMPLES}], got {int(samples)}" in (
         capsys.readouterr().err
     )
     assert not out.exists()
-    assert RunConfig(mc_samples=cli.MAX_MC_SAMPLES).mc_samples == (
-        cli.MAX_MC_SAMPLES
-    )
+    assert RunConfig(samples=cli.MAX_MC_SAMPLES).samples == cli.MAX_MC_SAMPLES
 
 
 def test_nonfinite_flow_start_exit_2(tmp_path, capsys):
@@ -611,7 +610,7 @@ def test_nonfinite_flow_start_exit_2(tmp_path, capsys):
     assert run(
         "flow", "--paper-dataset", "--starts", "2,1,nan,1", "--out", str(out)
     ) == 2
-    assert "--starts: flow_starts[1][0]: expected a finite number, got nan" in (
+    assert "--starts[1][0]: expected a finite number, got nan" in (
         capsys.readouterr().err
     )
     assert not out.exists()
@@ -660,11 +659,11 @@ def test_config_integral_values_accepted(tmp_path):
             ["analyze", "--paper-dataset", "--config", str(cfg)]
         )
         config = build_config(args)
-        assert (config.grid, config.mc_samples) == (32, 1000)
+        assert (config.grid, config.samples) == (32, 1000)
         assert (config.seed, config.flow_max_steps) == (7, 50)
         assert all(
             type(v) is int
-            for v in (config.grid, config.mc_samples, config.seed,
+            for v in (config.grid, config.samples, config.seed,
                       config.flow_max_steps)
         )
     cfg.write_text(json.dumps({"grid": 32.0, "samples": 1000.0}))
@@ -832,6 +831,23 @@ def test_wide_concentration_domain_vertices_are_finite(tmp_path):
                 for vertex in line for x in vertex]
     assert 1e300 in vertices
     assert all(map(math.isfinite, vertices))
+
+
+@pytest.mark.parametrize("command", ["geometry", "analyze"])
+def test_roots_closer_than_the_old_split_depth(command, tmp_path):
+    # g' = 2.7e-258 t^2 + 4 t^3 has roots at 0 and -6.75e-259: the root
+    # isolation stopped splitting at depth 80 with both in one bracket,
+    # and bisection refused it, "bracket does not straddle a sign change".
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "a": [0, 0, 0, 9.059516844553991e-259, 1], "b": [0, 0, 0, 0, 0],
+        "domain": {"t": [0, 1], "c": [0, 1]},
+    }))
+    out = tmp_path / "out"
+    assert run(command, "--input", str(path), "--grid", "16", "--out", str(out)) == 0
+    if command == "geometry":
+        (locus,) = read_json(out / "geometry.json")["zero_loci"]
+        assert 0.0 < locus["stage"] < 1e-258
 
 
 @pytest.mark.parametrize("command", ["fit", "analyze", "geometry", "flow", "report"])
@@ -1043,7 +1059,7 @@ def test_json_input_values_are_type_checked(
         ('{"flow_step": "1e-3"}', "flow_step: expected a number, got '1e-3'"),
         ('{"paper_dataset": "no"}',
          "paper_dataset: expected true or false, got 'no'"),
-        ('{"seed": -1}', "seed: seed: expected an integer >= 0, got -1"),
+        ('{"seed": -1}', "seed: expected an integer >= 0, got -1"),
         ('{"threshold": 1' + "0" * 400 + "}",
          "threshold: expected a number in the float range, got 1" + "0" * 400),
         ("[1, 2]", "config must be a JSON object"),
@@ -1106,11 +1122,49 @@ def test_flag_and_config_key_agree(tmp_path):
         assert by_flag == by_key != RunConfig(), opt.key
 
 
+# A bad value of each setting whose flag parses its text: the flag's
+# text, the same value in JSON, and the error's tail after the setting's
+# name.  A switch or a string flag has no bad text.
+BAD_VALUES = {
+    "domain": ("1,inf,0.2,3.5", [1, math.inf, 0.2, 3.5],
+               ": t_max: expected a finite number, got inf"),
+    "levels": ("1,nan", [1, math.nan], "[1]: expected a finite number, got nan"),
+    "threshold": ("inf", math.inf, ": expected a finite number, got inf"),
+    "grid": ("2049", 2049, f": expected an integer in [16, {cli.MAX_GRID}], got 2049"),
+    "seed": ("-1", -1, ": expected an integer >= 0, got -1"),
+    "flow_starts": ("2,1,nan,1", [[2, 1], [math.nan, 1]],
+                    "[1][0]: expected a finite number, got nan"),
+}
+
+
+@pytest.mark.parametrize(
+    "opt", [opt for opt in cli.OPTIONS.values() if opt.parse], ids=lambda opt: opt.key
+)
+def test_bad_value_same_error_by_flag_key_and_run_config(opt, tmp_path, capsys):
+    # Each setting is checked once: the flag, the config key and RunConfig
+    # give the same error, each naming its source once.
+    assert BAD_VALUES.keys() == {o.key for o in cli.OPTIONS.values() if o.parse}
+    text, value, tail = BAD_VALUES[opt.key]
+    out = tmp_path / "out"
+    assert run("report", opt.flag, text, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {opt.flag}{tail}\n"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({opt.key: value}))
+    assert run("report", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {opt.key}{tail}\n"
+    assert not out.exists()
+    # RunConfig takes the value as the program holds it: for a domain, the
+    # Rectangle, which refuses the bound itself.
+    with pytest.raises(ValueError) as err:
+        RunConfig(**{opt.key: opt.read(value) if opt.read else value})
+    assert str(err.value) == (tail[2:] if opt.key == "domain" else opt.key + tail)
+
+
 def test_grid_bound(tmp_path, capsys):
     # Level curves allocate grid^2 nodes per array, so the bound is
     # checked before any work; nothing of that size is allocated here.
-    message = f"grid: expected an integer in [16, {cli.MAX_GRID}], got {cli.MAX_GRID + 1}"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    message = f"expected an integer in [16, {cli.MAX_GRID}], got {cli.MAX_GRID + 1}"
+    with pytest.raises(ValueError, match=re.escape(f"grid: {message}")):
         RunConfig(grid=cli.MAX_GRID + 1)
     assert RunConfig(grid=cli.MAX_GRID).grid == cli.MAX_GRID
     out = tmp_path / "out"
@@ -1143,7 +1197,7 @@ def test_flow_max_steps_bound(tmp_path, fresh_python):
         "--out", str(out), seconds=30.0,
     )
     assert proc.returncode == 2, proc.stderr
-    assert f"{cfg}: flow_max_steps: {message}" in proc.stderr
+    assert f"{cfg}: {message}" in proc.stderr
     assert not out.exists()
 
 
