@@ -177,8 +177,7 @@ def certify_no_critical_points(field: RiskField) -> CriticalPointCertificate:
 
 def mean_risk(field: RiskField) -> float:
     """Average of R over the field's domain, from the closed-form integral:
-    mean(c) mean(g) + mean(h), which squares no c bound and so stays
-    finite on a domain that reaches 1e300 in c."""
+    mean(c) mean(g) + mean(h), finite on every field RiskField accepts."""
     dom = field.domain
     g_int = field.g.integrate(dom.t_min, dom.t_max)
     h_int = field.h.integrate(dom.t_min, dom.t_max)
@@ -427,7 +426,8 @@ def _c_star(field: RiskField, level: float, t: np.ndarray) -> np.ndarray:
     at_zero = g_t == 0.0
     for root in roots:
         at_zero |= t == root
-    c = (level - h_t) / np.where(at_zero, 1.0, g_t)
+    with np.errstate(over="ignore"):   # a c* past the float range is inf, and clips
+        c = (level - h_t) / np.where(at_zero, 1.0, g_t)
     if at_zero.any():
         gp, hp = field.g_prime, field.h_prime
         c[at_zero] = [-hp(x) / gp(x) if gp(x) != 0.0 else dom.c_min
@@ -489,7 +489,7 @@ def _trace(field, graphs, eps) -> list[tuple[tuple[float, float], ...]]:
         return []
     sizes = [len(t) for _, t, _ in graphs]
     n = CHORD_CHECKS + 1
-    t = _round9(np.concatenate([t for _, t, _ in graphs]))
+    t = np.concatenate([t for _, t, _ in graphs]).round(9)
     last = np.cumsum(sizes) - 1
     first = last - sizes + 1
     share, dt = np.arange(n) / n, np.diff(t)[:, None]
@@ -531,16 +531,12 @@ def _trace(field, graphs, eps) -> list[tuple[tuple[float, float], ...]]:
         for k, (end, b) in enumerate(zip(ts[i + 1:j + 1], bend[i:j]), i):
             if b > most:
                 most = b
-            try:
-                too_long = (end - start) ** 2 * most > limit
-            except OverflowError:   # a gap past about 1.3e154 is too long
-                too_long = True
-            if too_long and kept[-1] != k:
+            if (end - start) ** 2 * most > limit and kept[-1] != k:
                 kept.append(k)
                 start, most = ts[k], b
         kept.append(j)
     vertices = rows[:, candidate[kept]]
-    vertices[:2] = _round9(vertices[:2])
+    vertices[:2] = vertices[:2].round(9)
 
     joined = np.flatnonzero(np.diff(vertices[3]) == 0.0)
     ends = np.array((joined, joined + 1))   # the chords, by their vertices
@@ -557,7 +553,7 @@ def _trace(field, graphs, eps) -> list[tuple[tuple[float, float], ...]]:
         # Halve each chord that fails at its middle check point.
         halves = vertices.shape[1] + np.arange(made)
         vertices = np.concatenate((vertices, np.concatenate((
-            _round9(np.array((at[bad, mid], on[bad, mid]))),
+            np.array((at[bad, mid], on[bad, mid])).round(9),
             vertices[2:, ends[0, bad]]))), axis=1)
         ends = np.concatenate((ends[:, bad], ends[:, bad]), axis=1)
         ends[1, :made] = ends[0, made:] = halves
@@ -566,17 +562,6 @@ def _trace(field, graphs, eps) -> list[tuple[tuple[float, float], ...]]:
     bounds = np.flatnonzero(np.diff(vertices[3])) + 1
     return [tuple(zip(t.tolist(), c.tolist()))
             for t, c in zip(*(np.split(row, bounds) for row in vertices[:2]))]
-
-
-def _round9(x: np.ndarray) -> np.ndarray:
-    """x rounded to 9 decimals by np.round, which scales by 1e9: where
-    that overflows, |x| is above about 1.8e299, has no decimals to round
-    and is kept as it is."""
-    if np.abs(x).max(initial=0.0) < 1e299:
-        return x.round(9)
-    with np.errstate(over="ignore"):
-        rounded = np.round(x, 9)
-    return np.where(np.isinf(rounded), x, rounded)
 
 
 def level_curves(
@@ -614,9 +599,9 @@ def level_curves(
     for level, (graphs, sides, saddles, full) in zip(levels, pieces):
         lines = [next(chains) for _ in graphs]
         if saddles:
-            lo, hi = _round9(np.array((dom.c_min, dom.c_max))).tolist()
+            lo, hi = np.array((dom.c_min, dom.c_max)).round(9).tolist()
             lines += [((t0, lo), (t0, hi))
-                      for t0 in _round9(np.array(saddles)).tolist()]
+                      for t0 in np.array(saddles).round(9).tolist()]
         sets.append(LevelCurveSet(level, tuple(lines),
                                   tuple(sides) + (None,) * len(saddles),
                                   tuple(full), eps))

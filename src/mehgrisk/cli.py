@@ -200,7 +200,7 @@ def _load_field(config: RunConfig) -> tuple[RiskField, tuple[float, ...]]:
                  else RiskTable.from_csv(path))
         field_obj = from_json_data(build_field, table, path)
     if config.domain is not None:
-        field_obj = field_obj.with_domain(config.domain)
+        field_obj = _arg("domain", field_obj.with_domain, config.domain)
     return field_obj, table.concentrations if table else ()
 
 
@@ -375,7 +375,7 @@ def cmd_exposure(config: RunConfig) -> Output:
                 "age_min": rec.age_min,
                 "age_max": rec.age_max,
                 "concentration_mg_per_kg": rec.profile.concentration,
-                "exposure_mg_per_kg_day": exposure.exposure(rec.profile),
+                "exposure_mg_per_kg_day": verdict.exposure,
                 "risk_coefficient": verdict.risk_coefficient,
                 "acceptable": verdict.acceptable,
             }

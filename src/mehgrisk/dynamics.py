@@ -159,8 +159,8 @@ def flow(
     if exit_reason == EXIT_LEFT_DOMAIN:
         steps[-1] = lo * step
     # One array call: each element rounds as the scalar R(t, c) does.  No
-    # element overflows, as the field's bound on |R| over its domain is
-    # finite; a nan sample, left by an overflowing gradient, stays quiet.
+    # element overflows, as RiskField keeps |R| within 2^250 on its
+    # domain; a nan sample, left by an overflowing gradient, stays quiet.
     ts, cs = np.array(ts), np.array(cs)
     return FlowTrajectory(
         np.column_stack((np.cumsum(steps), ts, cs, field.evaluate(ts, cs))),

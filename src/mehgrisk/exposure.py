@@ -137,9 +137,11 @@ class ExposureProfile:
 
 @dataclass(frozen=True)
 class RiskVerdict:
-    """Hazard quotient with its threshold classification."""
+    """Hazard quotient with the exposure it divides and its threshold
+    classification."""
 
     risk_coefficient: float
+    exposure: float
 
     @property
     def acceptable(self) -> bool:
@@ -167,7 +169,7 @@ def risk_coefficient(exposure_value: float, rfd: float) -> RiskVerdict:
     """Hazard quotient RC = E / RfD."""
     _arg("rfd", _positive, rfd)
     _arg("exposure_value", _nonnegative, exposure_value)
-    return RiskVerdict(exposure_value / rfd)
+    return RiskVerdict(exposure_value / rfd, exposure_value)
 
 
 def profile_risk(profile: ExposureProfile) -> RiskVerdict:

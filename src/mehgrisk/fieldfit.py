@@ -33,6 +33,11 @@ NODE_COUNT = DEGREE + 1
 # A domain side must span at least this fraction of its bounds' size,
 # max(1, |lo|, |hi|): plots and grids cannot resolve a narrower one.
 MIN_SPAN = 1e-9
+# The largest |R|, |g|, |g'|, |h'|, |dR/dt|, |t| or |c| a field may reach
+# on its search range and c range.  It keeps every square the layers take
+# finite, such as (1 + R_t^2 + g^2)^2, q^2, (dt)^2 or x * 1e9, so none of
+# them has to guard against overflow.
+MAX_MAGNITUDE = 2.0**250
 
 
 # The checks of the values the package is given: the JSON values of the
@@ -336,6 +341,10 @@ class RiskField:
     rectangle every analysis, geometry and plot of the field covers.  The
     root table (slope_roots, g_prime_roots and cuts) holds every root
     search of the field, each made once, on first use; the layers read it.
+
+    The package supports one range: a field is refused, with ValueError,
+    unless |R|, |g|, |g'|, |h'|, |dR/dt|, |t| and |c| stay within
+    MAX_MAGNITUDE on the search range x the c range.
     """
 
     a: tuple[float, float, float, float, float]
@@ -353,16 +362,22 @@ class RiskField:
         for name in ("a", "b"):
             object.__setattr__(self, name, _arg(
                 name, _list(_finite, NODE_COUNT), getattr(self, name)))
-        _arg("domain", _rectangle, self.domain)
-        # |R| <= sum_k (|a_k| max|c| + |b_k|) max|t|^k on the domain.
-        d = self.domain
-        bound = Polynomial(tuple(
-            abs(ak) * max(-d.c_min, d.c_max) + abs(bk)
-            for ak, bk in zip(self.a, self.b)
-        ))(max(-d.t_min, d.t_max))
-        if not math.isfinite(bound):
-            raise ValueError("field overflows on its domain: the bound on |R| "
-                             "is not a finite float")
+        # For |t| <= T over the search range and |c| <= C over the c range,
+        # B = sum_k (k + 1)(|a_k| C + |b_k|) T^k bounds |R|, |g|, |g'|, |h'|
+        # and |dR/dt|.  A product past the float range is inf, not an error.
+        d = _arg("domain", _rectangle, self.domain)
+        t_top = max(-d.t_min, d.t_max, DEFAULT_SEARCH[1])
+        c_top = max(-d.c_min, d.c_max, 1.0)
+        bound = 0.0
+        for k in range(DEGREE, -1, -1):
+            bound = bound * t_top + (k + 1) * (abs(self.a[k]) * c_top
+                                               + abs(self.b[k]))
+        top = max(bound, t_top, c_top)
+        if top > MAX_MAGNITUDE:
+            raise ValueError(
+                f"field outside the supported range: its values, slopes or "
+                f"bounds may reach {top:.3g} on its search range and c range, "
+                f"past 2^250 = {MAX_MAGNITUDE:.3g}")
         g, h = Polynomial(self.a), Polynomial(self.b)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)

@@ -23,21 +23,11 @@ from .fieldfit import RiskField
 
 def gaussian_curvature(field: RiskField, t, c):
     """Signed Gaussian curvature -q(t)^2 / (1 + R_t^2 + g(t)^2)^2 of the
-    graph surface at (t, c); t and c are floats or broadcastable arrays."""
+    graph surface at (t, c); t and c are floats or broadcastable arrays.
+    On the field's search range x its c range, where RiskField keeps q, R_t
+    and g within 2^250, no square here overflows and K is finite."""
     q, r_t, g = field.g_prime(t), field.partial_t(t, c), field.g(t)
-    # The squared denominator overflows once |R_t| or |g| passes about
-    # 2^255, so at each point where one of q, R_t and g passes 2^250, the
-    # three are scaled by 2^-k first, with k the least that brings them
-    # under it: K = -(q^2 4^-k) / (4^-k + R_t^2 + g^2)^2 on the scaled
-    # values.  A power of two scales exactly, and elsewhere k = 0 gives
-    # the unscaled formula's bits.
-    top = np.maximum(np.maximum(abs(q), abs(r_t)), abs(g))
-    s2 = 1.0
-    if np.max(top) >= 2.0**250:
-        k = np.maximum(np.frexp(top)[1] - 250, 0)
-        q, r_t, g = (np.ldexp(v, -k) for v in (q, r_t, g))
-        s2 = np.ldexp(1.0, -2 * k)
-    return -(q * q) * s2 / (s2 + r_t * r_t + g * g) ** 2
+    return -(q * q) / (1.0 + r_t * r_t + g * g) ** 2
 
 
 @dataclass(frozen=True)

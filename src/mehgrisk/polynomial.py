@@ -242,13 +242,6 @@ def _variations(chain: list[tuple[int, ...]], x: float) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def count_roots(chain: list[tuple[int, ...]], a: float, b: float) -> int:
-    """Distinct real roots in the half-open interval (a, b]."""
-    if b < a:
-        raise ValueError("interval endpoints out of order")
-    return _variations(chain, a) - _variations(chain, b)
-
-
 def isolate_roots(
     chain: list[tuple[int, ...]], a: float, b: float
 ) -> list[tuple[float, float]]:

@@ -379,26 +379,33 @@ def test_level_curves_where_the_slope_rounds_to_zero():
 
 def test_level_curves_on_a_stage_range_whose_chords_overflow_when_squared():
     # R = c on t in [1, 1e156]: the gap between two kept stages passes
-    # about 1.3e154, and squaring it raised OverflowError; such a chord
-    # counts as too long.
-    f = RiskField((1.0, 0.0, 0.0, 0.0, 0.0), (0.0,) * 5,
+    # about 1.3e154, and squaring it raised OverflowError.  Stages past
+    # 2^250 are refused now; on t in [1, 1e75], the longest range in
+    # reach, the level-2 line runs end to end and the region's area is
+    # exact.
+    with pytest.raises(ValueError, match="outside the supported range"):
+        RiskField((1.0, 0.0, 0.0, 0.0, 0.0), (0.0,) * 5,
                   Rectangle(1.0, 1e156, 0.2, 3.5))
+    f = RiskField((1.0, 0.0, 0.0, 0.0, 0.0), (0.0,) * 5,
+                  Rectangle(1.0, 1e75, 0.2, 3.5))
     (cset,) = level_curves(f, levels=(2.0,))
     (line,) = cset.polylines
-    assert (line[0][0], line[-1][0]) == (1.0, 1e156)
+    assert (line[0][0], line[-1][0]) == (1.0, 1e75)
     assert {c for _, c in line} == {2.0}
+    assert risk_region_area(f).area == pytest.approx(2.5e75, rel=1e-12)
 
 
 def test_level_curves_square_no_gap_between_two_graphs():
-    # Two levels on t in [1, 1e156]: the step from one graph's last stage
-    # to the next graph's first was squared too, and numpy's "overflow
-    # encountered in square" is an error under the suite's filter.
+    # Two levels on a long stage range: the step from one graph's last
+    # stage to the next graph's first was squared too, and on t in
+    # [1, 1e156], now refused, numpy's "overflow encountered in square"
+    # is an error under the suite's filter.
     f = RiskField((1.0, 0.0, 0.0, 0.0, 0.0), (0.0,) * 5,
-                  Rectangle(1.0, 1e156, 0.2, 3.5))
+                  Rectangle(1.0, 1e75, 0.2, 3.5))
     sets = level_curves(f, levels=(1.0, 2.0))
     for cset, level in zip(sets, (1.0, 2.0)):
         (line,) = cset.polylines
-        assert (line[0][0], line[-1][0]) == (1.0, 1e156)
+        assert (line[0][0], line[-1][0]) == (1.0, 1e75)
         assert {c for _, c in line} == {level}
 
 

@@ -276,22 +276,32 @@ def test_failing_writer_exit_2_leaves_nothing(tmp_path, fresh_python):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_curvature_plot_of_a_huge_slope_is_scaled(tmp_path):
-    # q = g' reaches about 1.3e155 on the search range, so q(t)**2 would
-    # overflow a float; the plot scales q by a power of two instead.
+def test_geometry_of_a_slope_past_the_range_is_refused(tmp_path, capsys):
+    # q = g' reaches about 1.3e155 on the search range, past 2^250: the
+    # field is refused where it is loaded, naming its file, and nothing
+    # is written.  The curvature plot used to scale q by a power of two.
     path = tmp_path / "q.json"
     path.write_text(json.dumps({
         "a": [0, 0, 0, -4e152, 1e152], "b": [0, 0, 0, 0, 0],
         "domain": {"t": [1.0, 5.0], "c": [0.2, 3.5]},
     }))
     out = tmp_path / "out"
-    assert run("geometry", "--input", str(path), "--out", str(out)) == 0
-    svg = (out / "curvature.svg").read_text()
-    assert ">k(t) / 2^28<" in svg
-    numbers = re.findall(r' (?:points|[xy]\d?)="([^"]*)"', svg)
-    assert numbers
-    assert all(math.isfinite(float(v)) for text in numbers
-               for v in re.split(r"[ ,]+", text.strip()))
+    assert run("geometry", "--input", str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: field outside the supported range: ")
+    assert "past 2^250" in err
+    assert not out.exists()
+
+
+def test_domain_past_the_range_is_refused_naming_domain(tmp_path, capsys):
+    # The built-in field on stages up to 1e156 passes 2^250; the error
+    # named no setting.
+    out = tmp_path / "out"
+    assert run("analyze", "--paper-dataset", "--domain", "1,1e156,0.2,3.5",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: domain: field outside the supported range: ")
+    assert not out.exists()
 
 
 def test_failing_writer_keeps_an_existing_directory(tmp_path, monkeypatch, capsys):
@@ -350,6 +360,21 @@ def test_exposure_outputs(tmp_path):
     csv_text = (out / "exposure.csv").read_text()
     assert csv_text.splitlines()[0].startswith("group,")
     assert ",yes" in csv_text and ",no" in csv_text
+
+
+def test_exposure_is_computed_once_per_profile(tmp_path, monkeypatch):
+    # Each row's exposure comes with its verdict; cmd_exposure used to
+    # compute it a second time, 24 calls for the 12 built-in profiles.
+    calls = collections.Counter()
+    exposure_of = cli.exposure.exposure
+
+    def counted(profile):
+        calls["exposure"] += 1
+        return exposure_of(profile)
+
+    monkeypatch.setattr(cli.exposure, "exposure", counted)
+    assert run("exposure", "--paper-dataset", "--out", str(tmp_path)) == 0
+    assert calls == {"exposure": 12}
 
 
 def test_report_bundle(tmp_path):
@@ -689,13 +714,14 @@ def test_report_start_outside_domain_writes_nothing(tmp_path, capsys):
 
 
 def test_flow_nonfinite_summary_writes_nothing(tmp_path, fresh_python):
-    # Coefficients of 1e150 overflow along every trajectory; flow used to
-    # write flow_00.csv..flow_08.csv (inf and nan rows) and flow.svg
-    # before flow.json refused the non-finite summary.  (At 1e308 the
-    # field itself overflows on its domain and is refused at load.)
+    # Coefficients of 1e70 are in range, but RK4's inner stages leave the
+    # domain and overflow there on every trajectory; flow used to write
+    # flow_00.csv..flow_08.csv (inf and nan rows) and flow.svg before
+    # flow.json refused the non-finite summary.  (Past 2^250 the field is
+    # refused at load.)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({
-        "a": [1e150] * 5, "b": [0.0] * 5,
+        "a": [1e70] * 5, "b": [0.0] * 5,
         "domain": {"t": [1.0, 5.0], "c": [0.2, 3.5]},
     }))
     out = tmp_path / "out"
@@ -739,27 +765,22 @@ def test_report_loads_and_fits_the_table_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command, value, message",
+    "command, value",
     [
-        pytest.param("analyze", 1e308, "big.json: field overflows", id="analyze"),
-        pytest.param("report", 1e308, "big.json: field overflows", id="report"),
-        pytest.param("fit", 1e308, "big.json: field overflows", id="fit"),
-        pytest.param("report", 1e200, "flow.json: Out of range float values",
-                     id="report-1e200"),
-        pytest.param("report", 1e150, "flow.json: Out of range float values",
-                     id="report-1e150"),
+        pytest.param("analyze", 1e308, id="analyze"),
+        pytest.param("report", 1e308, id="report"),
+        pytest.param("fit", 1e308, id="fit"),
+        pytest.param("report", 1e200, id="report-1e200"),
+        pytest.param("report", 1e150, id="report-1e150"),
     ],
 )
-def test_overflowing_field_writes_nothing(
-    command, value, message, tmp_path, fresh_python
-):
-    # At 1e308 the field overflows on its domain and is refused at load;
-    # fit used to write it.  Coefficients of 1e150 and 1e200 overflow in
-    # the flow summary (1e200 overflowed first in the curvature, which is
-    # now scaled: see the next test).  analyze used to leave an
-    # empty output directory, and report every file it wrote before the
-    # first document that refused the values; numpy printed its overflow
-    # warnings first.
+def test_overflowing_field_writes_nothing(command, value, tmp_path, fresh_python):
+    # Each field passes 2^250 on its search range and is refused at load;
+    # fit used to write the 1e308 one.  1e150 and 1e200 used to pass the
+    # load and fail in the flow summary, after the curvature had scaled
+    # its squares.  analyze used to leave an empty output directory, and
+    # report every file it wrote before the first document that refused
+    # the values; numpy printed its overflow warnings first.
     path = tmp_path / "big.json"
     path.write_text(json.dumps({
         "a": [value] * 5, "b": [0.0] * 5,
@@ -771,57 +792,56 @@ def test_overflowing_field_writes_nothing(
         "--out", str(out), seconds=60.0,
     )
     assert proc.returncode == 2, proc.stderr
-    assert message in proc.stderr
-    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: field outside the supported range: ")
+    assert proc.stderr.endswith(", past 2^250 = 1.81e+75\n")
     assert not out.exists()
 
 
 def test_huge_field_geometry_is_written(tmp_path):
-    # Its curvature denominator overflows unscaled: geometry exited 2 with
-    # "geometry.json: Out of range float values" (K was nan).
+    # Coefficients of 1e70, near 2^250 on the search range, square past
+    # 1e147 in the curvature denominator; at 1e200, now refused, geometry
+    # exited 2 with "geometry.json: Out of range float values" (K was nan).
     path = tmp_path / "big.json"
     path.write_text(json.dumps({
-        "a": [1e200] * 5, "b": [0.0] * 5,
+        "a": [1e70] * 5, "b": [0.0] * 5,
         "domain": {"t": [1.0, 5.0], "c": [0.2, 3.5]},
     }))
     assert run("geometry", "--input", str(path), "--out", str(tmp_path)) == 0
     report = read_json(tmp_path / "geometry.json")
     assert report["is_hadamard"] and report["max_curvature_on_domain"] <= 0.0
+    assert math.isfinite(report["max_curvature_on_domain"])
 
 
 @pytest.mark.parametrize("command", ["analyze", "report"])
 def test_wide_concentration_domain_mean_is_finite(command, tmp_path, fresh_python):
-    # R = h(t) on c in [0, 1e300]: mean_risk used to square the c bounds
-    # and die with an OverflowError traceback and exit 1.  The mean is
-    # finite now; the command writes it, or exits 2 naming the file that
-    # refuses some other value and writes nothing.
+    # R = h(t) on c in [0, 1e75], near the 2^250 the field's range allows:
+    # the whole run, mean included, is finite and written.  On c in
+    # [0, 1e300], now refused, mean_risk used to square the c bounds and
+    # die with an OverflowError traceback and exit 1.
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({
         "a": [0.0] * 5, "b": list(PUBLISHED_B),
-        "domain": {"t": [1.0, 5.0], "c": [0.0, 1e300]},
+        "domain": {"t": [1.0, 5.0], "c": [0.0, 1e75]},
     }))
     out = tmp_path / "out"
     proc = fresh_python(
         "-m", "mehgrisk", command, "--input", str(path), "--grid", "16",
         "--out", str(out), seconds=60.0,
     )
-    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-    if proc.returncode == 0:
-        assert math.isfinite(read_json(out / "analysis.json")["mean_risk"])
-    else:
-        assert proc.returncode == 2, proc.stderr
-        assert re.match(rf"error: {re.escape(str(out))}/\S+: ", proc.stderr)
-        assert not out.exists()
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert math.isfinite(read_json(out / "analysis.json")["mean_risk"])
 
 
 def test_wide_concentration_domain_vertices_are_finite(tmp_path):
     # Vertices are rounded to 9 decimals by np.round, which scales by 1e9:
-    # the level-1 line's vertex at c = 1e300 became inf, and analyze exited
-    # 2 refusing analysis.json.  RuntimeWarnings fail tests here.
+    # at c = 1e75 that stays finite.  On c in [0, 1e300], now refused, the
+    # level-1 line's vertex at c = 1e300 became inf, and analyze exited 2
+    # refusing analysis.json.  RuntimeWarnings fail tests here.
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({
         "a": [0.0] * 5, "b": list(PUBLISHED_B),
-        "domain": {"t": [1.0, 5.0], "c": [0.0, 1e300]},
+        "domain": {"t": [1.0, 5.0], "c": [0.0, 1e75]},
     }))
     out = tmp_path / "out"
     assert main(["analyze", "--input", str(path), "--grid", "16",
@@ -829,7 +849,7 @@ def test_wide_concentration_domain_vertices_are_finite(tmp_path):
     levels = read_json(out / "analysis.json")["levels"]
     vertices = [x for level in levels for line in level["polylines"]
                 for vertex in line for x in vertex]
-    assert 1e300 in vertices
+    assert 1e75 in vertices
     assert all(map(math.isfinite, vertices))
 
 
@@ -867,21 +887,21 @@ def test_domain_side_whose_span_overflows_is_refused(command, side, tmp_path, ca
 
 
 @pytest.mark.parametrize("command", ["analyze", "report"])
-def test_stage_range_whose_chords_overflow_when_squared(command, tmp_path):
+def test_stage_range_whose_chords_overflow_when_squared(command, tmp_path, capsys):
     # R = c on t in [1, 1e156]: a chord's squared length overflowed in the
     # level-curve tracer, and both commands exited 1 with a traceback.
+    # Stages past 2^250 are refused where the field is loaded; the tracer
+    # on the longest stage range accepted is tested in test_analysis.py.
     path = tmp_path / "long.json"
     path.write_text(json.dumps({
         "a": [1, 0, 0, 0, 0], "b": [0] * 5,
         "domain": {"t": [1, 1e156], "c": [0.2, 3.5]},
     }))
     out = tmp_path / "out"
-    assert run(command, "--input", str(path), "--grid", "64", "--out", str(out)) == 0
-    report = read_json(out / "analysis.json")
-    assert report["region_area"] == pytest.approx(2.5e156, rel=1e-12)
-    for level in report["levels"]:
-        assert {c for line in level["polylines"] for _, c in line} <= {level["level"]}
-    assert [len(level["polylines"]) for level in report["levels"]][:2] == [1, 1]
+    assert run(command, "--input", str(path), "--grid", "64", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: field outside the supported range: ")
+    assert not out.exists()
 
 
 PROFILE_HEADER = (

@@ -148,14 +148,14 @@ def test_flow_risk_matches_scalar_evaluate(a, b, start, step, max_steps):
         (RiskField((-0.0,) * 5, (-0.0,) * 5, SPANS_ZERO), (2.0, -0.0)),
         (RiskField((-0.0,) * 5, (0.0, 1.0, -0.0, -0.0, -0.0), SPANS_ZERO),
          (1.5, -0.0)),
-        # R is finite on the domain but the gradient overflows, so the
-        # clipped sample is nan: the float chain is silent, as must be
-        # the array call.
-        (RiskField((1e300,) * 5, (0.0,) * 5), (5.0, 3.5)),
-        (RiskField((1e300,) * 5, (-1e300,) * 5), (3.0, 1.0)),
-        # |R| at (5, 3.5) is within an ulp of its bound, near the largest
-        # float.
-        (RiskField((0.0,) * 4 + (7.7e304,), (0.0,) * 5), (5.0, 3.5)),
+        # The field is in range, but RK4's inner stages leave the domain
+        # and overflow there, so the clipped sample is nan: the float
+        # chain is silent, as must be the array call.
+        (RiskField((1e70,) * 5, (0.0,) * 5), (5.0, 3.5)),
+        (RiskField((1e70,) * 5, (-1e70,) * 5), (3.0, 1.0)),
+        # The field's bound on the search range is within 1% of 2^250, the
+        # most RiskField accepts.
+        (RiskField((0.0,) * 4 + (7.9e70,), (0.0,) * 5), (5.0, 3.5)),
     ],
 )
 def test_flow_risk_matches_scalar_evaluate_edge_cases(field, start):

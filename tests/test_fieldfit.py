@@ -5,12 +5,22 @@ from __future__ import annotations
 import json
 import math
 import re
+import tempfile
+import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from mehgrisk.analysis import level_curves, mean_risk, mean_risk_simpson, risk_region_area
+from mehgrisk.geometry import build_geometry_report
+from mehgrisk.svgplot import curvature_profile_svg
 from mehgrisk.fieldfit import (
     DEFAULT_NODES,
+    MAX_MAGNITUDE,
     PUBLISHED_A,
     PUBLISHED_B,
     Rectangle,
@@ -286,6 +296,73 @@ def test_field_rejects_nonfinite(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=r"field.json: b\[4\]: expected a finite number"):
         from_json_data(RiskField.from_json_dict, read_json(path), path)
+
+
+@st.composite
+def fields_at_the_bound(draw):
+    """(a, b, domain, B): integer coefficients scaled by a power of two and
+    a domain of integers times powers of two, where RiskField's bound B,
+    computed exactly, lies in [2^240, 2^250).  T and C stay below 2^247,
+    so max(B, T, C) lies there too."""
+    ints = st.integers(-999, 999)
+    a, b = (draw(st.lists(ints, min_size=5, max_size=5)) for _ in "ab")
+    if not any(a + b):
+        reject()
+    corners = []
+    for _ in "tc":
+        pair = draw(st.lists(st.integers(-99, 99), min_size=2, max_size=2, unique=True))
+        shift = draw(st.integers(0, 240))
+        corners += [float(n << shift) for n in sorted(pair)]
+    domain = Rectangle(*corners)
+    t_top = max(-domain.t_min, domain.t_max, 6)
+    c_top = max(-domain.c_min, domain.c_max, 1)
+    bound = sum((k + 1) * (abs(ak) * Fraction(c_top) + abs(bk)) * Fraction(t_top) ** k
+                for k, (ak, bk) in enumerate(zip(a, b)))
+    # B scaled into [2^(top - 1), 2^top), clear of 2^250 by more than
+    # RiskField's float rounding of it.
+    shift = draw(st.integers(241, 250)) - math.floor(bound).bit_length()
+    bound *= Fraction(2) ** shift
+    if bound > MAX_MAGNITUDE * (1.0 - 2.0**-40):
+        reject()
+    scale = math.ldexp(1.0, shift)
+    return tuple(x * scale for x in a), tuple(x * scale for x in b), domain, bound
+
+
+def _finite_numbers(svg: str) -> bool:
+    """Whether every coordinate in an SVG text is a finite number."""
+    values = re.findall(r' (?:points|[xy]\d?)="([^"]*)"', svg)
+    return bool(values) and all(
+        math.isfinite(float(v)) for text in values for v in re.split(r"[ ,]+", text.strip()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields_at_the_bound())
+def test_fields_at_the_bound_give_finite_results_and_past_it_are_refused(drawn):
+    # Each layer squares values up to the bound (curvature denominators,
+    # q^2, chord lengths, x * 1e9 rounding): within 2^250 none overflows,
+    # and numpy warnings are errors.  With its coefficients scaled so that
+    # B is 2^251, the same field is refused.
+    a, b, domain, bound = drawn
+    assert 2.0**240 <= bound < MAX_MAGNITUDE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = RiskField(a, b, domain)
+        t_mid = 0.5 * (domain.t_min + domain.t_max)
+        c_mid = 0.5 * (domain.c_min + domain.c_max)
+        level = float(field.evaluate(t_mid, c_mid))
+        json_text(build_geometry_report(field), "geometry.json")
+        with tempfile.TemporaryDirectory() as tmp:
+            curvature_profile_svg(field, Path(tmp) / "curvature.svg")
+            assert _finite_numbers((Path(tmp) / "curvature.svg").read_text())
+        sets = level_curves(field, levels=(level, 1.0), grid=32)
+        assert all(math.isfinite(x) for cset in sets for line in cset.polylines
+                   for vertex in line for x in vertex)
+        assert math.isfinite(mean_risk(field))
+        assert math.isfinite(mean_risk_simpson(field))
+        assert math.isfinite(risk_region_area(field, level).area)
+    past = 2.0 * MAX_MAGNITUDE / float(bound)
+    with pytest.raises(ValueError, match="outside the supported range"):
+        RiskField(tuple(x * past for x in a), tuple(x * past for x in b), domain)
 
 
 def test_write_json_rejects_nonfinite_before_opening(tmp_path):

@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from mehgrisk import stagemap
 from mehgrisk.fieldfit import Rectangle, RiskField, published_field
@@ -163,16 +164,18 @@ def test_rootless_cubic_field():
     assert report.is_hadamard
 
 
-def test_huge_field_curvature_is_scaled_not_overflowed():
-    # (1 + R_t^2 + g^2)^2 overflows here; unscaled, K was nan (inf / inf)
-    # with overflow and invalid warnings (errors under this suite's
-    # filterwarnings), and is_hadamard False.
+def test_huge_field_curvature_is_finite_not_overflowed():
+    # Near 2^250 on the search range, (1 + R_t^2 + g^2)^2 stays finite, and
+    # K at (6.5, 3.5) is a normal float, correctly rounded but for a few
+    # ulps.  At 1e154, now refused, K was nan (inf / inf) with overflow
+    # and invalid warnings (errors under this suite's filterwarnings).
     domain, zero = Rectangle(6.0, 7.0, 0.2, 3.5), (0.0,) * 5
-    report = certify_hadamard(RiskField((0.0,) * 4 + (1e154,), zero, domain))
+    with pytest.raises(ValueError, match="outside the supported range"):
+        RiskField((0.0,) * 4 + (1e154,), zero, domain)
+    a, t, c = (0.0,) * 4 + (4.3e70,), 6.5, 3.5
+    report = certify_hadamard(RiskField(a, zero, domain))
     assert math.isfinite(report.max_curvature_on_domain)
     assert report.max_curvature_on_domain <= 0.0 and report.is_hadamard
-    # At 1e80, K is a normal float; unscaled, it read -0.0.
-    a, t, c = (0.0,) * 4 + (1e80,), 6.5, 3.5
     got = gaussian_curvature(RiskField(a, zero, domain), t, c)
     g, q = Fraction(a[4]) * Fraction(t) ** 4, 4 * Fraction(a[4]) * Fraction(t) ** 3
     want = -q * q / (1 + (Fraction(c) * q) ** 2 + g * g) ** 2

@@ -15,7 +15,6 @@ from mehgrisk.polynomial import (
     Polynomial,
     bisect_root,
     common_roots,
-    count_roots,
     isolate_roots,
     real_roots,
     sturm_sequence,
@@ -100,7 +99,7 @@ def test_sturm_root_count_matches_numpy():
             if abs(r.imag) < 1e-9 and -10 < r.real <= 10
         )
         chain = sturm_sequence(p)
-        assert count_roots(chain, -10.0, 10.0) == len(real)
+        assert len(isolate_roots(chain, -10.0, 10.0)) == len(real)
 
 
 def test_isolated_brackets_contain_one_root_each():
@@ -231,7 +230,7 @@ def test_planted_roots_are_found_once(planted, ends):
     found = real_roots(p, a, b)
     assert len(found) == len(want)
     assert all(abs(x - y) <= ROOT_TOL for x, y in zip(found, want))
-    assert count_roots(sturm_sequence(p), a, b) == sum(x > a for x in want)
+    assert len(isolate_roots(sturm_sequence(p), a, b)) == sum(x > a for x in want)
 
 
 def test_import_loads_no_fractions_or_decimal(fresh_python):

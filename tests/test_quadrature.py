@@ -297,17 +297,19 @@ def test_simpson_mean_allocates_no_grid():
 
 
 def test_means_stay_finite_on_a_wide_concentration_range():
-    # c in [0, 1e300] with a = 0, so R = h(t) and the mean is h's mean
-    # over the stages.  mean_risk used to square the c bounds and raise
-    # OverflowError; numpy warnings fail tests here, so none is raised.
+    # c in [0, 1e75], near the 2^250 a field's c range may reach, with
+    # a = 0, so R = h(t) and the mean is h's mean over the stages; numpy
+    # warnings fail tests here, so none is raised.  mean_risk used to
+    # square the c bounds and raise OverflowError on c in [0, 1e300],
+    # which is refused now.
     h_only = RiskField((0.0,) * 5, published_field().b,
-                       Rectangle(1.0, 5.0, 0.0, 1e300))
+                       Rectangle(1.0, 5.0, 0.0, 1e75))
     want = published_field().h.integrate(1.0, 5.0) / 4.0
     assert math.isclose(mean_risk(h_only), want, rel_tol=1e-14)
     assert math.isclose(mean_risk_simpson(h_only), want, rel_tol=1e-9)
-    # A small slope over the same range: R reaches about 1e292.
+    # A small slope over the same range: R reaches about 1e67.
     wide = RiskField((1e-8, 0.0, 0.0, 0.0, 0.0), published_field().b,
-                     Rectangle(1.0, 5.0, 0.0, 1e300))
+                     Rectangle(1.0, 5.0, 0.0, 1e75))
     mean = mean_risk(wide)
     assert math.isfinite(mean)
     assert math.isclose(mean_risk_simpson(wide), mean, rel_tol=1e-12)

@@ -286,12 +286,7 @@ def _reference_curvature_svg(field) -> str:
         t_lo + i * (t_hi - t_lo) / PROFILE_SAMPLES
         for i in range(PROFILE_SAMPLES + 1)
     ]
-    qs = [q(t) for t in ts]
-    # q(t)**2 overflows a float once |q| passes about 1.3e154, so q is
-    # scaled by 2**-k first, with k = 0 unless max |q| passes 2**500; a
-    # power of two scales exactly, and the y label carries 2**(2k).
-    k = max(0, math.frexp(max(map(abs, qs)))[1] - 500)
-    ks = [-(math.ldexp(v, -k) ** 2) for v in qs]
+    ks = [-(q(t) ** 2) for t in ts]
     lo = min(ks)
     world = Rectangle(t_lo, t_hi, lo * 1.05 if lo < 0 else -1.0, max(0.5, -lo * 0.05))
     canvas = _Canvas(world, "Curvature numerator -(q(t))² and its zero stages")
@@ -300,7 +295,7 @@ def _reference_curvature_svg(field) -> str:
     for t in field.g_prime_roots:
         canvas.line(t, world.c_min, t, world.c_max, "#d62728", 1.0, "5 4")
         canvas.text(canvas.x(t), MARGIN_T + 14, f"t={t:.2f}", size=10, color="#d62728")
-    canvas.axes("stage t", f"k(t) / 2^{2 * k}" if k else "k(t)", ages=False)
+    canvas.axes("stage t", "k(t)", ages=False)
     return canvas.render()
 
 
@@ -311,18 +306,17 @@ def _written_svg(write, *args) -> str:
         return path.read_text()
 
 
+# On worlds(), where |t| and |c| stay within 1e4, coefficients within 1e54
+# keep every field under RiskField's bound of 2^250, so none is refused.
 big_coefficient = st.floats(-1e3, 1e3) | st.sampled_from(
-    (0.0, -0.0, 1e-16, -3e-16, 1e152, -1e160))
+    (0.0, -0.0, 1e-16, -3e-16, 1e50, -1e54))
 
 
 @st.composite
 def fields(draw):
-    """Fields on worlds() that RiskField accepts, some with |q| past 2^500."""
+    """Fields on worlds(), some with slopes near RiskField's bound."""
     a, b = (draw(st.tuples(*[big_coefficient] * 5)) for _ in "ab")
-    try:
-        return RiskField(a, b, draw(worlds()))
-    except ValueError:
-        reject()
+    return RiskField(a, b, draw(worlds()))
 
 
 SQUARE = Rectangle(-1.0, 1.0, -1.0, 1.0)
@@ -332,13 +326,8 @@ ONE_FLAT_ARROW = RiskField((0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 1e-16, 0.0, 0.0, 0.0
 # below 1e-15 and np.hypot(dt, dc) at 1e-15 or above.
 FLAT = RiskField((2.383528979773194e-16, 0.0, 0.0, 0.0, 0.0),
                  (0.0, 9.711786118041385e-16, 0.0, 0.0, 0.0))
-# q = 4e152 t^3 passes 2^500 on the search range: the profile is scaled.
-STEEP = RiskField((0.0, 0.0, 0.0, 0.0, 1e152), (0.0,) * 5)
-# q = 2A t is at its largest at the last stage, 49.80201247111327 as
-# t_lo + 400 (t_hi - t_lo)/400 but t_hi = 49.80201247111328 from np.linspace,
-# and 2^500 lies between 2A times the two: only the second is scaled.
-AT_THE_SCALE = RiskField((0.0, 0.0, 3.2864039478272193e+148, 0.0, 0.0), (0.0,) * 5,
-                         Rectangle(1.0, 49.80201247111328, 0.2, 3.5))
+# The field's bound on the search range is within 1% of 2^250.
+STEEP = RiskField((0.0, 0.0, 0.0, 0.0, 7.9e70), (0.0,) * 5)
 
 
 def test_flow_and_curvature_examples_reach_the_cases_they_name():
@@ -346,10 +335,9 @@ def test_flow_and_curvature_examples_reach_the_cases_they_name():
     arrows = [_written_svg(flow_portrait_svg, f, ()).count('"#999999"') // 2
               for f in (ONE_FLAT_ARROW, FLAT)]
     assert arrows == [ARROW_GRID**2 - 1, 0]
-    assert "k(t) / 2^" in _written_svg(curvature_profile_svg, STEEP)
-    assert "k(t) / 2^" not in _written_svg(curvature_profile_svg, AT_THE_SCALE)
-    assert 2.0**500 <= AT_THE_SCALE.g_prime(49.80201247111328)
-    assert AT_THE_SCALE.g_prime(49.80201247111327) < 2.0**500
+    # STEEP is at the bound: 3% more c range is past it.
+    with pytest.raises(ValueError, match="outside the supported range"):
+        STEEP.with_domain(Rectangle(1.0, 5.0, 0.2, 3.6))
 
 
 @settings(max_examples=150, deadline=None)
@@ -364,7 +352,6 @@ def test_flow_portrait_matches_scalar_arrow_loop(field):
 @settings(max_examples=150, deadline=None)
 @given(field=fields())
 @example(field=STEEP)
-@example(field=AT_THE_SCALE)
 @example(field=FLAT)
 def test_curvature_profile_matches_scalar_profile(field):
     # A field whose roots of q the search refuses gets the same error.
