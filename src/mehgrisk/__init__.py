@@ -37,7 +37,6 @@ from .fieldfit import (
     RiskField,
     RiskTable,
     build_field,
-    field_from_coefficient_rows,
     interpolate,
     published_field,
     regress_linear,
@@ -75,7 +74,6 @@ __all__ = [
     "consumption_limit_kg_per_day",
     "consumption_limit_meals_per_month",
     "exposure_factor",
-    "field_from_coefficient_rows",
     "flow",
     "gaussian_curvature",
     "interpolate",

@@ -138,10 +138,11 @@ def certify_no_critical_points(field: RiskField) -> CriticalPointCertificate:
     min_val, min_at = float(values[first_min]), candidates[first_min]
 
     # grad R vanishes all along t = t0 where g, g' and h' share the root
-    # t0: decided exactly, by their integer gcd, then matched to the
-    # nearest root of g.  Elsewhere g' != 0 and c* = -h'/g' is one point.
-    lines = {min(roots, key=lambda t: abs(t - s))
-             for s in common_roots([g, gp, hp], dom.t_min, dom.t_max)}
+    # t0: decided exactly, by their integer gcd, built only when g has a
+    # root in range, then matched to the nearest root of g.  Elsewhere
+    # g' != 0 and c* = -h'/g' is one point.
+    shared = common_roots([g, gp, hp], dom.t_min, dom.t_max) if roots else ()
+    lines = {min(roots, key=lambda t: abs(t - s)) for s in shared}
     stages = [t_star for t_star in roots if t_star in lines]
     points: list[tuple[float, float]] = []
     for t_star in roots:

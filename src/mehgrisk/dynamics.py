@@ -230,29 +230,10 @@ def check_no_recurrence(
     A segment that is not finite, or too short, has the direction NaN,
     which ends the tail there.
 
-    Each row below i0 gallops along the path instead of reading every
-    later sample.  Let s_k be the prefix sums of the computed segment
-    lengths.  A row reads d2 at its sample m > i, with D = sqrt(d2), and
-    moves on to the first k > m with s_k >= s_m + reach, where reach is
-    r - D - slack while the row has not left the ball and D - r - slack
-    once it has.  By the triangle inequality every later sample k lies
-    within the path length s_k - s_m of distance D from sample i.  So no
-    skipped sample leaves the ball while the row is inside it, and none
-    comes back once the row is out.  The slack,
-    4(n + 8)u (s_(n-1) + r + D) + 2**-530, covers the rounding between
-    the computed and the exact quantities: the prefix sums err by at most
-    about 2(n + 4)u s_(n-1), D and r by a few u of themselves, and an
-    underflowing d2 by at most the smallest subnormal, which moves D by
-    at most 2**-537.  A non-finite reach, from an overflowing d2, r2 or
-    path length, moves the row by one sample.
-
-    The first pass reads each segment a fixed number of times.  Every
-    gallop pass moves each row by at least one sample and a row retires
-    past the last sample, so there are at most n - 1 passes, over a few
-    arrays of at most i0 rows.  A path
-    that moves on or stalls takes a few passes; one that circles within
-    the radius moves its rows a few samples per pass, and costs up to
-    O(n^2) distances.
+    Each row below i0 is decided by the definition above, from its d2 to
+    every later sample: it costs O(n) distances in O(n) memory, so a path
+    that turns by more than a right angle near its start costs up to
+    O(n^2).
     """
     radius = _arg("radius", _positive, radius)
     pts = trajectory.samples[:, 1:3].T
@@ -266,26 +247,12 @@ def check_no_recurrence(
     r = math.sqrt(r2)
     with np.errstate(over="ignore", invalid="ignore"):
         i0 = _settled_from(pts, r)
-        if not i0:
-            return True
-        seg = np.hypot(np.diff(ts), np.diff(cs))
-        s = np.concatenate(([0.0], np.cumsum(seg)))
-        tol = 4.0 * (n + 8) * 2.0**-53
-        base = tol * (s[-1] + r) + 2.0**-530
-        row = np.arange(min(i0, n - 2))
-        m = row + 1
-        out = np.zeros(len(row), dtype=bool)
-        while len(row):
-            d2 = (ts[m] - ts[row]) ** 2 + (cs[m] - cs[row]) ** 2
-            if np.any(out & (d2 < r2)):
+        for i in range(min(i0, n - 2)):
+            d2 = (ts[i + 1:] - ts[i]) ** 2 + (cs[i + 1:] - cs[i]) ** 2
+            out = d2 > r2
+            first = out.argmax()
+            if out[first] and (d2[first + 1:] < r2).any():
                 return False
-            out |= d2 > r2
-            dist = np.sqrt(d2)
-            reach = np.where(out, dist - r, r - dist) - (base + tol * dist)
-            jump = np.searchsorted(s, s[m] + reach)
-            m = np.where(np.isfinite(reach), np.maximum(m + 1, jump), m + 1)
-            live = m < n
-            row, m, out = row[live], m[live], out[live]
     return True
 
 

@@ -374,10 +374,12 @@ class RiskField:
                                                + abs(self.b[k]))
         top = max(bound, t_top, c_top)
         if top > MAX_MAGNITUDE:
+            reach = (f"its values, slopes or bounds may reach {top:.3g}"
+                     if top < math.inf else
+                     "the bound on its values and slopes passes the float range")
             raise ValueError(
-                f"field outside the supported range: its values, slopes or "
-                f"bounds may reach {top:.3g} on its search range and c range, "
-                f"past 2^250 = {MAX_MAGNITUDE:.3g}")
+                f"field outside the supported range: {reach} on its search "
+                f"range and c range, past 2^250 = {MAX_MAGNITUDE:.3g}")
         g, h = Polynomial(self.a), Polynomial(self.b)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)
@@ -559,33 +561,13 @@ def _json_text(value, indent: str) -> str:
 
 
 def build_field(table: RiskTable) -> RiskField:
-    """Interpolate each concentration row, then regress per power of t."""
+    """Interpolate each concentration row, then regress the coefficients
+    of each power of t on the concentrations."""
     if len(table.concentrations) < 2:
         raise ValueError("need at least two concentrations to regress")
-    rows = tuple(
-        interpolate(table.nodes, row).coefficients for row in table.values
-    )
-    return field_from_coefficient_rows(table.concentrations, rows)
-
-
-def field_from_coefficient_rows(
-    concentrations: tuple[float, ...],
-    rows: tuple[tuple[float, ...], ...],
-) -> RiskField:
-    """Regress already-interpolated coefficient rows (ascending powers)."""
-    if len(rows) != len(concentrations):
-        raise ValueError("one coefficient row required per concentration")
-    for row in rows:
-        if len(row) != NODE_COUNT:
-            raise ValueError("each row needs five ascending coefficients")
-    a = []
-    b = []
-    for k in range(NODE_COUNT):
-        ys = tuple(row[k] for row in rows)
-        slope, intercept = regress_linear(concentrations, ys)
-        a.append(slope)
-        b.append(intercept)
-    return RiskField(tuple(a), tuple(b))
+    rows = (interpolate(table.nodes, row).coefficients for row in table.values)
+    a, b = zip(*(regress_linear(table.concentrations, ys) for ys in zip(*rows)))
+    return RiskField(a, b)
 
 
 # Published field constants (ascending powers of t).  dR/dc at t = 1 sums

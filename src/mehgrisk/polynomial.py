@@ -23,16 +23,14 @@ ROOT_TOL = 1e-10
 
 def _horner(coefficients, x, out=None):
     """Polynomial.__call__ on coefficients ascending by power.  With `out`
-    of shape (k, n) they may be (k, 1) columns: k polynomials evaluated at
-    once, one to a row of out, each row with the bits of its own chain."""
+    of shape (k, n), and at least two coefficients, they may be (k, 1)
+    columns: k polynomials evaluated at once, one to a row of out, each
+    row with the bits of its own chain."""
     acc, *rest = reversed(coefficients)
-    if out is not None and rest:
+    if out is not None:
         # x * top is top * x, bit for bit: one pass instead of fill, *=.
         acc = np.multiply(x, acc, out=out)
         acc += rest.pop(0)
-    elif out is not None:
-        out[...] = acc
-        acc = out
     for c in rest:
         acc *= x   # a float times an array is a new array
         acc += c
@@ -75,11 +73,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return self.degree < 0
 
-    def __call__(self, x, out=None):
+    def __call__(self, x):
         """Horner's rule from the top coefficient: acc = acc * x + c_k, for
-        a float x or, in place in a new array or in `out` (a float array of
-        x's shape, returned), for each element of an array x."""
-        return _horner(self.coefficients, x, out)
+        a float x or, in place in a new array, for each element of an
+        array x."""
+        return _horner(self.coefficients, x)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coefficients))

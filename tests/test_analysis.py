@@ -690,6 +690,25 @@ def test_report_searches_each_polynomial_once(monkeypatch, tmp_path):
     assert len(calls) == len(set(calls)) == 16
 
 
+def test_certificate_builds_the_gcd_only_for_a_slope_root(monkeypatch):
+    # The exact gcd of g, g' and h' only filters the roots of g; it used
+    # to be built on every call, also with no root of g in the stage range.
+    calls = []
+    gcd = analysis.common_roots
+
+    def counted(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(analysis, "common_roots", counted)
+    assert not certify_no_critical_points(published_field()).has_critical_points
+    assert calls == []
+    cert = certify_no_critical_points(
+        RiskField((-3.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, -0.5, 0.0, 0.0)))
+    assert cert.has_critical_points and len(cert.slope_roots) == 1
+    assert len(calls) == 1
+
+
 def _sub_domains():
     """Stage and concentration ranges inside [0.5, 8] x [-1, 5]."""
     return st.builds(

@@ -794,6 +794,9 @@ def test_overflowing_field_writes_nothing(command, value, tmp_path, fresh_python
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: {path}: field outside the supported range: ")
     assert proc.stderr.endswith(", past 2^250 = 1.81e+75\n")
+    if value == 1e308:   # the bound itself passes the float range
+        assert "inf" not in proc.stderr
+        assert "passes the float range" in proc.stderr
     assert not out.exists()
 
 
@@ -1197,8 +1200,8 @@ def test_grid_bound(tmp_path, capsys):
 
 
 def test_flow_max_steps_bound(tmp_path, fresh_python):
-    # Each kept sample holds about 176 B, so the bound is checked before
-    # any work.  The built-in field's flows leave its domain within a few
+    # Each kept sample holds 32 B, about 89 B at peak while the
+    # trajectory is built, so the bound is checked before any work.  The built-in field's flows leave its domain within a few
     # thousand steps of the default size, so even a missing bound would
     # allocate nothing of the bound's size here.
     too_many = cli.MAX_FLOW_STEPS + 1

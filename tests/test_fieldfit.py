@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from mehgrisk.analysis import level_curves, mean_risk, mean_risk_simpson, risk_region_area
 from mehgrisk.geometry import build_geometry_report
+from mehgrisk.polynomial import Polynomial
 from mehgrisk.svgplot import curvature_profile_svg
 from mehgrisk.fieldfit import (
     DEFAULT_NODES,
@@ -27,7 +28,6 @@ from mehgrisk.fieldfit import (
     RiskField,
     RiskTable,
     build_field,
-    field_from_coefficient_rows,
     from_json_data,
     interpolate,
     published_field,
@@ -175,8 +175,13 @@ def test_build_field_single_concentration_errors():
 
 
 def test_field_from_published_rows_matches_field_constants():
-    concs = tuple(COEFF_ROWS)
-    field = field_from_coefficient_rows(concs, tuple(COEFF_ROWS.values()))
+    # The published quartics read at the stage nodes make a table whose
+    # fit regresses their rows to the published concentration laws.
+    values = tuple(
+        tuple(Polynomial(row)(t) for t in DEFAULT_NODES)
+        for row in COEFF_ROWS.values()
+    )
+    field = build_field(RiskTable(tuple(COEFF_ROWS), DEFAULT_NODES, values))
     for k, (slope, intercept) in enumerate(PUBLISHED_LINES):
         assert abs(field.a[k] - slope) < 0.02
         assert abs(field.b[k] - intercept) < 0.02

@@ -31,18 +31,17 @@ def test_evaluation_matches_numpy():
         assert math.isclose(p(x), expected, rel_tol=1e-12, abs_tol=1e-12)
 
 
-def test_array_evaluation_fills_out_in_place():
-    # Over an array the Horner chain runs in the caller's buffer and
-    # returns it, with the bits of the scalar calls; a constant fills it.
+def test_array_evaluation_rounds_as_the_scalar_calls():
+    # Over an array the Horner chain runs in a new array, with the bits of
+    # the scalar calls, and leaves x as it was; a constant is its one
+    # coefficient, sign and all.
     ts = np.array([-2.0, -0.0, 0.5, 3.0, np.inf])
+    before = ts.tobytes()
     p = Polynomial((1.0, -2.0, 0.5))
-    buf = np.full_like(ts, np.nan)
-    assert p(ts, out=buf) is buf
-    assert buf.tobytes() == np.array([p(t) for t in ts.tolist()]).tobytes()
-    assert p(ts).tobytes() == buf.tobytes()
-    const = Polynomial((-0.0,))
-    assert const(ts, out=buf) is buf
-    assert buf.tobytes() == np.full_like(ts, -0.0).tobytes()
+    assert p(ts).tobytes() == np.array([p(t) for t in ts.tolist()]).tobytes()
+    assert ts.tobytes() == before
+    const = Polynomial((-0.0,))(ts)
+    assert const == 0.0 and math.copysign(1.0, const) == -1.0
 
 
 def test_degree_ignores_trailing_zeros():

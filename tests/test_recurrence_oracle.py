@@ -5,8 +5,12 @@ it computes the squared distance to every later sample, finds the first
 one beyond the radius and fails if any sample after that comes back
 strictly inside it.  The package's check_no_recurrence first settles the
 tail of rows after which the path turns by less than a right angle, with
-no distance read, then gallops the other rows along the path by path
-length.  It must return the reference's boolean on every trajectory.
+no distance read, then checks each row before that tail as the
+reference does.  It must return the reference's boolean on every
+trajectory, so the tests here hold the settled tail to the definition.
+Where a comment below says that a row gallops, or names the path length
+a row skips by, it names a case built for an earlier witness that
+skipped samples by path length; each such row is read in full.
 The tests of the settled tail read its first row from
 dynamics._settled_from, so they also fail if the tail stops covering
 the rows it should: every row of a flow on the published field, and
