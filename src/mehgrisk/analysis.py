@@ -28,15 +28,13 @@ from .polynomial import ROOT_TOL, _horner, common_roots, real_roots
 CHORD_CHECKS = 15
 REFINE_ROUNDS = 20
 REFINE_ROOM = 16
-# Draws per Monte Carlo chunk of a slice counted alone, and of each of two
-# slices counted at once.  A chunk takes 18 numpy calls, and the two
+# Draws per Monte Carlo chunk.  A chunk takes 18 numpy calls, and two
 # threads contend for the GIL between them, so larger chunks run faster.
-# Medians of 10^6 samples (2-vCPU Xeon): one slice 13.6, 12.1, 11.4 and
-# 11.3 ms at 2^13..2^16; two slices 10.3, 11.1, 9.0 and 7.8 ms at 2^14,
-# 5 * 2^12, 3 * 2^13 and 2^15.  A slice holds 25 B a draw, so 3 * 2^13
-# keeps two of them within 1.25 MiB.
-MC_CHUNK = 2**15
-MC_PAIR_CHUNK = 3 * 2**13
+# Medians of 10^6 samples (2-vCPU Xeon): two slices 10.3, 11.1, 9.0 and
+# 7.8 ms at 2^14, 5 * 2^12, 3 * 2^13 and 2^15; one slice, which counts at
+# most MC_SPLIT samples where two CPUs are free, ran as fast at 3 * 2^13
+# as at 2^15.  A slice holds 25 B a draw, so two stay within 1.25 MiB.
+MC_CHUNK = 3 * 2**13
 # Samples above which a second thread counts half of them.  It takes about
 # 0.12 ms to start and join: two slices were 33% slower than one at
 # 5 * 10^4 samples and 12-28% faster from 10^5 to 5 * 10^5, but moving
@@ -247,11 +245,11 @@ def _cpus() -> int:
 
 
 def _slice_hits(field: RiskField, threshold: float, seed: int, samples: int,
-                lo: int, hi: int, chunk: int) -> int:
+                lo: int, hi: int) -> int:
     """The hits among the sample indices [lo, hi): t draws lo.. of
     ``default_rng(seed)`` with c draws samples + lo.., from two generators
-    jumped ahead to them, streamed in chunks of `chunk` through one draw
-    buffer, one (2, chunk) buffer for g and h and one bool buffer, each
+    jumped ahead to them, streamed in chunks of `MC_CHUNK` through one draw
+    buffer, one (2, MC_CHUNK) buffer for g and h and one bool buffer, each
     allocated once."""
     dom = field.domain
     t_rng, c_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -260,7 +258,7 @@ def _slice_hits(field: RiskField, threshold: float, seed: int, samples: int,
     # g and h as one Horner chain over the rows of gh: half the numpy
     # calls, and so half the GIL hand-offs, of two chains.
     columns = np.array((field.g.coefficients, field.h.coefficients)).T[..., None]
-    n = min(hi - lo, chunk)
+    n = min(hi - lo, MC_CHUNK)
     x, gh = np.empty(n), np.empty((2, n))
     hit = np.empty(n, dtype=bool)
     hits = 0
@@ -293,9 +291,9 @@ def monte_carlo_region_area(
     a generator jumps ahead to any output in O(log n), so the sample splits
     into slices of contiguous indices that count their hits apart.  With
     two CPUs and more than `MC_SPLIT` samples, a second thread counts the
-    upper half in chunks of `MC_PAIR_CHUNK` while the caller counts the
-    lower half; else one slice streams chunks of `MC_CHUNK`.  Hits are whole
-    numbers, so the result is the same whatever the split, and memory
+    upper half while the caller counts the lower half; else one slice
+    counts them all.  Each slice streams chunks of `MC_CHUNK`.  Hits are
+    whole numbers, so the result is the same whatever the split, and memory
     stays fixed whatever `samples` is.
     """
     samples = _arg("samples", _count(1), samples)
@@ -303,7 +301,7 @@ def monte_carlo_region_area(
     seed = _arg("seed", _count(0), seed)
     count = functools.partial(_slice_hits, field, threshold, seed, samples)
     if samples <= MC_SPLIT or _cpus() < 2:
-        hits = count(0, samples, MC_CHUNK)
+        hits = count(0, samples)
     else:
         # numpy's errstate is a context variable, which a new thread does
         # not inherit; the worker's exception is raised here.
@@ -312,14 +310,14 @@ def monte_carlo_region_area(
 
         def count_upper_half():
             try:
-                box.append(context.run(count, half, samples, MC_PAIR_CHUNK))
+                box.append(context.run(count, half, samples))
             except BaseException as exc:
                 box.append(exc)
 
         worker = threading.Thread(target=count_upper_half)
         worker.start()
         try:
-            hits = count(0, half, MC_PAIR_CHUNK)
+            hits = count(0, half)
         finally:
             worker.join()
         if isinstance(box[0], BaseException):

@@ -15,6 +15,7 @@ import csv
 import os
 import sys
 from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
@@ -76,11 +77,19 @@ class RunConfig:
             raise ValueError("choose either --paper-dataset or --input, not both")
 
 
-def _comma_numbers(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
+def _flag_number(text: str):
+    """A flag's text as an int, else a float, else as text for its check to refuse."""
+    for parse in (int, float):
+        with suppress(ValueError):
+            return parse(text)
+    return text
 
 
-def _comma_pairs(text: str) -> list[list[float]]:
+def _comma_numbers(text: str) -> list:
+    return [_flag_number(x) for x in text.split(",")]
+
+
+def _comma_pairs(text: str) -> list[list]:
     values = _comma_numbers(text)
     return [values[i:i + 2] for i in range(0, len(values), 2)]
 
@@ -124,10 +133,11 @@ OPTIONS = {opt.key: opt for opt in (
            read=lambda v: Rectangle(*_list(_number, 4)(v))),
     Option("levels", _levels, "--levels", _comma_numbers,
            "contour levels L1,L2,..."),
-    Option("threshold", _finite, "--threshold", float, "risk threshold"),
-    Option("grid", _count(16, MAX_GRID), "--grid", int,
+    Option("threshold", _finite, "--threshold", _flag_number, "risk threshold"),
+    Option("grid", _count(16, MAX_GRID), "--grid", _flag_number,
            "contour grid resolution", read=_integer),
-    Option("seed", _count(0), "--seed", int, "Monte Carlo seed", read=_integer),
+    Option("seed", _count(0), "--seed", _flag_number, "Monte Carlo seed",
+           read=_integer),
     Option("out", _path, "--out", help="output directory", read=_string),
     Option("flow_starts", _list(_list(_finite, 2)), "--starts", _comma_pairs,
            "flow start points t1,c1,t2,c2,...", ("flow", "report")),

@@ -82,27 +82,13 @@ def certify_hadamard(field: RiskField) -> CurvatureReport:
 
     The sign is structural: the curvature numerator is -(q(t))^2.  The
     report still carries the largest K over the field's domain: 0 exactly
-    when a root of q falls inside the stage range, otherwise the largest
-    value on a dense stage grid.
+    when q is zero or has a root inside the stage range, otherwise the
+    largest value on a dense stage grid.
     """
-    dom = field.domain
-    loci = _loci(field)
-    if field.g_prime.is_zero():
-        return CurvatureReport(
-            max_curvature_on_domain=0.0,
-            zero_loci=(),
-            is_hadamard=True,
-            curvature_identically_zero=True,
-        )
-    if any(dom.t_min <= locus.stage <= dom.t_max for locus in loci):
-        max_k = 0.0
-    else:
-        max_k = _max_curvature_affine(field)
-    return CurvatureReport(
-        max_curvature_on_domain=max_k,
-        zero_loci=loci,
-        is_hadamard=max_k <= 0.0,
-    )
+    loci, flat = _loci(field), field.g_prime.is_zero()
+    zero = flat or any(locus.in_domain for locus in loci)
+    max_k = 0.0 if zero else _max_curvature_affine(field)
+    return CurvatureReport(max_k, loci, max_k <= 0.0, flat)
 
 
 def build_geometry_report(field: RiskField) -> dict:

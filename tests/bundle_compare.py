@@ -11,7 +11,11 @@ booleans and nulls, and floats whose relative difference
 keys both documents have are compared even where the keys differ.  Any other file (CSV,
 SVG) is compared as text cut into numbers and the text between them; the
 text must be equal, a number written without a point or an exponent is an
-integer, and the other numbers are floats.
+integer, and the other numbers are floats.  SVG coordinates are printed
+with two decimals, which a relative tolerance misreads, so in an SVG file
+two floats that are both printed with at most two decimals match when
+they differ by at most one unit in the last place, 0.01, whatever the
+tolerance; the others are held to it.
 
 The report prints one line per key whose floats differ, with the largest
 difference there and the two values it was found between, and one line
@@ -33,6 +37,7 @@ from pathlib import Path
 
 DEFAULT_REL_TOL = 1e-9
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+TWO_PLACES = re.compile(r"-?\d+\.\d{0,2}")
 
 
 @dataclass
@@ -43,13 +48,16 @@ class Comparison:
     mismatches: list[str] = field(default_factory=list)
     largest: dict[str, tuple[float, float, float]] = field(default_factory=dict)
 
-    def floats(self, key: str, old: float, new: float) -> None:
+    def floats(self, key: str, old: float, new: float, places: bool = False) -> None:
+        """Record the difference; with places, both were printed with at
+        most two decimals and match within 0.01, counted in hundredths."""
         scale = max(abs(old), abs(new))
         rel = 0.0 if old == new else (
             abs(old - new) / scale if math.isfinite(scale) else math.inf)
         if rel > self.largest.get(key, (-1.0,))[0]:
             self.largest[key] = (rel, old, new)
-        if rel > self.rel_tol:
+        if (abs(round(old * 100) - round(new * 100)) > 1 if places
+                else rel > self.rel_tol):
             self.mismatches.append(f"{key}: {old!r} vs {new!r} (relative {rel:.3g})")
 
     def values(self, key: str, old, new) -> None:
@@ -80,9 +88,13 @@ class Comparison:
             self.mismatches.append(f"{key}: text differs outside its numbers "
                                    f"({len(old_nums)} numbers vs {len(new_nums)})")
             return
+        svg = key.endswith(".svg")
         for a, b in zip(old_nums, new_nums):
-            self.values(key, *(int(x) if x.lstrip("-").isdigit() else float(x)
-                               for x in (a, b)))
+            if svg and TWO_PLACES.fullmatch(a) and TWO_PLACES.fullmatch(b):
+                self.floats(key, float(a), float(b), places=True)
+            else:
+                self.values(key, *(int(x) if x.lstrip("-").isdigit() else float(x)
+                                   for x in (a, b)))
 
     def report(self) -> str:
         lines = [f"relative tolerance {self.rel_tol:g}"]

@@ -9,7 +9,7 @@ import pytest
 from bundle_compare import compare_bundles, main
 
 
-def bundle(path, analysis: dict, svg: str = '<svg><path d="M 1.5 2"/></svg>\n'):
+def bundle(path, analysis: dict, svg: str = '<svg><path d="M 1.50 2"/></svg>\n'):
     path.mkdir()
     (path / "analysis.json").write_text(json.dumps(analysis))
     (path / "plot.svg").write_text(svg)
@@ -64,18 +64,22 @@ def test_json_mismatches(edit, message, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "svg, ok",
+    "svg, rel_tol, ok",
     [
-        ('<svg><path d="M 1.5000000000001 2"/></svg>\n', True),
-        ('<svg><path d="M 1.6 2"/></svg>\n', False),
-        ('<svg><path d="M 1.5 3"/></svg>\n', False),
-        ('<svg><path d="L 1.5 2"/></svg>\n', False),
+        ('<svg><path d="M 1.5000000000001 2"/></svg>\n', 1e-9, True),
+        ('<svg><path d="M 1.6 2"/></svg>\n', 1e-9, False),
+        ('<svg><path d="M 1.5 3"/></svg>\n', 1e-9, False),
+        ('<svg><path d="L 1.5 2"/></svg>\n', 1e-9, False),
+        ('<svg><path d="M 1.51 2"/></svg>\n', 0.0, True),
+        ('<svg><path d="M 1.52 2"/></svg>\n', 0.0, False),
     ],
-    ids=["float-within", "float-beyond", "integer", "text"],
+    ids=["float-within", "float-beyond", "integer", "text",
+         "two-places-within", "two-places-beyond"],
 )
-def test_text_files_compare_numbers_and_text(svg, ok, tmp_path):
+def test_text_files_compare_numbers_and_text(svg, rel_tol, ok, tmp_path):
+    # The old bundle's SVG prints 1.50.
     result = compare_bundles(bundle(tmp_path / "old", BASE),
-                             bundle(tmp_path / "new", BASE, svg))
+                             bundle(tmp_path / "new", BASE, svg), rel_tol)
     assert (not result.mismatches) == ok, result.mismatches
 
 

@@ -409,6 +409,31 @@ def test_bad_domain_and_levels(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("analyze", "--grid=abc", "--grid: expected an integer, got 'abc'"),
+        ("analyze", "--grid=1.5", "--grid: expected an integer, got 1.5"),
+        ("analyze", "--seed=1.5", "--seed: expected an integer, got 1.5"),
+        ("analyze", "--seed=x", "--seed: expected an integer, got 'x'"),
+        ("analyze", "--threshold=x", "--threshold: expected a number, got 'x'"),
+        ("analyze", "--levels=1,x", "--levels[1]: expected a number, got 'x'"),
+        ("analyze", "--levels=1,", "--levels[1]: expected a number, got ''"),
+        ("analyze", "--domain=1,5,y,3.5", "--domain[2]: expected a number, got 'y'"),
+        ("flow", "--starts=2,1,3,z", "--starts[1][1]: expected a number, got 'z'"),
+    ],
+)
+def test_flag_text_that_is_not_a_number_exit_2(
+    command, flag, message, tmp_path, capsys
+):
+    # Such text used to surface Python's own parse error, as in "--grid:
+    # invalid literal for int() with base 10: 'abc'".
+    out = tmp_path / "out"
+    assert run(command, "--paper-dataset", flag, "--out", str(out)) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flag",
     [
         "--threshold=nan", "--threshold=inf", "--levels=1,nan", "--levels=-inf",

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from mehgrisk import analysis
 from mehgrisk.analysis import (
     MC_CHUNK,
-    MC_PAIR_CHUNK,
     MC_SPLIT,
     RegionArea,
     _uniform_into,
@@ -72,9 +71,9 @@ def _assert_same(field, domain, threshold, samples, seed):
 
 
 # One slice up to MC_SPLIT samples, two above it: here halves of about
-# MC_SPLIT / 2 and of six MC_PAIR_CHUNK chunks.
+# MC_SPLIT / 2 and of six MC_CHUNK chunks.
 SAMPLE_COUNTS = (1, 1000, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 100_003) + tuple(
-    n + d for n in (MC_SPLIT, 12 * MC_PAIR_CHUNK) for d in (-1, 0, 1)
+    n + d for n in (MC_SPLIT, 12 * MC_CHUNK) for d in (-1, 0, 1)
 )
 SIGN_CHANGING = RiskField((-3.0, 1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0))
 SUBDOMAIN = Rectangle(2.0, 3.5, 0.5, 2.0)
@@ -143,25 +142,34 @@ def test_sweep_sizes_match_reference_on_one_and_two_threads(monkeypatch, samples
     _assert_same(SWEEP_LIKE, None, 1.0, samples, 5)
 
 
-def test_memory_does_not_grow_with_samples():
-    # The reference holds 2 x 8 MB of draws at 10^6 samples.  The stream
-    # allocates, once per slice, one float chunk for the draws, a (2, n)
-    # float chunk for g and h, and one bool chunk: 25 B a sample.  Two
-    # slices of MC_PAIR_CHUNK = 3 x 2^13 peaked at 1,240,112 B traced
-    # (one slice of MC_CHUNK = 2^15 at 824,056 B); fresh arrays per chunk
-    # peaked at 1.50 MiB.
+def _traced_peak():
+    """The traced peak of a count of 10^6 samples after a warm-up count."""
     field = published_field()
     monte_carlo_region_area(field, samples=1000)
     tracemalloc.start()
     try:
         monte_carlo_region_area(field, samples=10**6)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 8 * MC_CHUNK
 
 
-@pytest.mark.parametrize("samples", (MC_SPLIT + 1, 12 * MC_PAIR_CHUNK + 1, 10**6))
+def test_memory_does_not_grow_with_samples():
+    # The reference holds 2 x 8 MB of draws at 10^6 samples.  The stream
+    # allocates, once per slice, one float chunk for the draws, a (2, n)
+    # float chunk for g and h, and one bool chunk: 25 B a sample.  Two
+    # slices of MC_CHUNK = 3 x 2^13 peaked at 1,241,768 B traced; fresh
+    # arrays per chunk peaked at 1.50 MiB.
+    assert _traced_peak() < 1_310_720
+
+
+def test_one_slice_memory_does_not_grow_with_samples(monkeypatch):
+    # One slice of MC_CHUNK peaked at 619,248 B traced at 10^6 samples.
+    monkeypatch.setattr(analysis, "_cpus", lambda: 1)
+    assert _traced_peak() < 5 * 8 * MC_CHUNK
+
+
+@pytest.mark.parametrize("samples", (MC_SPLIT + 1, 12 * MC_CHUNK + 1, 10**6))
 def test_one_thread_gives_the_same_bits(monkeypatch, samples):
     field = SIGN_CHANGING.with_domain(SUBDOMAIN)
     threaded = monte_carlo_region_area(field, 1.0, samples, 3)

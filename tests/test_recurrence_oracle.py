@@ -8,10 +8,9 @@ tail of rows after which the path turns by less than a right angle, with
 no distance read, then checks each row before that tail as the
 reference does.  It must return the reference's boolean on every
 trajectory, so the tests here hold the settled tail to the definition.
-Where a comment below says that a row gallops, or names the path length
-a row skips by, it names a case built for an earlier witness that
-skipped samples by path length; each such row is read in full.
-The tests of the settled tail read its first row from
+A row before the settled tail is read in full: its squared distance to
+every later sample, as the reference computes it.  The tests of the
+settled tail read its first row from
 dynamics._settled_from, so they also fail if the tail stops covering
 the rows it should: every row of a flow on the published field, and
 the rows after the last turn of more than a right angle.
@@ -79,8 +78,8 @@ def paths(draw):
     """Random walks, walks with a planted return, and lattice walks.
 
     Lattice walks move in whole multiples of the radius from a dyadic
-    origin, so exact ties d2 == r2 occur, and path lengths equal the
-    distances the witness skips by.
+    origin, so exact ties d2 == r2 occur, and a sample's distance to a
+    later one can equal the path length between them.
     """
     radius = draw(st.sampled_from([0.05, 0.25, 0.5, 2.0]))
     origin = draw(st.sampled_from([0.0, 3.0, -7.5, -1024.0, 2.0**20]))
@@ -121,10 +120,10 @@ def test_ties_at_the_radius():
 
 
 def test_slack_covers_rounding():
-    # Out along a line to just past the radius, then back inside.  The
-    # exit is within rounding of the path length the witness may skip
-    # by: at unit scale through the prefix sums and D, and with a
-    # subnormal r2 through the rounding of d2 itself.
+    # Out along a line to just past the radius, then back inside, with
+    # the exit within rounding of the radius: at unit scale, and with a
+    # subnormal r2, where the rounding of d2 itself decides.  Each row is
+    # read in full, so the return is found as the reference finds it.
     unit = [
         (0.0, 0.0),
         (0.3467297731050402, 0.018833051919809614),
@@ -190,8 +189,8 @@ def test_extreme_scales(points, radius):
 
 
 def test_stalled_samples():
-    # Samples that never move have path length zero between them, so
-    # each row reaches past the whole stall in one step.
+    # Samples that never move are within the radius of each other, so a
+    # stall fails only if the path leaves it and comes back inside.
     still = [(3.0, 1.0)] * 2500
     assert _agree(still, 0.05)
     assert not _agree(still + [(3.2, 1.0), (3.01, 1.0)], 0.05)
@@ -286,7 +285,7 @@ def test_smooth_arcs_settle_below_a_right_angle(case):
         assert _settled(pts, radius) == 0
     elif turn > 0.51 * math.pi and bend <= 0.25 * math.pi:
         # Directions in steps of at most 45 degrees over more than a right
-        # angle fit in no arc of a right angle: row 0 gallops.
+        # angle fit in no arc of a right angle: row 0 is read in full.
         assert _settled(pts, radius) > 0
 
 
@@ -294,7 +293,8 @@ def test_smooth_arcs_settle_below_a_right_angle(case):
 @pytest.mark.parametrize("radius", [0.05, 0.5, 2.0])
 def test_straight_run_then_a_turn(corner, radius):
     # 40 segments east, then 25 at `corner` degrees: past a right angle,
-    # the rows before the corner gallop and the rows after it settle.
+    # the rows before the corner are read in full and the rows after it
+    # settle.
     turn = math.radians(corner)
     pts = _path([0.0] * 40 + [turn] * 25, 0.1, (1.5, -2.0))
     want = _agree(pts, radius)
@@ -339,7 +339,8 @@ def test_segments_at_the_rounding_bound(radius, factor, settles):
     dist = r + step * np.arange(-3, 4)
     pts = np.vstack([(0.0, 0.0), dist[:, None] * v])
     assert _agree(pts, radius)
-    # Short segments stop the tail at the last one: every row gallops.
+    # Short segments stop the tail at the last one: every row is read in
+    # full.
     assert _settled(pts, radius) == (0 if settles else len(pts) - 1)
     # The same steps turned back, one step out and one back in.
     back = np.vstack([pts, pts[-3:-1][::-1]])
