@@ -24,10 +24,13 @@ from .polynomial import ROOT_TOL, _horner, common_roots, real_roots
 
 # Level-curve chords are checked against c* at CHORD_CHECKS evenly spaced
 # interior points each, and one that fails is halved, for at most
-# REFINE_ROUNDS rounds and REFINE_ROOM new vertices a grid sample.
+# REFINE_ROUNDS rounds and REFINE_ROOM new vertices a grid sample; when
+# not all fit, the worst that do.  A graph beside a pole just off the
+# domain (tests/test_analysis.py's example at grid 121) needs 18: 16 left
+# a chord 1.24 eps from c*.
 CHORD_CHECKS = 15
 REFINE_ROUNDS = 20
-REFINE_ROOM = 16
+REFINE_ROOM = 18
 # Draws per Monte Carlo chunk.  A chunk takes 18 numpy calls, and two
 # threads contend for the GIL between them, so larger chunks run faster.
 # Medians of 10^6 samples (2-vCPU Xeon): two slices 10.3, 11.1, 9.0 and
@@ -40,6 +43,10 @@ MC_CHUNK = 3 * 2**13
 # 5 * 10^4 samples and 12-28% faster from 10^5 to 5 * 10^5, but moving
 # 10^5 onto two threads raised the field sweep's median operation time.
 MC_SPLIT = 2**18
+# The region fallback's sample size.  Its sample is drawn once per field
+# and seed and held as one uint16 code of R a sample, CODE_TOP the top code.
+MC_SAMPLES = 10**6
+CODE_TOP = 65535
 # Integrand evaluations a region integral may spend after its first pass,
 # and the absolute error it aims for.
 QUAD_BUDGET = 15 * 2048
@@ -244,42 +251,97 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _slice_hits(field: RiskField, threshold: float, seed: int, samples: int,
-                lo: int, hi: int) -> int:
-    """The hits among the sample indices [lo, hi): t draws lo.. of
-    ``default_rng(seed)`` with c draws samples + lo.., from two generators
-    jumped ahead to them, streamed in chunks of `MC_CHUNK` through one draw
-    buffer, one (2, MC_CHUNK) buffer for g and h and one bool buffer, each
-    allocated once."""
-    dom = field.domain
+def _risk_into(columns, dom: Rectangle, t_rng, c_rng, x: np.ndarray,
+               gh: np.ndarray) -> np.ndarray:
+    """R at the next len(x) draws of t_rng and c_rng, in gh[0]: g and h as
+    one Horner chain over the rows of gh, from the (2, 1) columns of their
+    coefficients (half the numpy calls, and so half the GIL hand-offs, of
+    two chains), then the c draws over the spent t draws and g c + h."""
+    _uniform_into(t_rng, dom.t_min, dom.t_max, x)
+    r, h = _horner(columns, x, out=gh)
+    _uniform_into(c_rng, dom.c_min, dom.c_max, x)
+    r *= x
+    r += h
+    return r
+
+
+def _columns(field: RiskField) -> np.ndarray:
+    return np.array((field.g.coefficients, field.h.coefficients)).T[..., None]
+
+
+def _stream(field: RiskField, seed: int, samples: int, lo: int, hi: int):
+    """Yield (start, R) for each chunk of the sample indices [lo, hi): t
+    draws lo.. of ``default_rng(seed)`` with c draws samples + lo.., from
+    two generators jumped ahead to them, in chunks of `MC_CHUNK` through
+    one draw buffer and one (2, MC_CHUNK) buffer for g and h, each
+    allocated once; R is a view of the latter, overwritten by the next."""
     t_rng, c_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     t_rng.bit_generator.advance(lo)
     c_rng.bit_generator.advance(samples + lo)
-    # g and h as one Horner chain over the rows of gh: half the numpy
-    # calls, and so half the GIL hand-offs, of two chains.
-    columns = np.array((field.g.coefficients, field.h.coefficients)).T[..., None]
+    columns = _columns(field)
     n = min(hi - lo, MC_CHUNK)
     x, gh = np.empty(n), np.empty((2, n))
-    hit = np.empty(n, dtype=bool)
-    hits = 0
     for start in range(lo, hi, n):
         m = min(n, hi - start)
         if m < n:
-            x, gh, hit = x[:m], gh[:, :m], hit[:m]
-        _uniform_into(t_rng, dom.t_min, dom.t_max, x)
-        r, h = _horner(columns, x, out=gh)
-        _uniform_into(c_rng, dom.c_min, dom.c_max, x)   # the t draws are spent
-        r *= x
-        r += h
-        np.greater_equal(r, threshold, out=hit)
-        hits += int(np.count_nonzero(hit))
+            x, gh = x[:m], gh[:, :m]
+        yield start, _risk_into(columns, field.domain, t_rng, c_rng, x, gh)
+
+
+def _slice_hits(field: RiskField, threshold: float, seed: int, samples: int,
+                lo: int, hi: int) -> int:
+    """The hits among the sample indices [lo, hi), streamed with one bool
+    buffer besides _stream's."""
+    hit, hits = np.empty(min(hi - lo, MC_CHUNK), dtype=bool), 0
+    for _, r in _stream(field, seed, samples, lo, hi):
+        out = hit[:len(r)]
+        np.greater_equal(r, threshold, out=out)
+        hits += int(np.count_nonzero(out))
     return hits
+
+
+def _in_slices(work, samples: int) -> list:
+    """[work(0, samples)], or with two CPUs and more than `MC_SPLIT`
+    samples [work(0, half), work(half, samples)], the upper half run by a
+    second thread while the caller runs the lower half."""
+    if samples <= MC_SPLIT or _cpus() < 2:
+        return [work(0, samples)]
+    # numpy's errstate is a context variable, which a new thread does not
+    # inherit; the worker's exception is raised here.
+    half, box = samples // 2, []
+    context = contextvars.copy_context()
+
+    def upper_half():
+        try:
+            box.append(context.run(work, half, samples))
+        except BaseException as exc:
+            box.append(exc)
+
+    worker = threading.Thread(target=upper_half)
+    worker.start()
+    try:
+        lower = work(0, half)
+    finally:
+        worker.join()
+    if isinstance(box[0], BaseException):
+        raise box[0]
+    return [lower, box[0]]
+
+
+def _estimate(field: RiskField, hits: int, samples: int, seed: int) -> RegionArea:
+    hit_fraction = hits / samples
+    dom = field.domain
+    area = hit_fraction * dom.area
+    std_error = dom.area * float(
+        np.sqrt(hit_fraction * (1.0 - hit_fraction) / samples)
+    )
+    return RegionArea(area, "monte_carlo", std_error, samples, seed)
 
 
 def monte_carlo_region_area(
     field: RiskField,
     threshold: float = 1.0,
-    samples: int = 10**6,
+    samples: int = MC_SAMPLES,
     seed: int = 0,
 ) -> RegionArea:
     """Seeded uniform-sampling estimate of the super-level area in the
@@ -300,36 +362,90 @@ def monte_carlo_region_area(
     threshold = _arg("threshold", _finite, threshold)
     seed = _arg("seed", _count(0), seed)
     count = functools.partial(_slice_hits, field, threshold, seed, samples)
-    if samples <= MC_SPLIT or _cpus() < 2:
-        hits = count(0, samples)
-    else:
-        # numpy's errstate is a context variable, which a new thread does
-        # not inherit; the worker's exception is raised here.
-        half, box = samples // 2, []
-        context = contextvars.copy_context()
+    return _estimate(field, sum(_in_slices(count, samples)), samples, seed)
 
-        def count_upper_half():
-            try:
-                box.append(context.run(count, half, samples))
-            except BaseException as exc:
-                box.append(exc)
 
-        worker = threading.Thread(target=count_upper_half)
-        worker.start()
-        try:
-            hits = count(0, half)
-        finally:
-            worker.join()
-        if isinstance(box[0], BaseException):
-            raise box[0]
-        hits += box[0]
-    hit_fraction = hits / samples
+class _Draws:
+    """The draws of ``default_rng(seed)`` at increasing indices, in the
+    place of the generator _uniform_into takes: random(out=) puts draw
+    indices[j] in out[j], one jump ahead, O(log n), per index."""
+
+    def __init__(self, seed: int, indices: np.ndarray):
+        self.seed, self.indices = seed, indices
+
+    def random(self, out: np.ndarray) -> None:
+        rng, at = np.random.default_rng(self.seed), 0
+        for j, i in enumerate(self.indices.tolist()):
+            rng.bit_generator.advance(i - at)
+            out[j] = rng.random()
+            at = i + 1
+
+
+def _code(r: np.ndarray, low: float, scale: float) -> np.ndarray:
+    """phi(r) = clip((r - low) scale, 0, CODE_TOP) in place, each step
+    monotone in r; the cast to uint16 truncates it."""
+    r -= low
+    r *= scale
+    return np.clip(r, 0.0, CODE_TOP, out=r)
+
+
+def _draw_codes(field: RiskField, seed: int, codes: np.ndarray) -> tuple:
+    """Write phi(R) of the MC_SAMPLES points of the fallback sample of
+    (field, seed) into codes, streamed as monte_carlo_region_area streams
+    them, and return phi's (low, scale).  R is affine in c, so its range on
+    the domain is that of R on the two c edges, here over 1025 stages,
+    padded against what falls between them; values past it take the end
+    codes."""
     dom = field.domain
-    area = hit_fraction * dom.area
-    std_error = dom.area * float(
-        np.sqrt(hit_fraction * (1.0 - hit_fraction) / samples)
-    )
-    return RegionArea(area, "monte_carlo", std_error, samples, seed)
+    edges = field.evaluate(np.linspace(dom.t_min, dom.t_max, 1025),
+                           np.array(((dom.c_min,), (dom.c_max,))))
+    low, high = float(edges.min()), float(edges.max())
+    # The absolute part keeps the scale finite on a constant field.
+    pad = (high - low) / 64 + 2.0**-40 * (1.0 + abs(low) + abs(high))
+    low -= pad
+    scale = CODE_TOP / (high + pad - low)
+
+    def write(lo, hi):
+        for start, r in _stream(field, seed, MC_SAMPLES, lo, hi):
+            codes[start:start + len(r)] = _code(r, low, scale)   # truncates
+
+    _in_slices(write, MC_SAMPLES)
+    return low, scale
+
+
+# The held fallback sample, ((field, seed), codes, low, scale) or None.  A
+# caller holds _held_lock while it draws or reads the codes.  Another field
+# or seed is drawn into the same codes: a fresh 2 MB buffer per sample
+# costs 512 page faults, and freeing one raises glibc's mmap threshold to
+# 2 MB, which moves the process's later large arrays onto the heap.
+_held = None
+_held_lock = threading.Lock()
+
+
+def _fallback_area(field: RiskField, threshold: float, seed: int) -> RegionArea:
+    """monte_carlo_region_area(field, threshold, MC_SAMPLES, seed), bit for
+    bit, from the held sample, drawn first if it is another field's or
+    seed's: phi is monotone, so a code above phi(L) is a hit and one below
+    is a miss.  The samples whose code ties phi(L) are drawn again by jumps
+    to their indices and evaluated as the stream evaluates them; more ties
+    than one chunk are left to the stream."""
+    global _held
+    with _held_lock:
+        if _held is None or _held[0] != (field, seed):
+            codes = np.empty(MC_SAMPLES, np.uint16) if _held is None else _held[1]
+            _held = None   # until the codes are whole again
+            _held = ((field, seed), codes, *_draw_codes(field, seed, codes))
+        _, codes, low, scale = _held
+        level = _code(np.array([threshold]), low, scale).astype(np.uint16)[0]
+        ties = np.flatnonzero(codes == level)
+        above = np.count_nonzero(codes > level)
+    if len(ties) > MC_CHUNK:
+        return monte_carlo_region_area(field, threshold, seed=seed)
+    r = _risk_into(_columns(field), field.domain, _Draws(seed, ties),
+                   _Draws(seed, MC_SAMPLES + ties),
+                   np.empty(len(ties)), np.empty((2, len(ties))))
+    hits = above + np.count_nonzero(r >= threshold)
+    return _estimate(field, int(hits), MC_SAMPLES, seed)
 
 
 def _gauss_kronrod(f, lo, hi, tol: float, budget: int):
@@ -372,15 +488,20 @@ def risk_region_area(
     between the field's cuts, so a globally adaptive Gauss-Kronrod rule
     takes all the pieces at once, to the absolute error target QUAD_TOL or
     until QUAD_BUDGET evaluations are spent.  If g changes sign inside the
-    range the reduction is invalid and a seeded Monte Carlo estimate is
-    returned instead.
+    range the reduction is invalid, and the area is the seeded Monte Carlo
+    estimate of monte_carlo_region_area with MC_SAMPLES samples, bit for
+    bit.  Its sample is drawn once per field and seed and held, 2 B a
+    sample, as 16-bit codes of R, monotone in R: each threshold counts the
+    codes above its own and evaluates again, exactly, only the samples
+    whose code ties it (see _fallback_area).  One sample is held at a
+    time, and the next field or seed is drawn into its buffer.
     """
     threshold = _arg("threshold", _finite, threshold)
     seed = _arg("seed", _count(0), seed)
     dom = field.domain
     g = field.g
     if g.is_zero() or field.slope_roots:
-        return monte_carlo_region_area(field, threshold, seed=seed)
+        return _fallback_area(field, threshold, seed)
     positive = g(0.5 * (dom.t_min + dom.t_max)) > 0.0
 
     def column_length(t: np.ndarray) -> np.ndarray:
@@ -545,9 +666,13 @@ def _trace(field, graphs, eps) -> list[tuple[tuple[float, float], ...]]:
         (t0, c0, lv), (t1, c1) = vertices[:3, ends[0], None], vertices[:2, ends[1], None]
         at = t0 + (t1 - t0) * checks
         on = _c_star(field, lv, at)
-        bad = np.abs(c0 + (c1 - c0) * checks - on).max(axis=1) > eps
+        gap = np.abs(c0 + (c1 - c0) * checks - on).max(axis=1)
+        bad = gap > eps
+        fits = room - vertices.shape[1]
+        if np.count_nonzero(bad) > fits:   # the worst chords that fit
+            bad[np.argsort(gap, kind="stable")[: gap.size - fits]] = False
         made = np.count_nonzero(bad)
-        if not made or vertices.shape[1] + made > room:
+        if not made:
             break
         # Halve each chord that fails at its middle check point.
         halves = vertices.shape[1] + np.arange(made)

@@ -534,6 +534,9 @@ REPORT_LEVELS = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0)
 @given(case=one_sign_slope_fields(), grid=st.integers(16, 256))
 @example(case=(published_field(), REPORT_LEVELS), grid=256)
 @example(case=(published_field(), REPORT_LEVELS), grid=64)
+# A short graph beside g's root at t = 5.0016: 2.88 eps from c* when the
+# vertex budget stopped the halving.
+@example(case=(RiskField((-626, 0, 0, 0, 1), (0,) * 5), (-3.487109375,)), grid=121)
 def test_level_curve_chords_keep_the_stated_tolerance(case, grid):
     # At 15 evenly spaced interior points of every chord, c* is within
     # eps = 4 (c_max - c_min)/grid^2 of the chord in c, up to the slack of
@@ -610,15 +613,17 @@ def test_analysis_report_shape():
 def test_analysis_report_reuses_the_fallback(monkeypatch):
     # The golden table fits g(1) = 0, so the region falls back to Monte
     # Carlo; with the cross-check's samples that estimate is the
-    # cross-check, and the report used to compute it twice.
-    calls = []
-    estimate = analysis.monte_carlo_region_area
+    # cross-check, and the report used to compute it twice.  Samples are
+    # counted as the stream draws them: one 10^6-sample pass per report.
+    streamed = []
+    stream = analysis._stream
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return estimate(*args, **kwargs)
+    def counted(field, seed, samples, lo, hi):
+        streamed.append(hi - lo)
+        return stream(field, seed, samples, lo, hi)
 
-    monkeypatch.setattr(analysis, "monte_carlo_region_area", counted)
+    monkeypatch.setattr(analysis, "_stream", counted)
+    monkeypatch.setattr(analysis, "_held", None)
     table = RiskTable(
         (0.4, 1.6, 2.9), (1.0, 2.0, 3.0, 4.0, 5.0),
         ((0, 1.1, 0.52, 0.31, 0.6), (0, 4.8, 2.1, 1.3, 2.4),
@@ -627,14 +632,16 @@ def test_analysis_report_reuses_the_fallback(monkeypatch):
     f = build_field(table)
     report = build_analysis_report(f, [], seed=4, mc_samples=10**6)
     assert report["region_area_method"] == "monte_carlo"
-    assert len(calls) == 1
-    assert report["region_area_monte_carlo"] == estimate(
+    assert sum(streamed) == 10**6
+    assert report["region_area_monte_carlo"] == monte_carlo_region_area(
         f, threshold=1.0, samples=10**6, seed=4
     ).as_json_dict()
     assert report["region_area"] == report["region_area_monte_carlo"]["area"]
-    # Another sample count is a separate cross-check.
+    # Another sample count is a separate cross-check; the region's
+    # sample of this field and seed is held.
+    streamed.clear()
     report = build_analysis_report(f, [], seed=4, mc_samples=10**4)
-    assert len(calls) == 3
+    assert sum(streamed) == 10**4
     assert report["region_area_monte_carlo"]["samples"] == 10**4
 
 

@@ -11,12 +11,14 @@ stage the bits of their scalar calls.
 
 from __future__ import annotations
 
+import functools
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from mehgrisk import analysis
@@ -142,6 +144,117 @@ def test_sweep_sizes_match_reference_on_one_and_two_threads(monkeypatch, samples
     _assert_same(SWEEP_LIKE, None, 1.0, samples, 5)
 
 
+# The region fallback answers each threshold from the held sample's codes
+# of R and draws again only the samples whose code ties the threshold's.
+# Its RegionArea must be the reference's, bit for bit, whatever the order
+# of the thresholds and seeds it is asked for.
+@functools.lru_cache(maxsize=None)
+def _reference_fallback(field, threshold, seed):
+    return _reference_region_area(field, threshold, analysis.MC_SAMPLES, seed)
+
+
+def _sample_values(field, seed, indices):
+    """R at some indices of the reference's sample, as the reference
+    computes it."""
+    dom, n = field.domain, analysis.MC_SAMPLES
+    rng = np.random.default_rng(seed)
+    ts = rng.uniform(dom.t_min, dom.t_max, n)[indices]
+    cs = rng.uniform(dom.c_min, dom.c_max, n)[indices]
+    g, h = _reference_slope_and_intercept(field, ts)
+    return (g * cs + h).tolist()
+
+
+def _fallback_calls(field, seeds, order):
+    """(threshold, seed) calls: at R of chosen samples, which ties their
+    codes, and beside it; below and above R's range; one threshold twice;
+    and the other seed's call between, which replaces the held sample."""
+    seed, other = seeds
+    values = _sample_values(field, seed, [0, 1, 499_999, 500_000, 999_999, order])
+    # |R| < 1e5 on the domain of every field here: coefficients in [-3, 3]
+    # at t <= 5 and c <= 3.5, or of (t - root) q(t) from such q.
+    thresholds = values + [np.nextafter(values[0], -np.inf),
+                           np.nextafter(values[0], np.inf), -1e6, 1e6, values[2]]
+    calls = [(t, seed) for t in thresholds]
+    permuted = np.random.default_rng(order).permutation(len(calls)).tolist()
+    calls = [calls[i] for i in permuted]
+    calls.insert(len(calls) // 2, (values[1], other))
+    return calls
+
+
+def _assert_fallback_matches(field, calls):
+    assert field.g.is_zero() or field.slope_roots   # the fallback's fields
+    for threshold, seed in calls:
+        got = analysis.risk_region_area(field, threshold, seed)
+        want = _reference_fallback(field, threshold, seed)
+        assert got == want
+        assert repr(got.as_json_dict()) == repr(want.as_json_dict())
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+@pytest.mark.parametrize("field", (SIGN_CHANGING, SWEEP_LIKE), ids=("sign", "sweep"))
+def test_fallback_regions_match_reference(monkeypatch, field, cpus):
+    monkeypatch.setattr(analysis, "_cpus", lambda: cpus)
+    monkeypatch.setattr(analysis, "MC_SPLIT", 0)
+    monkeypatch.setattr(analysis, "_held", None)
+    ties, draws = [], analysis._Draws
+
+    def recording(seed, indices):
+        ties.append(len(indices))
+        return draws(seed, indices)
+
+    monkeypatch.setattr(analysis, "_Draws", recording)
+    calls = _fallback_calls(field, (5, 9), 123_457)
+    _assert_fallback_matches(field, calls)
+    # The t and c draws of the tied samples of each call were drawn again,
+    # and no call was left to the stream.
+    assert len(ties) == 2 * len(calls) and max(ties) >= 1
+
+
+@st.composite
+def sign_changing_fields(draw):
+    """g = (t - root) q(t), a root inside the stages and q(0) != 0."""
+    root = draw(st.floats(1.5, 4.5))
+    q = [draw(st.floats(0.25, 3.0) | st.floats(-3.0, -0.25)),
+         *draw(st.lists(signed_coefficient, min_size=3, max_size=3))]
+    a = np.convolve(q, (-root, 1.0)).tolist()
+    b = draw(st.lists(signed_coefficient, min_size=5, max_size=5))
+    field = RiskField(tuple(a), tuple(b))
+    assume(field.slope_roots)   # q may have a root at root too
+    return field
+
+
+@settings(max_examples=8, deadline=None)
+@given(field=sign_changing_fields(), cpus=st.sampled_from((1, 2)),
+       order=st.integers(0, 999_998),
+       seeds=st.lists(st.integers(0, 2**63), min_size=2, max_size=2, unique=True))
+def test_fallback_regions_of_sign_changing_fields_match_reference(field, cpus, order, seeds):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_cpus", lambda: cpus)
+        patch.setattr(analysis, "MC_SPLIT", 0)
+        patch.setattr(analysis, "_held", None)
+        _assert_fallback_matches(field, _fallback_calls(field, seeds, order))
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_constant_field_ties_go_to_the_stream(monkeypatch, cpus):
+    # g = 0 and h = 2.5: every sample's code ties the threshold 2.5's, more
+    # than one chunk, so the threshold is counted by the stream.
+    monkeypatch.setattr(analysis, "_cpus", lambda: cpus)
+    monkeypatch.setattr(analysis, "MC_SPLIT", 0)
+    monkeypatch.setattr(analysis, "_held", None)
+    calls, estimate = [], analysis.monte_carlo_region_area
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "monte_carlo_region_area", counted)
+    field = RiskField((0.0,) * 5, (2.5, 0.0, 0.0, 0.0, 0.0))
+    _assert_fallback_matches(field, [(2.5, 3), (2.5 + 1e-9, 3), (2.5, 3)])
+    assert len(calls) == 2
+    assert analysis.risk_region_area(field, 2.5, 3).area == field.domain.area
+
+
 def _traced_peak():
     """The traced peak of a count of 10^6 samples after a warm-up count."""
     field = published_field()
@@ -167,6 +280,55 @@ def test_one_slice_memory_does_not_grow_with_samples(monkeypatch):
     # One slice of MC_CHUNK peaked at 619,248 B traced at 10^6 samples.
     monkeypatch.setattr(analysis, "_cpus", lambda: 1)
     assert _traced_peak() < 5 * 8 * MC_CHUNK
+
+
+def test_fallback_holds_one_sample(monkeypatch):
+    # After fallback areas on two fields and two seeds, what stays held is
+    # one sample's codes, 2 B a sample, and the field that keys them.  Each
+    # sample is drawn into the last one's buffer: the traced peak (3.21 MB)
+    # is one sample's codes, two slices' stream buffers and one bool scan.
+    monkeypatch.setattr(analysis, "_held", None)
+    monte_carlo_region_area(SIGN_CHANGING, samples=1000)
+    tracemalloc.start()
+    try:
+        for field in (SIGN_CHANGING, SWEEP_LIKE):
+            for seed in (1, 2):
+                for threshold in (1.0, 4.0):
+                    analysis.risk_region_area(field, threshold, seed)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    codes = 2 * analysis.MC_SAMPLES
+    assert held <= codes + 1_310_720
+    assert peak <= codes + 1_310_720 + analysis.MC_SAMPLES
+
+
+def test_fallback_callers_on_several_threads_get_the_streams_areas(monkeypatch):
+    # Four threads ask for two (field, seed) samples in turn, with thread
+    # switches every 10 us, so a call often finds the other sample held or
+    # being drawn; each answer must still be the stream's.
+    cases = ((SIGN_CHANGING, 1), (SWEEP_LIKE, 2))
+    want = {case: monte_carlo_region_area(case[0], 1.0, seed=case[1]) for case in cases}
+    monkeypatch.setattr(analysis, "_held", None)
+    got = []
+
+    def ask(k):
+        for i in range(4):
+            case = cases[(k + i) % 2]
+            got.append((case, analysis.risk_region_area(case[0], 1.0, case[1])))
+
+    threads = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == 16 and all(area == want[case] for case, area in got)
 
 
 @pytest.mark.parametrize("samples", (MC_SPLIT + 1, 12 * MC_CHUNK + 1, 10**6))
