@@ -737,7 +737,7 @@ def build_analysis_report(
     curves: list[LevelCurveSet],
     threshold: float = 1.0,
     seed: int = 0,
-    mc_samples: int = 10**6,
+    mc_samples: int = MC_SAMPLES,
 ) -> dict:
     """Full analysis bundle in plain-JSON form, with curves as its level
     sets and the largest of their chord tolerances."""

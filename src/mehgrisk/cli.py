@@ -4,8 +4,10 @@ Subcommands cover the full pipeline: fit (build or load the field),
 analyze (integrals, region, certificate, level curves), geometry
 (curvature and critical ages), flow (gradient trajectories), exposure
 (survey risk verdicts) and report (everything, bundled).  All numeric
-output is JSON with sorted keys and no timestamps, so identical inputs
-and seed give byte-identical files.
+output is compact JSON with sorted keys, one line and a newline, and no
+timestamps, so identical inputs and seed give byte-identical files;
+`python -m json.tool FILE` prints one indented.  report.json holds each
+other JSON file's text unchanged under its key.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class RunConfig:
     threshold: float = 1.0
     grid: int = 256
     seed: int = 0
-    samples: int = 10**6
+    samples: int = analysis.MC_SAMPLES
     flow_starts: tuple[tuple[float, float], ...] = ()
     flow_step: float = 1e-3
     flow_max_steps: int = 20000
@@ -419,13 +421,10 @@ def cmd_report(config: RunConfig) -> None:
         documents |= docs
         writers |= files
     texts = _texts(config, documents)
-    # A document's text, indented one level, is its text inside the bundle.
-    members = (
-        f'  "{key}": ' + texts[name][:-1].replace("\n", "\n  ")
-        for key, name in _BUNDLE.items()
-        if name in texts
-    )
-    text = "{\n" + ",\n".join(members) + "\n}\n"
+    # A document's text, without its newline, is its text inside the bundle.
+    members = (f'"{key}":{texts[name][:-1]}'
+               for key, name in _BUNDLE.items() if name in texts)
+    text = "{" + ",".join(members) + "}\n"
     writers["report.json"] = partial(Path.write_text, data=text)
     _write(config, texts, writers)
 

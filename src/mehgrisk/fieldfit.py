@@ -20,7 +20,6 @@ import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from pathlib import Path, PurePath
 from types import MappingProxyType
 
@@ -492,72 +491,20 @@ def read_csv(path: str | Path) -> list[tuple[int, list[str]]]:
     return rows
 
 
+# The standard library's C encoder, which it runs only without indent.
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False,
+                            separators=(",", ":"))
+
+
 def json_text(data: dict, path: str | Path) -> str:
     """The text of data as the JSON file path: that of json.dumps(data,
-    sort_keys=True, indent=2, allow_nan=False) and a newline.  NaN or inf
-    raises ValueError naming the file, which is not touched."""
+    sort_keys=True, separators=(",", ":"), allow_nan=False), with no
+    whitespace between tokens, and a newline.  NaN or inf raises
+    ValueError naming the file, which is not touched."""
     try:
-        return _json_text(data, "") + "\n"
+        return _ENCODER.encode(data) + "\n"
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-# Compact C encoder for string-free subtrees; its item separator is the
-# only comma in their text, so str.replace can indent them.
-_COMPACT = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
-_NUMBER_TYPES = frozenset((float, int, bool, type(None)))
-
-
-def _json_text(value, indent: str) -> str:
-    """json.dumps(value, sort_keys=True, indent=2, allow_nan=False), its
-    lines after the first indented by `indent`."""
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        if not all(isinstance(key, str) for key in value):
-            text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
-            return text.replace("\n", "\n" + indent)
-        return (
-            "{\n" + inner
-            + (",\n" + inner).join(
-                f"{_COMPACT.encode(key)}: {_json_text(value[key], inner)}"
-                for key in sorted(value)
-            )
-            + "\n" + indent + "}"
-        )
-    if not isinstance(value, (list, tuple)):
-        return _COMPACT.encode(value)
-    if not value:
-        return "[]"
-    types = set(map(type, value))
-    if types <= _NUMBER_TYPES:
-        body = _COMPACT.encode(value)[1:-1].replace(",", ",\n" + inner)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if (
-        types <= {list, tuple}
-        and all(value)
-        and set(map(type, chain.from_iterable(value))) <= _NUMBER_TYPES
-    ):
-        # Rows of numbers, such as a polyline's vertices.
-        deeper = inner + "  "
-        body = (
-            _COMPACT.encode(value)[2:-2]
-            .replace(",", ",\n" + deeper)
-            .replace(
-                "],\n" + deeper + "[",
-                "\n" + inner + "],\n" + inner + "[\n" + deeper,
-            )
-        )
-        return (
-            "[\n" + inner + "[\n" + deeper + body
-            + "\n" + inner + "]\n" + indent + "]"
-        )
-    return (
-        "[\n" + inner
-        + (",\n" + inner).join(_json_text(item, inner) for item in value)
-        + "\n" + indent + "]"
-    )
 
 
 def build_field(table: RiskTable) -> RiskField:

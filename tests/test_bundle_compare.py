@@ -9,9 +9,13 @@ import pytest
 from bundle_compare import compare_bundles, main
 
 
-def bundle(path, analysis: dict, svg: str = '<svg><path d="M 1.50 2"/></svg>\n'):
+def bundle(path, analysis: dict, svg: str = '<svg><path d="M 1.50 2"/></svg>\n',
+           indent: int | None = None):
+    """A bundle of analysis.json, compact or indented, and plot.svg."""
     path.mkdir()
-    (path / "analysis.json").write_text(json.dumps(analysis))
+    (path / "analysis.json").write_text(json.dumps(
+        analysis, sort_keys=True, indent=indent,
+        separators=(",", ": ") if indent else (",", ":")) + "\n")
     (path / "plot.svg").write_text(svg)
     return path
 
@@ -21,12 +25,17 @@ BASE = {"area": 12.5, "method": "reduction", "samples": 10,
 
 
 def test_identical_bundles_agree(tmp_path, capsys):
-    old = bundle(tmp_path / "old", BASE)
-    new = bundle(tmp_path / "new", BASE)
-    assert main([str(old), str(new)]) == 0
-    out = capsys.readouterr().out
-    assert "0 float keys differ, 3 are equal" in out
-    assert "MISMATCH" not in out
+    # Equal documents, then the old one indented and the new one compact:
+    # the comparator reads values, not the whitespace between them.
+    for indent in (None, 2):
+        old = bundle(tmp_path / f"old-{indent}", BASE, indent=indent)
+        new = bundle(tmp_path / f"new-{indent}", BASE)
+        texts = {(path / "analysis.json").read_text() for path in (old, new)}
+        assert len(texts) == (1 if indent is None else 2)
+        assert main([str(old), str(new), "--rel-tol", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "0 float keys differ, 3 are equal" in out
+        assert "MISMATCH" not in out
 
 
 def test_float_within_tolerance_is_reported_per_key(tmp_path, capsys):

@@ -17,7 +17,7 @@ import struct
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -33,6 +33,7 @@ value = st.floats(-10.0, 10.0) | st.sampled_from((0.0, -0.0, 1.0, -1.0))
 points = st.lists(st.tuples(value, value), min_size=1, max_size=20)
 
 U = 2.0**-53
+TINY = 2.0**-1074   # the spacing of the subnormals
 
 
 def bits(values) -> bytes:
@@ -45,6 +46,8 @@ def reference(a, b, t: float, c: float) -> float:
 
 @settings(max_examples=300, deadline=None)
 @given(a=quintuple, b=quintuple, pts=points)
+@example(a=(0.0, 1e-14, 0.0, 0.0, 0.0), b=(0.0,) * 5,
+         pts=[(1.1125369292536007e-308, 2.0)])
 def test_every_evaluation_rounds_as_the_polynomials(a, b, pts):
     field = RiskField(a, b)
     ts = np.array([t for t, _ in pts])
@@ -59,18 +62,29 @@ def test_every_evaluation_rounds_as_the_polynomials(a, b, pts):
     assert bits((g * cs + h).tolist()) == bits(want)
 
     # gamma_8 = 8u / (1 - 8u) for g and h, |c| times the first, and two
-    # roundings more for g c + h: gamma_10 < 12u of the scale.
+    # roundings more for g c + h: gamma_10 < 12u of the scale.  A product
+    # that underflows errs by an absolute eta instead, |eta| <= TINY / 2,
+    # half the subnormal spacing (Higham, section 2.1: fl(x op y) =
+    # (x op y)(1 + delta) + eta); a sum that underflows is exact.  Horner's
+    # rule for g multiplies by t four times, and the eta of the k-th
+    # product is multiplied by t in the 4 - k products after it, so g
+    # carries at most TINY / 2 (1 + |t| + |t|^2 + |t|^3), and h as much.
+    # g c takes g's times |c| and adds one product's eta.  The bound
+    # doubles these terms, TINY for TINY / 2 (which is no float), to cover
+    # the roundings each eta meets later, (1 + u)^10, and the bound's own.
     for t, c, r in zip(ts.tolist(), cs.tolist(), want):
         scale = Polynomial(tuple(
             abs(ak) * abs(c) + abs(bk) for ak, bk in zip(a, b)
         ))(abs(t))
+        powers = 1 + abs(t) + abs(t) ** 2 + abs(t) ** 3
+        bound = 12 * U * scale + TINY * ((abs(c) + 1) * powers + 1)
         exact = sum(
             (Fraction(ak) * Fraction(c) + Fraction(bk)) * Fraction(t) ** k
             for k, (ak, bk) in enumerate(zip(a, b))
         )
-        assert abs(float(Fraction(r) - exact)) <= 12 * U * scale
+        assert abs(float(Fraction(r) - exact)) <= bound
         independent = npoly.polyval(t, a) * c + npoly.polyval(t, b)
-        assert abs(r - independent) <= 2 * 12 * U * scale
+        assert abs(r - independent) <= 2 * bound
 
 
 @settings(max_examples=100, deadline=None)

@@ -26,6 +26,12 @@ down to 829 on the built-in data, 2,210 to 829 on the table) and the
 SVGs with fewer numbers (on the built-in data contours.svg 5,330 down to
 1,894 and region.svg 2,086 to 882), and every other value, key and file
 equal.
+Those of every JSON file were recorded again, for both bundles, when the
+JSON text became the standard library's compact sorted-key encoding
+instead of its indent=2 one: tests/bundle_compare.py --rel-tol 0 finds 0
+float keys differ (102 equal on the built-in data, 95 on the table) and
+no mismatch, json.dumps(sort_keys=True, indent=2) of each new document
+gives the old file byte for byte, and every CSV and SVG is unchanged.
 A refactor that changes no result keeps every one of them; a change that
 alters a file on purpose updates its digest here and says why, with the
 comparator's report.  Another numpy or platform may round differently, so a mismatch
@@ -49,14 +55,14 @@ TABLE_CSV = (
 )
 
 PAPER_SEED_0 = {
-        "analysis.json": "82d351a53ce23882ae2e0dbf9c27899fd84714b8187ec01521a7703cc1648efe",
+        "analysis.json": "8894b4bf4fd17901b9b8742ce123cdb368dc93ce7766d01e77a143a9995937bb",
         "contours.svg": "828ce10fbd6aac9f81be8ef281d96784aaf212c522d1e75fe50d375c2ebe16b6",
         "curvature.svg": "ba78379b5b3e3d2bbeda2fce92eff79a67f9ef0573510446ca0d8e5e1309665d",
         "exposure.csv": "2317025039c76f33eae85b369a5b5aa094371c578e0f7ec3e6ba441a4801f6cd",
-        "exposure.json": "4e702465c8f72ae7ec7f9fa5d30bd029c08b1876e39a587730f28717908411fa",
-        "field.json": "96987cb3a455d1a92900411b41c2a1dcfd72c06de38231e0c2c9c96e0b9ce9fb",
-        "fit_report.json": "de6298ce23262282f0a558475e66ccefc883b3f4e66b6251e23efbe5ed5f1690",
-        "flow.json": "b59fe1abc8182cf6947521bfdae412381a302aceaec0c0327341950eac67740b",
+        "exposure.json": "f7b780d6d181e5532adf5532a6e8dcc63f54aeea9bba77868373df78987dc7c9",
+        "field.json": "3776447a8131624aff40574f7892f0dd0d516b8298ce5be773607facc6728a03",
+        "fit_report.json": "64002867408252776f60ac43933dfb29b9773d4760fdd7526b8721c3c1db1a79",
+        "flow.json": "a0d8481b4046cc94cc8e12faacdd4e4663a21f449eceb099789f0e9f8b791b47",
         "flow.svg": "2e0469202297fb9ad3d5a6c98e7debb7caa05817120758e32dfffa6ae39c02b2",
         "flow_00.csv": "97b645dd4e4ea4b40368326e946b335748f5139310868bfa97f52bf3620c5428",
         "flow_01.csv": "52e5c08aff87f84e736ceea2636ba625656c0bd16e57710f4d9c9cea54c61c45",
@@ -67,18 +73,18 @@ PAPER_SEED_0 = {
         "flow_06.csv": "1b61846d19713acc4f51dde33958b17c16e335884d505fc4b1f646f41cabbce3",
         "flow_07.csv": "9da67e9235e5fc9dcefde02216550e6955bbbea0695ee46682c04d7ed3b1af27",
         "flow_08.csv": "1585d681765c9d4d949859da65d296023c55ddb75c6ba70a3edbabbd0ba5d147",
-        "geometry.json": "f6c0eef0bb7c15e61aa4fb4d7b8901b01c59bfc2cabd68894a57a594bc5c0ee3",
+        "geometry.json": "010991cb90846a8d471ec1c7ab9258e54f05c5e20ee208eb83b4eb803788b5c9",
         "region.svg": "c54ea8e77c3097ffa1647cdfac4b8ca653aee6471670bb718cfcc7e9e09e3d1a",
-        "report.json": "9f3e4e0097bbb31daecaf3ba83bd1c74b0837677bbef060e25ce031c6ad0a42b",
+        "report.json": "c7962d1f491baea7bba4e25d422ab24415a97b71c9a0285ee4aa98c5c3a9769c",
 }
 
 TABLE_REPORT = {
-        "analysis.json": "068e8e9cbf8966f177ec1dae4d5d832c1aa702c6e8abdbe3b7b3d1a6928ed667",
+        "analysis.json": "990e240b362ce572f445b2c58c77680ab16d4ba0a108b2222781943934e0b2d3",
         "contours.svg": "91b66dda79b5d7059d82607ac63be14f937341ac80074ecceda6c7603f395d3a",
         "curvature.svg": "407b23fc0c125ef9ca582e25bd956380b735c28e99c521bf68ec4ee5c0218251",
-        "field.json": "88edff2f798f4655e6e5c12d0e5ac7d2d4bd90de268b51bc33fdad85a2f691df",
-        "fit_report.json": "9161690d3664731ca6c3a85a27175eda00df8fe57962d6210bfb985eac774b0e",
-        "flow.json": "8b412810bf02b9f718736e76cb4f76db07d55f8b328f008bd30df3de97956dda",
+        "field.json": "c21187b933111ec716a3f62c95c527a85279a1182bde5820057b1418638d6951",
+        "fit_report.json": "172875cb59c9fdc9f7648fbc62760a4f72830598730b4a4fdcaf193b4f9986c2",
+        "flow.json": "2e92dc761cbf7596a4e74b9ba7460e025fb72bc79ccfed548d0e7f2026dc6671",
         "flow.svg": "0bc3930d3810ae45dfba3001c1e4e8f6d9a6012f74258892d37233941e1071ef",
         "flow_00.csv": "7e668195e1c828858f5c4ee5c9d468653e03bd630c80f4fa9964ff6fc53c7d2e",
         "flow_01.csv": "5f8a4e4e79780524af045132860ff3d17c1d94eca16ea9fe145e96efc9c68ad0",
@@ -89,9 +95,9 @@ TABLE_REPORT = {
         "flow_06.csv": "a99b648d45bbc72b3784e2e361a6e507c346e3f1b71592250aaa16ea521c5be8",
         "flow_07.csv": "e64f70ba5a236f9bae99cab3c086e29bdb81de047775c1a6743a5cdefcc07321",
         "flow_08.csv": "c18b98d6157e399462d4fcac935193d7a60fe4250f024f82f97f64408641f9d1",
-        "geometry.json": "b16f3dca3ce5499315fd7465472f10ef4af2b44d55f99a108e989f78051a5e92",
+        "geometry.json": "64cf73d5136eb3bfeed1693f143e234c2e497ffa0907fd984477d7de323146cc",
         "region.svg": "b6aab3921ccaf4314a46dd7b76b8905dd1d576306ac1841098bb16ceb235a605",
-        "report.json": "f99e149bf6ccfaac7ed4c58ca72e88ca2b5f5d88a734110e85c424dc35abc7d6",
+        "report.json": "361a21de6d632d3d5e02def8f5087f84351f9f56917163ad4603fb4a509b8614",
 }
 
 
