@@ -68,7 +68,7 @@ class RunConfig:
     seed: int = 0
     samples: int = analysis.MC_SAMPLES
     flow_starts: tuple[tuple[float, float], ...] = ()
-    flow_step: float = 1e-3
+    flow_step: float = dynamics.FLOW_STEP
     flow_max_steps: int = 20000
     out: Path = Path("mehgrisk_out")
 

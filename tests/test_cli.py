@@ -8,10 +8,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mehgrisk import cli
 from mehgrisk.cli import RunConfig, build_config, main, make_parser
+from mehgrisk.dynamics import EXIT_MAX_STEPS, FlowTrajectory
 from mehgrisk.fieldfit import PUBLISHED_A, PUBLISHED_B, RiskField, RiskTable
 
 
@@ -738,25 +740,39 @@ def test_report_start_outside_domain_writes_nothing(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
-def test_flow_nonfinite_summary_writes_nothing(tmp_path, fresh_python):
-    # Coefficients of 1e70 are in range, but RK4's inner stages leave the
-    # domain and overflow there on every trajectory; flow used to write
-    # flow_00.csv..flow_08.csv (inf and nan rows) and flow.svg before
-    # flow.json refused the non-finite summary.  (Past 2^250 the field is
-    # refused at load.)
+def test_flow_nonfinite_summary_writes_nothing(tmp_path, monkeypatch, capsys):
+    # A trajectory with a nan row: flow would write flow_00.csv..flow_08.csv
+    # and flow.svg before flow.json refused the non-finite summary.
+    def nan_flow(field, start, step, max_steps):
+        return FlowTrajectory(((0.0, *start, math.nan),), EXIT_MAX_STEPS)
+
+    monkeypatch.setattr(cli.dynamics, "flow", nan_flow)
+    out = tmp_path / "out"
+    assert main(["flow", "--paper-dataset", "--out", str(out)]) == 2
+    assert "flow.json: Out of range float values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["flow", "report"])
+def test_steep_field_flows_within_the_step_cap(tmp_path, command):
+    # Coefficients of 1e70 are in range (past 2^250 the field is refused
+    # at load).  Without the step cap, the first RK4 stage of each
+    # trajectory lands about 1e70 stages off the domain and overflows;
+    # the cap keeps each step within an eighth of the c side.
     path = tmp_path / "big.json"
     path.write_text(json.dumps({
         "a": [1e70] * 5, "b": [0.0] * 5,
         "domain": {"t": [1.0, 5.0], "c": [0.2, 3.5]},
     }))
     out = tmp_path / "out"
-    proc = fresh_python(
-        "-m", "mehgrisk", "flow", "--input", str(path), "--out", str(out),
-        seconds=30.0,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "flow.json: Out of range float values" in proc.stderr
-    assert not out.exists()
+    assert main([command, "--input", str(path), "--out", str(out)]) == 0
+    for traj in read_json(out / "flow.json")["trajectories"]:
+        assert traj["exit_reason"] == "left_domain"
+        assert traj["risk_end"] > traj["risk_start"] > 0.0
+    for idx in range(9):
+        rows = (out / f"flow_{idx:02d}.csv").read_text().splitlines()[1:]
+        samples = np.array([row.split(",") for row in rows], dtype=float)
+        assert np.isfinite(samples).all()
 
 
 def test_report_loads_and_fits_the_table_once(tmp_path, monkeypatch):

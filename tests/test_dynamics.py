@@ -15,6 +15,7 @@ from mehgrisk.dynamics import (
     EXIT_LEFT_DOMAIN,
     EXIT_MAX_STEPS,
     EXIT_STEP_UNDERFLOW,
+    FLOW_STEP,
     FlowTrajectory,
     check_no_recurrence,
     flow,
@@ -45,13 +46,70 @@ def test_flow_endpoint_on_boundary():
     assert d.contains(t_end, c_end)
 
 
+def _report_starts(field):
+    d, fracs = field.domain, (0.25, 0.5, 0.75)
+    return [(d.t_min + ft * (d.t_max - d.t_min), d.c_min + fc * (d.c_max - d.c_min))
+            for ft in fracs for fc in fracs]
+
+
+@pytest.mark.parametrize("start", _report_starts(published_field()))
+def test_report_exits_within_the_stated_tolerance(start):
+    # The Hermite exit at the default step lands on the boundary within
+    # 1e-7 of a run at a step eight times smaller (5.1e-8 at worst over
+    # the nine starts; a clip along the chord missed by up to 9.2e-5).
+    f = published_field()
+    d = f.domain
+    traj = flow(f, start)
+    fine = flow(f, start, step=FLOW_STEP / 8, max_steps=10**6)
+    assert traj.exit_reason == fine.exit_reason == EXIT_LEFT_DOMAIN
+    t_end, c_end = traj.samples[-1, 1:3]
+    assert d.contains(t_end, c_end)
+    assert t_end in (d.t_min, d.t_max) or c_end in (d.c_min, d.c_max)
+    assert math.dist((t_end, c_end), fine.samples[-1, 1:3]) < 1e-7
+
+
+STEEP = RiskField((1e70,) * 5, (0.0,) * 5)
+
+
+def _scaled(field, k):
+    return RiskField(tuple(2.0**k * x for x in field.a),
+                     tuple(2.0**k * x for x in field.b), field.domain)
+
+
+@pytest.mark.parametrize(
+    "field, start, step, cut, k",
+    [
+        (published_field(), (3.0, 1.0), FLOW_STEP, False, -3),
+        (published_field(), (3.0, 1.0), FLOW_STEP, False, 5),
+        (published_field(), (1.2, 0.3), 0.25, True, -3),
+        (published_field(), (1.2, 0.3), 0.25, True, 5),
+        # 2^5 times STEEP passes the supported range.
+        (STEEP, (2.0, 1.025), FLOW_STEP, True, -3),
+    ],
+)
+def test_flow_of_scaled_field_at_scaled_step(field, start, step, cut, k):
+    # The flow of 2^k R at step h / 2^k is that of R at step h, bit for
+    # bit, with tau divided and R multiplied by 2^k: (h / 2^k)(2^k k_i)
+    # rounds as h k_i, and so does a step cut to reach / |k1|.
+    want = flow(field, start, step=step)
+    got = flow(_scaled(field, k), start, step=step / 2.0**k)
+    assert got.exit_reason == want.exit_reason == EXIT_LEFT_DOMAIN
+    scale = np.array([2.0**-k, 1.0, 1.0, 2.0**k])
+    assert got.samples.tobytes() == (want.samples * scale).tobytes()
+    # Every step but the last (to the exit) was cut, or none was.
+    taus = want.samples[:-1, 0]
+    assert (np.diff(taus) < 0.99 * step).all() == cut
+    uncut = np.cumsum(np.r_[0.0, np.full(len(taus) - 1, step)])
+    assert (taus == uncut).all() != cut
+
+
 def test_flow_energy_identity():
     # Along the flow dR/dtau equals the squared gradient norm.
     f = published_field()
     traj = flow(f, (3.0, 1.0))
     s = traj.samples
     checked = 0
-    for i in range(10, len(s) - 10, 50):
+    for i in range(10, len(s) - 10, 10):
         tau0, _, _, r0 = s[i - 1]
         tau1, t, c, _ = s[i]
         tau2, _, _, r2 = s[i + 1]
@@ -148,9 +206,8 @@ def test_flow_risk_matches_scalar_evaluate(a, b, start, step, max_steps):
         (RiskField((-0.0,) * 5, (-0.0,) * 5, SPANS_ZERO), (2.0, -0.0)),
         (RiskField((-0.0,) * 5, (0.0, 1.0, -0.0, -0.0, -0.0), SPANS_ZERO),
          (1.5, -0.0)),
-        # The field is in range, but RK4's inner stages leave the domain
-        # and overflow there, so the clipped sample is nan: the float
-        # chain is silent, as must be the array call.
+        # Steep fields in range: every step is cut to an eighth of the c
+        # side, so R reaches about 1e73 and no stage overflows.
         (RiskField((1e70,) * 5, (0.0,) * 5), (5.0, 3.5)),
         (RiskField((1e70,) * 5, (-1e70,) * 5), (3.0, 1.0)),
         # The field's bound on the search range is within 1% of 2^250, the
@@ -266,7 +323,7 @@ def test_trajectory_refuses_unknown_exit_reason(reason):
 
 
 def test_trajectory_keeps_nan_and_inf_rows():
-    # A flow whose gradient overflows leaves such rows.
+    # Rows are kept as given, NaN and inf included.
     rows = ((0.0, 3.0, 1.0, math.nan), (0.1, math.inf, -math.inf, math.nan))
     traj = FlowTrajectory(rows, EXIT_MAX_STEPS)
     assert np.isnan(traj.samples[:, 3]).all()

@@ -4,12 +4,16 @@ The reference below loops where dynamics.flow writes each stage out in
 its step and sums the tau column after its loop: grad runs Horner's
 rule over the coefficients from the top one, acc = acc * t + coef, as
 Polynomial.__call__ does, and value is R = g(t) c + h(t) from those
-chains.  dynamics.flow must give the same samples, bit for bit, and the
-same exit reason.
+chains.  Each step is cut so that h |k1| stays within an eighth of the
+domain's shorter side, and the step that leaves the domain ends on its
+cubic Hermite interpolant, bisected in theta and clamped onto the
+boundary.  dynamics.flow must give the same samples, bit for bit, and
+the same exit reason.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import pytest
@@ -20,6 +24,7 @@ from mehgrisk.dynamics import (
     EXIT_LEFT_DOMAIN,
     EXIT_MAX_STEPS,
     EXIT_STEP_UNDERFLOW,
+    FLOW_STEP,
     FlowTrajectory,
     flow,
 )
@@ -28,13 +33,14 @@ from mehgrisk.fieldfit import Rectangle, RiskField, published_field
 _SPEED_FLOOR = 1e-12
 
 
-def _reference_flow(field, start, step=1e-3, max_steps=20000):
+def _reference_flow(field, start, step=FLOW_STEP, max_steps=20000):
     dom = field.domain
     t0, c0 = float(start[0]), float(start[1])
     a = field.a
     b = field.b
     gp = tuple(k * ak for k, ak in enumerate(a) if k > 0)
     hp = tuple(k * bk for k, bk in enumerate(b) if k > 0)
+    reach = 0.125 * min(dom.t_max - dom.t_min, dom.c_max - dom.c_min)
 
     def horner(coefs, t):
         acc = coefs[-1]
@@ -57,34 +63,45 @@ def _reference_flow(field, start, step=1e-3, max_steps=20000):
             c + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
         )
 
+    def hermite(x0, x1, f0, f1, h):
+        # p(theta) = x0 + theta (A + theta (B + theta C)), p(1) = x1,
+        # p'(0) = h f0 and p'(1) = h f1.
+        a_, d = h * f0, x1 - x0
+        b_ = 3.0 * d - 2.0 * a_ - h * f1
+        c_ = a_ + h * f1 - 2.0 * d
+        return lambda theta: x0 + theta * (a_ + theta * (b_ + theta * c_))
+
     samples = [(0.0, t0, c0, value(t0, c0))]
     t, c, tau = t0, c0, 0.0
     exit_reason = EXIT_MAX_STEPS
     for _ in range(max_steps):
         k1 = grad(t, c)
-        if k1[0] * k1[0] + k1[1] * k1[1] < _SPEED_FLOOR * _SPEED_FLOOR:
+        speed2 = k1[0] * k1[0] + k1[1] * k1[1]
+        if speed2 < _SPEED_FLOOR * _SPEED_FLOOR:
             exit_reason = EXIT_STEP_UNDERFLOW
             break
-        t_next, c_next = rk4(t, c, step, k1)
-        tau_next = tau + step
+        h = step if speed2 <= (reach / step) ** 2 else reach / math.sqrt(speed2)
+        t_next, c_next = rk4(t, c, h, k1)
         if not dom.contains(t_next, c_next):
+            f1 = grad(t_next, c_next)
+            pt = hermite(t, t_next, k1[0], f1[0], h)
+            pc = hermite(c, c_next, k1[1], f1[1], h)
             lo, hi = 0.0, 1.0
+            out = (t_next, c_next)
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                tm = t + mid * (t_next - t)
-                cm = c + mid * (c_next - c)
-                if dom.contains(tm, cm):
+                if dom.contains(pt(mid), pc(mid)):
                     lo = mid
                 else:
-                    hi = mid
-            t_clip = min(max(t + lo * (t_next - t), dom.t_min), dom.t_max)
-            c_clip = min(max(c + lo * (c_next - c), dom.c_min), dom.c_max)
+                    hi, out = mid, (pt(mid), pc(mid))
+            t_clip = min(max(out[0], dom.t_min), dom.t_max)
+            c_clip = min(max(out[1], dom.c_min), dom.c_max)
             samples.append(
-                (tau + lo * step, t_clip, c_clip, value(t_clip, c_clip))
+                (tau + hi * h, t_clip, c_clip, value(t_clip, c_clip))
             )
             exit_reason = EXIT_LEFT_DOMAIN
             break
-        t, c, tau = t_next, c_next, tau_next
+        t, c, tau = t_next, c_next, tau + h
         samples.append((tau, t, c, value(t, c)))
     return FlowTrajectory(tuple(samples), exit_reason)
 

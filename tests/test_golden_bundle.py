@@ -32,6 +32,15 @@ instead of its indent=2 one: tests/bundle_compare.py --rel-tol 0 finds 0
 float keys differ (102 equal on the built-in data, 95 on the table) and
 no mismatch, json.dumps(sort_keys=True, indent=2) of each new document
 gives the old file byte for byte, and every CSV and SVG is unchanged.
+Those of flow.json, flow.svg, the nine flow CSVs and report.json were
+recorded again, for both bundles, when the flow's default step went
+from 1e-3 to 5e-3 and its exit from a clip along the chord to RK4's
+Hermite dense output: tests/bundle_compare.py --rel-tol 0 finds only
+flow.json's step, steps, end, tau_end and risk_end, the same keys under
+report.json's flow, and the flow CSVs and flow.svg changed (ends moved
+by at most a relative 1.5e-6 on the built-in data and 5.4e-7 on the
+table, the old clip's error), and every other value, key and file
+equal.
 A refactor that changes no result keeps every one of them; a change that
 alters a file on purpose updates its digest here and says why, with the
 comparator's report.  Another numpy or platform may round differently, so a mismatch
@@ -62,20 +71,20 @@ PAPER_SEED_0 = {
         "exposure.json": "f7b780d6d181e5532adf5532a6e8dcc63f54aeea9bba77868373df78987dc7c9",
         "field.json": "3776447a8131624aff40574f7892f0dd0d516b8298ce5be773607facc6728a03",
         "fit_report.json": "64002867408252776f60ac43933dfb29b9773d4760fdd7526b8721c3c1db1a79",
-        "flow.json": "a0d8481b4046cc94cc8e12faacdd4e4663a21f449eceb099789f0e9f8b791b47",
-        "flow.svg": "2e0469202297fb9ad3d5a6c98e7debb7caa05817120758e32dfffa6ae39c02b2",
-        "flow_00.csv": "97b645dd4e4ea4b40368326e946b335748f5139310868bfa97f52bf3620c5428",
-        "flow_01.csv": "52e5c08aff87f84e736ceea2636ba625656c0bd16e57710f4d9c9cea54c61c45",
-        "flow_02.csv": "6b1b0718d4e996815dce16148d9b7a7d5380651f514d8f62df9dffc30d70a14b",
-        "flow_03.csv": "0d7503363f993805358b3f860929ff822d854a0a230f08d277bb8f5aec79ae9d",
-        "flow_04.csv": "3223f32002652817b7731a75566bf75f0c1dfc8ae06f31db8ddfc5ccbc974af6",
-        "flow_05.csv": "cd2b4507d16853c83a33536706e0fef52f383d86f7e3ed4ae5da2cda02fa0861",
-        "flow_06.csv": "1b61846d19713acc4f51dde33958b17c16e335884d505fc4b1f646f41cabbce3",
-        "flow_07.csv": "9da67e9235e5fc9dcefde02216550e6955bbbea0695ee46682c04d7ed3b1af27",
-        "flow_08.csv": "1585d681765c9d4d949859da65d296023c55ddb75c6ba70a3edbabbd0ba5d147",
+        "flow.json": "b37484fe9b4a914abac4f435c5619801999b2315715ef15a9bd3dee2fe39ea4c",
+        "flow.svg": "63b00d260b8892a602b81f18ff745530d04ec32fef816c8aace2c089ec8721c1",
+        "flow_00.csv": "7100add58d385bb9e0d2982551d3f326634ea9056dcc93a70d5c2322566aa716",
+        "flow_01.csv": "8ee09d83221a15a542a13451561780382effe3731cd3de5058590916108ae2ad",
+        "flow_02.csv": "69eecd70125c080d2f1ebafd781afea4ff2f340587bb946a2d553c53112a1775",
+        "flow_03.csv": "d09700388660474db7764904b93eaba9ad046103b901141c1023145ca58c6910",
+        "flow_04.csv": "dc47c2cdf356c32ea1d3182d355603af9d50d0ea23e7409cb235a0334515cdfc",
+        "flow_05.csv": "4b2a448794f0f2b981c31f421e1496af03ae137f0c7a97c749cb4f0e514c3dbe",
+        "flow_06.csv": "eb904b793101e7e9d2081c21c51f140101b84d1c135ac9cc7b880e1773ea3f8d",
+        "flow_07.csv": "b289af22b34f9336c5c2934f2ea64daf9364f08217efba808443995ce2879b1d",
+        "flow_08.csv": "5a9b7eb6c16e3b061d83f97db05e55934b3d7946ceb72d91632e031f670858c3",
         "geometry.json": "010991cb90846a8d471ec1c7ab9258e54f05c5e20ee208eb83b4eb803788b5c9",
         "region.svg": "c54ea8e77c3097ffa1647cdfac4b8ca653aee6471670bb718cfcc7e9e09e3d1a",
-        "report.json": "c7962d1f491baea7bba4e25d422ab24415a97b71c9a0285ee4aa98c5c3a9769c",
+        "report.json": "ab71e65471cadbd746d8636f25340dbb943d9367d5f8013f5faaea00b5ca3861",
 }
 
 TABLE_REPORT = {
@@ -84,20 +93,20 @@ TABLE_REPORT = {
         "curvature.svg": "407b23fc0c125ef9ca582e25bd956380b735c28e99c521bf68ec4ee5c0218251",
         "field.json": "c21187b933111ec716a3f62c95c527a85279a1182bde5820057b1418638d6951",
         "fit_report.json": "172875cb59c9fdc9f7648fbc62760a4f72830598730b4a4fdcaf193b4f9986c2",
-        "flow.json": "2e92dc761cbf7596a4e74b9ba7460e025fb72bc79ccfed548d0e7f2026dc6671",
-        "flow.svg": "0bc3930d3810ae45dfba3001c1e4e8f6d9a6012f74258892d37233941e1071ef",
-        "flow_00.csv": "7e668195e1c828858f5c4ee5c9d468653e03bd630c80f4fa9964ff6fc53c7d2e",
-        "flow_01.csv": "5f8a4e4e79780524af045132860ff3d17c1d94eca16ea9fe145e96efc9c68ad0",
-        "flow_02.csv": "abafcab463d6c1a12d5a65cc0fbce73be164412f5934d1196217ab8071322f39",
-        "flow_03.csv": "e1ef2012d104529d144b377a6256100dd078ce6b4f43a38495c6e329cdefce83",
-        "flow_04.csv": "bd95e5fa128d733057b5c99a206f865ebb674a9414c3e1cdee3aab15bf0ab2c2",
-        "flow_05.csv": "02116aca9b0439c05e000561bf4ce5c963d7d4db0519abf940104081a90ee071",
-        "flow_06.csv": "a99b648d45bbc72b3784e2e361a6e507c346e3f1b71592250aaa16ea521c5be8",
-        "flow_07.csv": "e64f70ba5a236f9bae99cab3c086e29bdb81de047775c1a6743a5cdefcc07321",
-        "flow_08.csv": "c18b98d6157e399462d4fcac935193d7a60fe4250f024f82f97f64408641f9d1",
+        "flow.json": "c09a992c8be234085a68149e9df5f6ece368a8af99c9254b1d9fd348743ddffe",
+        "flow.svg": "455777d81842b18945eac571bb9c37b256a319e678e4b3fa2d903135a6fa2b08",
+        "flow_00.csv": "989591ce05800cf79193ccd6544e07c8f5ce9255dedae9022855952a38b0bc6e",
+        "flow_01.csv": "52f464be5d52b4dbc0a47347e2a370e44ded01d114f223654a67b73800f21ae1",
+        "flow_02.csv": "4253724099f59c273bf4190fa9e0137de94c0abc69965dd752b73d780656125f",
+        "flow_03.csv": "c0564293adbe577960fe1040cb4dc985dbec214f7260ead7d4caf27d5c754856",
+        "flow_04.csv": "101864766ac278381c911b08a75be6dcbaac60f5c48a81b88bb8d67abe9dfed1",
+        "flow_05.csv": "fb5dcf3346e215bd89ba6edc0a1b7140b287be8287c63e3b7529858e2d2d8241",
+        "flow_06.csv": "634791d3b7208c67f350f1607571fc29d27f7909787c56d076e1e2305de2e179",
+        "flow_07.csv": "3ba5e7db397c69cb41aca5281d16c49251fc1c9bc5ab4e52166ff33803d07327",
+        "flow_08.csv": "7cd7509679d625c9749ef9849cf67c80deeaa19fae86148cefa5ae16c303a1a3",
         "geometry.json": "64cf73d5136eb3bfeed1693f143e234c2e497ffa0907fd984477d7de323146cc",
         "region.svg": "b6aab3921ccaf4314a46dd7b76b8905dd1d576306ac1841098bb16ceb235a605",
-        "report.json": "361a21de6d632d3d5e02def8f5087f84351f9f56917163ad4603fb4a509b8614",
+        "report.json": "0f8bf33f287a1c5aee67b7eb798318974dddcf4012c35a36c79f9c788343f50f",
 }
 
 
