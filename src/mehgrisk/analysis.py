@@ -32,12 +32,14 @@ CHORD_CHECKS = 15
 REFINE_ROUNDS = 20
 REFINE_ROOM = 18
 # Draws per Monte Carlo chunk.  A chunk takes 18 numpy calls, and two
-# threads contend for the GIL between them, so larger chunks run faster.
-# Medians of 10^6 samples (2-vCPU Xeon): two slices 10.3, 11.1, 9.0 and
-# 7.8 ms at 2^14, 5 * 2^12, 3 * 2^13 and 2^15; one slice, which counts at
-# most MC_SPLIT samples where two CPUs are free, ran as fast at 3 * 2^13
-# as at 2^15.  A slice holds 25 B a draw, so two stay within 1.25 MiB.
-MC_CHUNK = 3 * 2**13
+# threads hand the GIL to each other between them, so larger chunks run
+# faster.  Medians of 40 interleaved in-process rounds (2-vCPU Xeon): a
+# 10^6-sample count took 14.0, 12.7 and 11.8 ms at 3 * 2^13, 2^15 and
+# 2^16, and a paper-dataset report 44.8, 42.3 and 40.2 ms, while the peak
+# RSS of reports and region fallbacks rose 0.5 and 1.2 MB over 3 * 2^13.
+# A slice holds 25 B a draw, its largest buffer 512 KiB at 2^15: no
+# buffer freed here lifts glibc's mmap threshold past 1 MiB.
+MC_CHUNK = 2**15
 # Samples above which a second thread counts half of them.  It takes about
 # 0.12 ms to start and join: two slices were 33% slower than one at
 # 5 * 10^4 samples and 12-28% faster from 10^5 to 5 * 10^5, but moving

@@ -101,9 +101,12 @@ def flow(
     theta in [0, 1] is bisected for the edge crossing, and the outer end
     of the last bracket, p(theta) clamped onto the boundary, is the last
     sample, at tau_n + theta h.  That exit errs by O(h^4), where a clip
-    along the chord errs by O(h^2).  The default step, FLOW_STEP, puts
-    the exits of the report's nine starts on the published field within
-    1e-7 in (t, c) of those of a step eight times smaller (5.1e-8).
+    along the chord errs by O(h^2).  Where x_n lies on an edge that
+    grad R crosses outward, no theta > 0 is inside: x_n is the last
+    sample, so a start there is the whole trajectory.  The default step,
+    FLOW_STEP, puts the exits of the report's nine starts on the
+    published field within 1e-7 in (t, c) of those of a step eight times
+    smaller (5.1e-8).
 
     Each of the four RK4 stages is written out in the step, as Horner's
     rule for g, g' and h' in the field's one evaluation order.  The loop
@@ -166,6 +169,13 @@ def flow(
         t_next = t + sixth * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
         c_next = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
         if not (t_lo <= t_next <= t_hi and c_lo <= c_next <= c_hi):
+            exit_reason = EXIT_LEFT_DOMAIN
+            if (t == t_lo and k1t < 0.0 or t == t_hi and k1t > 0.0
+                    or c == c_lo and k1c < 0.0 or c == c_hi and k1c > 0.0):
+                # x_n lies on an edge that grad R crosses outward, so no
+                # theta > 0 is inside D: the trajectory ends at x_n.
+                odd_steps.pop(len(ts), None)
+                break
             # The Hermite cubic x_n + theta (A + theta (B + theta C)) per
             # coordinate, from the slopes h k1 and h f(x_(n+1)).
             u, v = t_next, c_next
@@ -190,7 +200,6 @@ def flow(
             ts.append(min(max(tm, t_lo), t_hi))
             cs.append(min(max(cm, c_lo), c_hi))
             odd_steps[len(ts) - 1] = hi * h
-            exit_reason = EXIT_LEFT_DOMAIN
             break
         t, c = t_next, c_next
         ts.append(t)

@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .polynomial import Polynomial, real_roots
+from .polynomial import MonotonePieces, Polynomial, real_roots
 
 DEGREE = 4
 NODE_COUNT = DEGREE + 1
@@ -338,8 +338,9 @@ class RiskField:
     g' and h' are built once, with the field; every layer evaluates them,
     on floats or arrays, by their one Horner chain.  The domain is the one
     rectangle every analysis, geometry and plot of the field covers.  The
-    root table (slope_roots, g_prime_roots and cuts) holds every root
-    search of the field, each made once, on first use; the layers read it.
+    root table (slope_roots, g_prime_roots, edge_pieces and cuts) holds
+    every root search of the field, each made once, on first use; the
+    layers read it.
 
     The package supports one range: a field is refused, with ValueError,
     unless |R|, |g|, |g'|, |h'|, |dR/dt|, |t| and |c| stay within
@@ -403,6 +404,15 @@ class RiskField:
         dR/dc and the stages where the surface's curvature vanishes."""
         return real_roots(self.g_prime, *self.search_range)
 
+    @cached_property
+    def edge_pieces(self) -> dict[float, MonotonePieces]:
+        """For each c edge, c_min then c_max, the monotone pieces of
+        R(., c_e) = h + c_e g on the stage range: the brackets of its
+        stationary points, from which cuts finds each level's crossings."""
+        d = self.domain
+        return {c: MonotonePieces.of(self.h + c * self.g, d.t_min, d.t_max)
+                for c in (d.c_min, d.c_max)}
+
     def cuts(self, level: float) -> MappingProxyType:
         """Where c*(t) = (level - h(t))/g(t) may enter or leave the domain,
         increasing: each cut maps to the c edge c* crosses there, or to None
@@ -411,11 +421,9 @@ class RiskField:
         if level not in self._cut_memo:
             d = self.domain
             cuts = dict.fromkeys((d.t_min, d.t_max))
-            for c_edge in (d.c_min, d.c_max):
+            for c_edge, pieces in self.edge_pieces.items():
                 crossing = Polynomial.constant(level) - self.h - c_edge * self.g
-                cuts.update(dict.fromkeys(
-                    real_roots(crossing, d.t_min, d.t_max), c_edge
-                ))
+                cuts.update(dict.fromkeys(pieces.roots(crossing), c_edge))
             cuts.update(dict.fromkeys(self.slope_roots))   # a root of g wins a tie
             self._cut_memo[level] = MappingProxyType(dict(sorted(cuts.items())))
         return self._cut_memo[level]

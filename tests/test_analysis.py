@@ -685,16 +685,28 @@ def test_slope_roots_are_searched_once_per_field(monkeypatch, tmp_path):
 def test_report_searches_each_polynomial_once(monkeypatch, tmp_path):
     # A report used to make 19 searches: g' on [1, 5] for the certificate
     # and on [1, 6] for the curvature, and the threshold's two edge
-    # crossings once for the region and again for the level-1 curve.
+    # crossings once for the region and again for the level-1 curve.  The
+    # 14 edge crossings of the 7 levels then took a Sturm search each;
+    # now they are read from one table of monotone pieces per c edge,
+    # and none of them falls back to a search on the published field.
     calls = _root_searches(monkeypatch)
+    tables = []
+    build = polynomial.MonotonePieces.of.__func__
+
+    def counted(cls, p, a, b):
+        tables.append((p.coefficients, a, b))
+        return build(cls, p, a, b)
+
+    monkeypatch.setattr(polynomial.MonotonePieces, "of", classmethod(counted))
     assert main(["report", "--paper-dataset", "--grid", "16",
                  "--out", str(tmp_path / "out")]) == 0
     f = published_field()
     per_polynomial = collections.Counter(coefficients for coefficients, *_ in calls)
     assert per_polynomial.pop(f.g.coefficients[: f.g.degree + 1]) == 1
     assert per_polynomial.pop(f.g_prime.coefficients[: f.g_prime.degree + 1]) == 1
-    assert sum(per_polynomial.values()) == 14   # 7 levels x 2 c edges
-    assert len(calls) == len(set(calls)) == 16
+    assert sum(per_polynomial.values()) == 0
+    assert len(calls) == len(set(calls)) == 2
+    assert len(tables) == len(set(tables)) == 2   # one per c edge
 
 
 def test_certificate_builds_the_gcd_only_for_a_slope_root(monkeypatch):

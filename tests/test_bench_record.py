@@ -63,6 +63,73 @@ def test_a_run_that_is_not_correct_is_kept():
     assert summary["medians"]["unscaled.latency_p50_ms"] == 1.46824
 
 
+# The stdout of `perfbench/run.py --workload field_sweep --seed 3
+# --seconds 2 --trace 1`, as captured, with the per-layer lines and the
+# last line's metrics trimmed to three.
+TRACED = """\
+env {"cpu_count": 2, "cpu_model": "Intel(R) Xeon(R) Processor", "git_commit": "d109602b25ca0b2eda1e285771f0bb26fe45098f", "mehgrisk": "0.1.0", "nproc": 2, "numpy": "2.4.6", "python": "3.11.7", "src_sha256": "509a832aa8b88765cc33a76c13ed94054c01c073372bb7b5c5d6aa59eb6bbcc0", "thread_pools": "1 (OMP/OPENBLAS/MKL/NUMEXPR/VECLIB_*_THREADS)", "workload_seed": 3}
+analysis.montecarlo.busy_ms = 1.58366 ms/op (n=59)
+polynomial.real_roots.calls = 2 count/op (n=59)
+polynomial.real_roots.busy_ms = 0.225411 ms/op (n=59)
+failed_ratio = 0 ratio (n=127)
+analysis.region.reduction_ratio base: 177 region calls over 59 operations
+spans written to .perfbench_out/spans-field_sweep-seed3.jsonl
+self time per operation, largest first:
+  analysis.region                   5.124 ms/op
+  analysis.montecarlo               1.584 ms/op
+{"correct": true, "attempted": 127, "failed": 0, "metrics": {"analysis.montecarlo.busy_ms": {"value": 1.5836604, "unit": "ms/op"}, "polynomial.real_roots.calls": {"value": 2.0, "unit": "count/op"}, "polynomial.real_roots.busy_ms": {"value": 0.2254113, "unit": "ms/op"}}}
+"""
+
+
+def test_traced_runs_are_kept_apart_from_untraced_ones():
+    traced = dict(bench_record.parse_output(TRACED), workload="field_sweep",
+                  seed=3, trace=1)
+    assert traced["unscaled"] == {}
+    assert traced["metrics"]["polynomial.real_roots.calls"] == 2.0
+    plain = dict(bench_record.parse_output(OUTPUT), workload="field_sweep",
+                 seed=3, trace=0)
+    # A record from before --trace counts as untraced.
+    older = {k: v for k, v in plain.items() if k != "trace"}
+    summary = bench_record.medians([traced, plain, older])
+    assert sorted(summary) == ["field_sweep", "field_sweep --trace 1"]
+    assert summary["field_sweep"]["runs"] == 2
+    assert summary["field_sweep --trace 1"]["medians"] == {
+        "analysis.montecarlo.busy_ms": 1.5836604,
+        "polynomial.real_roots.calls": 2.0,
+        "polynomial.real_roots.busy_ms": 0.2254113}
+    # Pairs match within a group; a per-layer metric takes its direction
+    # from BENCHMARK.json, and a median of 0 prints no percentage.
+    after = dict(traced, metrics={"polynomial.real_roots.calls": 0.0,
+                                  "polynomial.real_roots.busy_ms": 0.1})
+    better = bench_record.directions()
+    assert better["polynomial.real_roots.busy_ms"] is False
+    lines = bench_record.compare([traced, plain], [after, plain], better)
+    assert lines[0] == "field_sweep: 1 pairs, 1/1 runs, 0 not correct"
+    assert lines[-3] == "field_sweep --trace 1: 1 pairs, 1/1 runs, 0 not correct"
+    assert "-100.0%), wins 1/1" in lines[-2]
+    assert "-55.6%), wins 1/1" in lines[-1]
+    zero = bench_record.compare([after], [traced], better)
+    assert "(n/a), wins 0/1" in zero[1]
+
+
+def test_trace_option_reaches_run_py(monkeypatch, tmp_path):
+    seen = []
+
+    def fake_run(cmd, cwd, capture_output, text):
+        seen.append(cmd)
+        return type("Done", (), {"returncode": 0, "stdout": TRACED})()
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    path = bench_record.record(bench_record.argparse.Namespace(
+        run=["change=."], workload="field_sweep", seeds=[3], seconds=2, trace=1))
+    assert seen[-1][-2:] == ["--trace", "1"]
+    doc = bench_record.json.loads(path.read_text())
+    (source,) = doc["sources"].values()
+    assert source["runs"][0]["trace"] == 1
+    assert list(source["medians"]) == ["field_sweep --trace 1"]
+
+
 def _runs(throughputs, tails):
     return [{"workload": "paper_report", "seed": seed, "correct": True,
              "metrics": {"throughput_ops_per_s": x, "latency_tail_ms": y}}

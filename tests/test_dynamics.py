@@ -46,6 +46,25 @@ def test_flow_endpoint_on_boundary():
     assert d.contains(t_end, c_end)
 
 
+@pytest.mark.parametrize("start", [(3.0, 3.5), (5.0, 3.5), (5.0, 2.0)])
+def test_start_on_an_edge_the_flow_leaves_is_the_whole_trajectory(start):
+    # grad R points out of D across the top edge at (3, 3.5), across both
+    # edges at the corner (5, 3.5) and across the right edge at (5, 2).
+    # Each start used to take a second sample a rounding away, on which R
+    # did not rise: 6.420000000000039 -> 6.420000000000027 from (3, 3.5),
+    # and 22.33 twice from (5, 3.5).
+    f = published_field()
+    traj = flow(f, start)
+    assert traj.exit_reason == EXIT_LEFT_DOMAIN
+    assert traj.samples.tolist() == [[0.0, *start, f.evaluate(*start)]]
+    assert check_no_recurrence(traj, 0.05)
+    # Just inside the edge the flow still steps to the boundary.
+    t, c = start
+    inside = (t - 1e-6 if t == 5.0 else t, c - 1e-6 if c == 3.5 else c)
+    rs = flow(f, inside).samples[:, 3]
+    assert len(rs) == 2 and rs[1] > rs[0]
+
+
 def _report_starts(field):
     d, fracs = field.domain, (0.25, 0.5, 0.75)
     return [(d.t_min + ft * (d.t_max - d.t_min), d.c_min + fc * (d.c_max - d.c_min))

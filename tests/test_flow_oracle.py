@@ -7,8 +7,9 @@ Polynomial.__call__ does, and value is R = g(t) c + h(t) from those
 chains.  Each step is cut so that h |k1| stays within an eighth of the
 domain's shorter side, and the step that leaves the domain ends on its
 cubic Hermite interpolant, bisected in theta and clamped onto the
-boundary.  dynamics.flow must give the same samples, bit for bit, and
-the same exit reason.
+boundary, unless it starts on an edge that the gradient crosses outward,
+where the trajectory ends with no exit sample.  dynamics.flow must give
+the same samples, bit for bit, and the same exit reason.
 """
 
 from __future__ import annotations
@@ -83,6 +84,11 @@ def _reference_flow(field, start, step=FLOW_STEP, max_steps=20000):
         h = step if speed2 <= (reach / step) ** 2 else reach / math.sqrt(speed2)
         t_next, c_next = rk4(t, c, h, k1)
         if not dom.contains(t_next, c_next):
+            exit_reason = EXIT_LEFT_DOMAIN
+            if (t == dom.t_min and k1[0] < 0.0 or t == dom.t_max and k1[0] > 0.0
+                    or c == dom.c_min and k1[1] < 0.0
+                    or c == dom.c_max and k1[1] > 0.0):
+                break   # on an edge that the gradient crosses outward
             f1 = grad(t_next, c_next)
             pt = hermite(t, t_next, k1[0], f1[0], h)
             pc = hermite(c, c_next, k1[1], f1[1], h)
@@ -99,7 +105,6 @@ def _reference_flow(field, start, step=FLOW_STEP, max_steps=20000):
             samples.append(
                 (tau + hi * h, t_clip, c_clip, value(t_clip, c_clip))
             )
-            exit_reason = EXIT_LEFT_DOMAIN
             break
         t, c, tau = t_next, c_next, tau + h
         samples.append((tau, t, c, value(t, c)))

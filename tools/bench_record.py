@@ -4,10 +4,15 @@ Usage, from the root of a checkout:
 
     python tools/bench_record.py --workload paper_report --seeds 901-910 \\
         --run parent=../parent --run change=.   # 10 pairs, 30 s runs
+    python tools/bench_record.py --workload paper_report --seeds 941 \\
+        --trace 1 --run parent=../parent --run change=.   # per-layer
     python tools/bench_record.py --compare parent change
 
-Record mode runs ``perfbench/run.py --trace 0`` of each --run checkout,
-unchanged, once per workload and seed.  With two checkouts the order
+Record mode runs ``perfbench/run.py --trace T`` of each --run checkout,
+unchanged, once per workload and seed, T being --trace (0 by default).
+A traced run (``--trace 1``) reports per-layer metrics in place of the
+end-to-end ones, so it is kept and compared apart from the untraced runs
+of its workload, under the group ``WORKLOAD --trace 1``.  With two checkouts the order
 alternates from seed to seed, so each seed gives one pair.  From each
 run it keeps the ``env`` line, the ``unscaled:`` line, the ``FAILED``
 lines and the last JSON line, whether or not the run was correct; a run
@@ -61,13 +66,18 @@ def parse_output(text: str) -> dict:
     }
 
 
+def group(run: dict) -> str:
+    """The workload of a run, with " --trace 1" for a traced run."""
+    return run["workload"] + (" --trace 1" if run.get("trace") else "")
+
+
 def medians(runs: list[dict]) -> dict:
-    """Per workload: each metric's median over the runs that have it,
-    unscaled figures under "unscaled.NAME", and the count of runs and of
-    runs that were not correct."""
+    """Per group (workload, traced apart): each metric's median over the
+    runs that have it, unscaled figures under "unscaled.NAME", and the
+    count of runs and of runs that were not correct."""
     out: dict = {}
-    for workload in sorted({r["workload"] for r in runs}):
-        mine = [r for r in runs if r["workload"] == workload]
+    for workload in sorted({group(r) for r in runs}):
+        mine = [r for r in runs if group(r) == workload]
         values: dict = {}
         for r in mine:
             for name, value in r.get("metrics", {}).items():
@@ -82,9 +92,10 @@ def medians(runs: list[dict]) -> dict:
     return out
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: int,
+             trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         return {"src_sha256": None, "correct": False, "returncode": proc.returncode,
@@ -105,9 +116,10 @@ def record(args) -> Path:
     doc = json.loads(path.read_text()) if path.exists() else {"head": head, "sources": {}}
     for i, seed in enumerate(args.seeds):
         for label, checkout in sides if i % 2 == 0 else sides[::-1]:
-            run = run_once(Path(checkout), args.workload, seed, args.seconds)
+            run = run_once(Path(checkout), args.workload, seed, args.seconds,
+                           args.trace)
             run.update(label=label, workload=args.workload, seed=seed,
-                       seconds=args.seconds)
+                       seconds=args.seconds, trace=args.trace)
             source = doc["sources"].setdefault(
                 run["src_sha256"] or f"unknown:{label}", {"labels": [], "runs": []})
             if label not in source["labels"]:
@@ -132,17 +144,18 @@ def select(sources: dict, key: str) -> list[dict]:
 
 def _value(run: dict, name: str):
     """A metric of a run by name; "unscaled.NAME" is an unscaled figure."""
-    group, _, metric = name.rpartition(".")
-    return run.get(group or "metrics", {}).get(metric)
+    if name.startswith("unscaled."):
+        return run.get("unscaled", {}).get(name[len("unscaled."):])
+    return run.get("metrics", {}).get(name)
 
 
 def compare(a_runs: list[dict], b_runs: list[dict], better: dict) -> list[str]:
-    """Report lines: per workload and metric, the medians of a and b, a's
-    quartiles, and b's wins over the pairs of the same workload and seed."""
+    """Report lines: per group and metric, the medians of a and b, a's
+    quartiles, and b's wins over the pairs of the same group and seed."""
     lines = []
-    for workload in sorted({r["workload"] for r in a_runs + b_runs}):
-        a = {r["seed"]: r for r in a_runs if r["workload"] == workload}
-        b = {r["seed"]: r for r in b_runs if r["workload"] == workload}
+    for workload in sorted({group(r) for r in a_runs + b_runs}):
+        a = {r["seed"]: r for r in a_runs if group(r) == workload}
+        b = {r["seed"]: r for r in b_runs if group(r) == workload}
         bad = sum(not r["correct"] for r in [*a.values(), *b.values()])
         lines.append(f"{workload}: {len(a.keys() & b.keys())} pairs, "
                      f"{len(a)}/{len(b)} runs, {bad} not correct")
@@ -157,18 +170,21 @@ def compare(a_runs: list[dict], b_runs: list[dict], better: dict) -> list[str]:
             q1, _, q3 = (statistics.quantiles(av, n=4, method="inclusive")
                          if len(av) > 1 else av * 3)
             ma, mb = statistics.median(av), statistics.median(bv)
+            change = f"{100 * (mb - ma) / ma:+.1f}%" if ma else "n/a"
             lines.append(f"  {name:34s} {ma:10.4g} [{q1:.4g}, {q3:.4g}] -> {mb:10.4g} "
-                         f"({100 * (mb - ma) / ma:+.1f}%), wins {wins}/{len(pairs)}, "
+                         f"({change}), wins {wins}/{len(pairs)}, "
                          f"beyond IQR {abs(mb - ma) > q3 - q1}")
     return lines
 
 
 def directions() -> dict:
     """Each metric's name and whether higher is better: BENCHMARK.json's
-    end-to-end metrics, then the unscaled figures."""
+    end-to-end metrics, the unscaled figures, then its per-layer metrics,
+    which only traced runs report."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] == "higher" for m in bench["end_to_end"]}
     better |= {"unscaled." + k: better[k] for k in UNSCALED_KEYS}
+    better |= {m["name"]: m["better"] == "higher" for m in bench["per_layer"]}
     return better
 
 
@@ -185,6 +201,8 @@ def main(argv=None) -> int:
                    help="run length (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--run", action="append", default=[], metavar="LABEL=DIR",
                    help="a checkout to run, with its label; repeat for pairs")
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                   help="run.py's --trace: 1 records per-layer metrics")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = p.parse_args(argv)
     if args.compare:
